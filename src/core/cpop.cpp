@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <queue>
+#include <span>
 
 #include "core/ranking.h"
 #include "core/rescheduler.h"
@@ -85,7 +87,7 @@ Schedule cpop_schedule(const dag::Dag& dag,
     }
   }
 
-  RescheduleRequest request;  // reused for FEA (initial-schedule semantics)
+  RescheduleRequest request;  // the EFT search under initial-schedule semantics
   request.dag = &dag;
   request.estimates = &estimates;
   request.pool = &pool;
@@ -95,55 +97,27 @@ Schedule cpop_schedule(const dag::Dag& dag,
   request.availability = availability;
 
   Schedule result(dag.job_count());
+  EftSearch search(request, result);
   while (!ready.empty()) {
     const dag::JobId job = ready.top();
     ready.pop();
+    search.resolve(job);
 
-    grid::ResourceId best_resource = grid::kInvalidResource;
-    sim::Time best_finish = sim::kTimeInfinity;
-    sim::Time best_start = sim::kTimeInfinity;
     // Critical-path jobs are pinned to the CP processor; others pick the
     // EFT-minimising resource.
-    std::vector<grid::ResourceId> candidates;
-    if (on_cp[job]) {
-      candidates.push_back(cp_resource);
-    } else {
-      candidates = resources;
-    }
-    const auto search = [&](const AvailabilityView* view) {
-      for (const grid::ResourceId r : candidates) {
-        const grid::Resource& machine = pool.resource(r);
-        sim::Time ready_time = sim::kTimeZero;
-        for (const std::uint32_t e : dag.in_edges(job)) {
-          ready_time =
-              std::max(ready_time, file_available(request, e, r, result));
-        }
-        const double w = estimates.compute_cost(job, r);
-        const sim::Time start = result.earliest_slot(
-            r, ready_time, w, config.slot_policy,
-            std::max(clock, machine.arrival), machine.departure, view);
-        if (start == sim::kTimeInfinity) {
-          continue;
-        }
-        if (best_resource == grid::kInvalidResource ||
-            (start + w < best_finish &&
-             !sim::time_eq(start + w, best_finish))) {
-          best_resource = r;
-          best_start = start;
-          best_finish = start + w;
-        }
-      }
-    };
-    search(availability);
-    if (best_resource == grid::kInvalidResource && availability != nullptr) {
+    const std::span<const grid::ResourceId> candidates =
+        on_cp[job] ? std::span<const grid::ResourceId>(&cp_resource, 1)
+                   : std::span<const grid::ResourceId>(resources);
+    std::optional<Assignment> best = search.best(candidates, availability);
+    if (!best && availability != nullptr) {
       // Same degradation as the AHEFT pass: when foreign load fills every
       // candidate's remaining window, fall back to the blind estimate
       // (held claims are displaceable) instead of aborting.
-      search(nullptr);
+      best = search.best(candidates, nullptr);
     }
-    AHEFT_ASSERT(best_resource != grid::kInvalidResource,
+    AHEFT_ASSERT(best.has_value(),
                  "no feasible resource for job " + dag.job(job).name);
-    result.assign(Assignment{job, best_resource, best_start, best_finish});
+    result.assign(*best);
 
     for (const std::uint32_t e : dag.out_edges(job)) {
       const dag::JobId succ = dag.edges()[e].to;

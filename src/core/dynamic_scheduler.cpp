@@ -273,6 +273,9 @@ void DynamicExecution::dispatch() {
       break;  // every remaining ready job is stuck
     }
     assign(chosen, chosen_resource, now);
+    if (failed_) {
+      break;  // assign() failed the run, which already cleared ready_
+    }
     ready_.erase(std::find(ready_.begin(), ready_.end(), chosen));
   }
   if (stuck && !ready_.empty() && !failed_) {

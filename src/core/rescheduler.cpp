@@ -74,89 +74,111 @@ Schedule pin_history(const RescheduleRequest& request,
   return result;
 }
 
+/// Resolves in-edge `edge_index` of the job being placed: a finished
+/// producer (AFT, resource, S0's arrivals) or its slot in S1.
+ResolvedInput resolve_input(const RescheduleRequest& request,
+                            std::size_t edge_index,
+                            const Schedule& new_schedule) {
+  const dag::Dag& dag = *request.dag;
+  const dag::Edge& edge = dag.edges()[edge_index];
+  const dag::JobId producer = edge.from;
+  if (request.snapshot != nullptr && request.snapshot->finished(producer)) {
+    const FinishedInfo& info = request.snapshot->finished_info(producer);
+    return ResolvedInput{&edge, &request.snapshot->arrivals(edge_index),
+                         info.resource, info.aft};
+  }
+  // Unfinished predecessor: it is pinned or already placed in S1 (rank
+  // order guarantees predecessors are handled first).
+  AHEFT_ASSERT(new_schedule.assigned(producer),
+               "predecessor " + dag.job(producer).name +
+                   " not yet placed — rank order violated");
+  const Assignment& placed = new_schedule.assignment(producer);
+  return ResolvedInput{&edge, nullptr, placed.resource, placed.finish};
+}
+
+/// Eq. 1 for a resolved input on `target`: the one place the kernel
+/// prices a transfer.
+sim::Time input_available(const RescheduleRequest& request,
+                          const ResolvedInput& input,
+                          grid::ResourceId target) {
+  if (input.arrivals != nullptr) {
+    // Case 1 / "otherwise with finished n_m": the output already sits on
+    // (or is in flight to) `target` because of schedule S0.
+    if (const auto it = input.arrivals->find(target);
+        it != input.arrivals->end()) {
+      return it->second;
+    }
+  } else if (input.from == target) {
+    return input.finish;  // Case 3
+  }
+  const double c = request.estimates->comm_cost(*input.edge, input.from,
+                                                target);
+  AHEFT_ASSERT(c >= 0.0, "communication cost must be non-negative");
+  if (input.arrivals == nullptr) {
+    // Otherwise: output follows the (new) schedule with one transfer.
+    return input.finish + c;
+  }
+  // Case 2: finished, but the output was never directed to `target`.
+  switch (request.config.transfer_policy) {
+    case TransferPolicy::kRetransmitFromClock:
+      // "The file transmission can not be earlier than clock."
+      return request.clock + c;
+    case TransferPolicy::kEagerReplicate:
+      // The copy left at max(AFT, target arrival).
+      return std::max(input.finish, request.pool->resource(target).arrival) +
+             c;
+    case TransferPolicy::kPrestagedArrivals:
+      // A joining resource syncs previously produced files on arrival.
+      return std::max(input.finish + c,
+                      request.pool->resource(target).arrival);
+  }
+  return request.clock + c;
+}
+
 /// One greedy pass (the paper's Fig. 3 procedure) over a given job order.
 Schedule schedule_in_order(const RescheduleRequest& request,
                            const std::vector<dag::JobId>& order) {
   const dag::Dag& dag = *request.dag;
-  const grid::CostProvider& est = *request.estimates;
 
   std::vector<bool> pinned;
   Schedule result = pin_history(request, pinned);
+  EftSearch search(request, result);
 
   for (const dag::JobId job : order) {
     if (pinned[job]) {
       continue;
     }
-    grid::ResourceId best_resource = grid::kInvalidResource;
-    sim::Time best_start = sim::kTimeInfinity;
-    sim::Time best_finish = sim::kTimeInfinity;
+    search.resolve(job);
 
     // Re-pricing restricts the search to the resource the previous plan
     // chose; the full visible set stays the fallback for jobs whose kept
     // resource became infeasible (departed, or its window filled up).
-    std::vector<grid::ResourceId> kept;
-    if (request.restrict_to_previous &&
-        request.previous->assigned(job)) {
-      kept.push_back(request.previous->assignment(job).resource);
+    std::span<const grid::ResourceId> primary = request.resources;
+    const bool restricted =
+        request.restrict_to_previous && request.previous->assigned(job);
+    if (restricted) {
+      primary = std::span(&request.previous->assignment(job).resource, 1);
     }
 
-    const auto search = [&](const std::vector<grid::ResourceId>& candidates,
-                            const AvailabilityView* availability) {
-      for (const grid::ResourceId r : candidates) {
-        const grid::Resource& machine = request.pool->resource(r);
-        // avail[j]: a resource is usable from its arrival, and never
-        // before the rescheduling clock.
-        const sim::Time not_before = std::max(request.clock, machine.arrival);
-
-        // Inner max of Eq. 2: all inputs present on r.
-        sim::Time ready = sim::kTimeZero;
-        for (const std::uint32_t e : dag.in_edges(job)) {
-          ready = std::max(ready, file_available(request, e, r, result));
-        }
-
-        const double w = est.compute_cost(job, r);
-        const sim::Time start =
-            result.earliest_slot(r, ready, w, request.config.slot_policy,
-                                 not_before, machine.departure, availability);
-        if (start == sim::kTimeInfinity) {
-          continue;  // does not fit in the resource's availability window
-        }
-        const sim::Time finish = start + w;  // Eq. 3
-        // Strictly smaller EFT wins; near-equal EFTs keep the earlier
-        // resource in visible-set order, matching [19]'s published
-        // schedules.
-        if (best_resource == grid::kInvalidResource ||
-            (finish < best_finish && !sim::time_eq(finish, best_finish))) {
-          best_resource = r;
-          best_start = start;
-          best_finish = finish;
-        }
-      }
-    };
-
-    const std::vector<grid::ResourceId>& primary =
-        kept.empty() ? request.resources : kept;
-    search(primary, request.availability);
-    if (best_resource == grid::kInvalidResource &&
-        request.availability != nullptr) {
+    std::optional<Assignment> best = search.best(primary,
+                                                 request.availability);
+    if (!best && request.availability != nullptr) {
       // Foreign load filled every machine's remaining window. The blind
       // estimate is still executable — held claims are displaceable and
       // committed windows may truncate — so degrade to it for this job
       // rather than declaring a live grid infeasible.
-      search(primary, nullptr);
+      best = search.best(primary, nullptr);
     }
-    if (best_resource == grid::kInvalidResource && !kept.empty()) {
+    if (!best && restricted) {
       // The kept resource is gone for good (typically departed): let the
       // re-priced plan move this job like a real reschedule would.
-      search(request.resources, request.availability);
-      if (best_resource == grid::kInvalidResource &&
-          request.availability != nullptr) {
-        search(request.resources, nullptr);
+      best = search.best(request.resources, request.availability);
+      if (!best && request.availability != nullptr) {
+        best = search.best(request.resources, nullptr);
       }
     }
 
-    if (best_resource == grid::kInvalidResource &&
-        request.allow_infeasible) {
+    if (!best && request.allow_infeasible) {
       // Every visible machine departs before this job could finish. With
       // restart semantics on, infeasibility is an outcome rather than an
       // error: place the job on the longest-surviving machine (the wall
@@ -166,30 +188,23 @@ Schedule schedule_in_order(const RescheduleRequest& request,
       for (const grid::ResourceId r : request.resources) {
         const grid::Resource& machine = request.pool->resource(r);
         const sim::Time not_before = std::max(request.clock, machine.arrival);
-        sim::Time ready = sim::kTimeZero;
-        for (const std::uint32_t e : dag.in_edges(job)) {
-          ready = std::max(ready, file_available(request, e, r, result));
-        }
-        const double w = est.compute_cost(job, r);
-        const sim::Time start =
-            result.earliest_slot(r, ready, w, request.config.slot_policy,
-                                 not_before, sim::kTimeInfinity, nullptr);
+        const double w = request.estimates->compute_cost(job, r);
+        const sim::Time start = result.earliest_slot(
+            r, search.ready_on(r), w, request.config.slot_policy, not_before,
+            sim::kTimeInfinity, nullptr);
         const sim::Time finish = start + w;
-        if (best_resource == grid::kInvalidResource ||
-            machine.departure > best_departure ||
+        if (!best || machine.departure > best_departure ||
             (sim::time_eq(machine.departure, best_departure) &&
-             finish < best_finish)) {
-          best_resource = r;
-          best_start = start;
-          best_finish = finish;
+             finish < best->finish)) {
+          best = Assignment{job, r, start, finish};
           best_departure = machine.departure;
         }
       }
     }
 
-    AHEFT_ASSERT(best_resource != grid::kInvalidResource,
+    AHEFT_ASSERT(best.has_value(),
                  "no feasible resource for job " + dag.job(job).name);
-    result.assign(Assignment{job, best_resource, best_start, best_finish});
+    result.assign(*best);
   }
 
   return result;
@@ -197,50 +212,88 @@ Schedule schedule_in_order(const RescheduleRequest& request,
 
 }  // namespace
 
+EftSearch::EftSearch(const RescheduleRequest& request,
+                     const Schedule& new_schedule)
+    : request_(request), new_schedule_(new_schedule) {}
+
+void EftSearch::resolve(dag::JobId job) {
+  job_ = job;
+  inputs_.clear();
+  placed_ready_ = sim::kTimeZero;
+  for (const std::uint32_t e : request_.dag->in_edges(job)) {
+    const ResolvedInput& input =
+        inputs_.emplace_back(resolve_input(request_, e, new_schedule_));
+    if (input.arrivals == nullptr) {
+      placed_ready_ = std::max(placed_ready_, input.finish);
+    }
+  }
+  // Latest producers first: their inputs tend to arrive last, so best()
+  // reaches its skip bound after pricing fewer of them. The max itself
+  // does not depend on the order.
+  std::sort(inputs_.begin(), inputs_.end(),
+            [](const ResolvedInput& a, const ResolvedInput& b) {
+              return a.finish > b.finish;
+            });
+}
+
+sim::Time EftSearch::ready_on(grid::ResourceId target) const {
+  sim::Time ready = sim::kTimeZero;
+  for (const ResolvedInput& input : inputs_) {
+    ready = std::max(ready, input_available(request_, input, target));
+  }
+  return ready;
+}
+
+std::optional<Assignment> EftSearch::best(
+    std::span<const grid::ResourceId> candidates,
+    const AvailabilityView* availability) const {
+  std::optional<Assignment> best;
+  for (const grid::ResourceId r : candidates) {
+    const grid::Resource& machine = request_.pool->resource(r);
+    // avail[j]: a resource is usable from its arrival, and never before
+    // the rescheduling clock.
+    const sim::Time not_before = std::max(request_.clock, machine.arrival);
+    const double w = request_.estimates->compute_cost(job_, r);
+    // Inner max of Eq. 2, priced input by input. `ready` only grows and
+    // the slot starts no earlier than max(ready, not_before), so once that
+    // plus w reaches the best EFT so far this candidate cannot finish
+    // strictly earlier: stop pricing and skip it. Starting from the latest
+    // placed predecessor's finish leaves the full max unchanged.
+    const auto beaten = [&](sim::Time ready) {
+      return best && std::max(ready, not_before) + w >= best->finish;
+    };
+    sim::Time ready = placed_ready_;
+    bool skip = beaten(ready);
+    for (std::size_t k = 0; !skip && k < inputs_.size(); ++k) {
+      ready = std::max(ready, input_available(request_, inputs_[k], r));
+      skip = beaten(ready);
+    }
+    if (skip) {
+      continue;
+    }
+    const sim::Time start = new_schedule_.earliest_slot(
+        r, ready, w, request_.config.slot_policy, not_before,
+        machine.departure, availability);
+    if (start == sim::kTimeInfinity) {
+      continue;  // does not fit in the resource's availability window
+    }
+    const sim::Time finish = start + w;  // Eq. 3
+    // Strictly smaller EFT wins; near-equal EFTs keep the earlier
+    // resource in visible-set order, matching [19]'s published
+    // schedules.
+    if (!best ||
+        (finish < best->finish && !sim::time_eq(finish, best->finish))) {
+      best = Assignment{job_, r, start, finish};
+    }
+  }
+  return best;
+}
+
 sim::Time file_available(const RescheduleRequest& request,
                          std::size_t edge_index, grid::ResourceId target,
                          const Schedule& new_schedule) {
-  const dag::Dag& dag = *request.dag;
-  const dag::Edge& edge = dag.edges()[edge_index];
-  const dag::JobId producer = edge.from;
-  const grid::CostProvider& est = *request.estimates;
-
-  if (request.snapshot != nullptr && request.snapshot->finished(producer)) {
-    const FinishedInfo& info = request.snapshot->finished_info(producer);
-    // Case 1 / "otherwise with finished n_m": the output already sits on
-    // (or is in flight to) `target` because of schedule S0.
-    const auto& arrivals = request.snapshot->arrivals(edge_index);
-    if (const auto it = arrivals.find(target); it != arrivals.end()) {
-      return it->second;
-    }
-    // Case 2: finished, but the output was never directed to `target`.
-    const double c = est.comm_cost(edge, info.resource, target);
-    const grid::Resource& machine = request.pool->resource(target);
-    switch (request.config.transfer_policy) {
-      case TransferPolicy::kRetransmitFromClock:
-        // "The file transmission can not be earlier than clock."
-        return request.clock + c;
-      case TransferPolicy::kEagerReplicate:
-        // The copy left at max(AFT, target arrival).
-        return std::max(info.aft, machine.arrival) + c;
-      case TransferPolicy::kPrestagedArrivals:
-        // A joining resource syncs previously produced files on arrival.
-        return std::max(info.aft + c, machine.arrival);
-    }
-    return request.clock + c;
-  }
-
-  // Unfinished predecessor: it is pinned or already placed in S1 (rank
-  // order guarantees predecessors are handled first).
-  AHEFT_ASSERT(new_schedule.assigned(producer),
-               "predecessor " + dag.job(producer).name +
-                   " not yet placed — rank order violated");
-  const Assignment& placed = new_schedule.assignment(producer);
-  if (placed.resource == target) {
-    return placed.finish;  // Case 3
-  }
-  // Otherwise: output follows the (new) schedule with one transfer.
-  return placed.finish + est.comm_cost(edge, placed.resource, target);
+  return input_available(
+      request, resolve_input(request, edge_index, new_schedule), target);
 }
 
 Schedule aheft_schedule(const RescheduleRequest& request) {

@@ -8,6 +8,8 @@
 #ifndef AHEFT_CORE_RESCHEDULER_H_
 #define AHEFT_CORE_RESCHEDULER_H_
 
+#include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,6 +74,60 @@ struct RescheduleRequest {
                                        std::size_t edge_index,
                                        grid::ResourceId target,
                                        const Schedule& new_schedule);
+
+/// One in-edge of the job being placed, resolved once per job: the
+/// producer's finish time and resource, and — when it finished before the
+/// clock — where S0 already sent its output. Only the transfer cost of
+/// Eq. 1 still depends on the candidate resource.
+struct ResolvedInput {
+  const dag::Edge* edge = nullptr;
+  /// The finished producer's arrivals (S0's transfers); null while the
+  /// producer is pinned running or placed in S1.
+  const std::map<grid::ResourceId, sim::Time>* arrivals = nullptr;
+  grid::ResourceId from = grid::kInvalidResource;
+  sim::Time finish = sim::kTimeZero;  ///< AFT, or SFT in S1
+};
+
+/// The EFT search of Fig. 3 (Eq. 1–3) for one job at a time, shared by
+/// the AHEFT pass, its fallbacks and CPOP. `resolve` reads the job's
+/// inputs off `new_schedule` once; `best` then prices only their transfers
+/// per candidate, latest producer first, and skips a candidate as soon as
+/// max(ready, not_before) + w reaches the best EFT so far, where `ready`
+/// starts at the latest placed predecessor's finish and grows with each
+/// priced input. The skip is exact: transfer costs are >= 0, the slot
+/// starts no earlier than max(ready, not_before), and a candidate wins
+/// only on a strictly smaller EFT, so no skipped candidate could have won.
+class EftSearch {
+ public:
+  /// Both references must outlive the search; `new_schedule` is the S1
+  /// the caller keeps assigning into between jobs.
+  EftSearch(const RescheduleRequest& request, const Schedule& new_schedule);
+
+  /// Resolves `job`'s in-edges. Every unfinished predecessor must already
+  /// be in `new_schedule` (rank order guarantees it).
+  void resolve(dag::JobId job);
+
+  /// The EFT-minimising slot for the resolved job over `candidates`, in
+  /// their order (near-equal EFTs keep the earlier candidate), fitted to
+  /// each machine's window and to `availability`'s free gaps when set.
+  /// Nullopt when no candidate fits.
+  [[nodiscard]] std::optional<Assignment> best(
+      std::span<const grid::ResourceId> candidates,
+      const AvailabilityView* availability) const;
+
+  /// Eq. 2's inner max: when all the resolved job's inputs are on
+  /// `target`.
+  [[nodiscard]] sim::Time ready_on(grid::ResourceId target) const;
+
+ private:
+  const RescheduleRequest& request_;
+  const Schedule& new_schedule_;
+  dag::JobId job_ = dag::kInvalidJob;
+  std::vector<ResolvedInput> inputs_;
+  /// Latest finish of a placed (not finished) predecessor: no candidate's
+  /// ready time is earlier.
+  sim::Time placed_ready_ = sim::kTimeZero;
+};
 
 }  // namespace aheft::core
 

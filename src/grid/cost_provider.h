@@ -5,6 +5,17 @@
 // estimation matrix P); the execution engine consumes the ground truth.
 // Under the paper's accuracy assumption both are the same object; the
 // inaccuracy ablation plugs in a noisy estimator instead.
+//
+// Contract: every query is pure — the same arguments always give the same
+// value, however often and in whatever order it is asked — and comm_cost
+// is >= 0. The planner's EFT search relies on both: it prices a transfer
+// only for the candidates it cannot rule out, and rules a candidate out by
+// a lower bound that assumes no transfer is negative. MachineModel meets
+// it (Dag::add_edge requires data >= 0; LinkModel requires latency >= 0
+// and bandwidth > 0), and so do the predictors: their transfer costs are
+// the truth's, and their compute costs are fixed per (job, resource) —
+// HistoryBlendingPredictor's only between history observations, which
+// never happen while a plan is made.
 #ifndef AHEFT_GRID_COST_PROVIDER_H_
 #define AHEFT_GRID_COST_PROVIDER_H_
 
@@ -24,7 +35,7 @@ class CostProvider {
                                             ResourceId resource) const = 0;
 
   /// Communication cost of moving edge `e`'s payload from resource `from`
-  /// to resource `to` (0 when from == to).
+  /// to resource `to` (0 when from == to); never negative.
   [[nodiscard]] virtual double comm_cost(const dag::Edge& e, ResourceId from,
                                          ResourceId to) const = 0;
 

@@ -1,6 +1,8 @@
 // Dynamic just-in-time baseline tests (Min-Min / Max-Min / Sufferage).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/dynamic_scheduler.h"
 #include "core/heft.h"
 #include "helpers.h"
@@ -213,6 +215,41 @@ TEST(Dynamic, ReportsWhenNoMachineCanFinishBeforeDeparting) {
   grid::MachineModel model(1, 1);
   model.set_compute_cost(0, 0, 10.0);
   EXPECT_THROW(run_dynamic(graph, model, pool), std::runtime_error);
+}
+
+TEST(Dynamic, LoadStretchOutlivingTheMachineFailsTheRunMidDispatch) {
+  // Two ready jobs, one machine that leaves at 12. The first decision
+  // fits nominally (10 <= 12), but the 2x load stretches the realized run
+  // to 20: under resilience the run fails inside that dispatch round,
+  // which must then stop instead of touching the cleared ready list.
+  dag::Dag graph;
+  graph.add_job("a");
+  graph.add_job("b");
+  graph.finalize();
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "short-lived", .departure = 12.0});
+  grid::MachineModel model(2, 1);
+  model.set_compute_cost(0, 0, 10.0);
+  model.set_compute_cost(1, 0, 11.0);
+  traces::LoadTimeline load;
+  load.add(0, 0.0, sim::kTimeInfinity, 2.0);
+
+  SessionEnvironment env;
+  env.pool = &pool;
+  env.load = &load;
+  env.resilience.departure_action = resilience::DepartureAction::kFail;
+  SimulationSession session(env);
+  DynamicExecution execution(session, graph, model);
+  std::optional<DynamicRunResult> result;
+  execution.launch(sim::kTimeZero,
+                   [&](const DynamicRunResult& r) { result = r; });
+  session.run();
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->failed);
+  EXPECT_EQ(result->failure_reason,
+            "load-stretched job a would outlive its machine");
+  EXPECT_FALSE(execution.finished());
 }
 
 TEST(Dynamic, HeuristicNames) {

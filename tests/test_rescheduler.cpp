@@ -1,12 +1,25 @@
 // AHEFT rescheduler tests: FEA cases (Eq. 1), snapshot pinning, the Fig. 5
-// worked example, and policy behaviours.
+// worked example, policy behaviours, and a randomized differential check of
+// the EFT search against a plain per-(edge, resource) reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+#include <optional>
+#include <queue>
+#include <string>
+
+#include "core/cpop.h"
 #include "core/execution_engine.h"
 #include "core/heft.h"
+#include "core/ranking.h"
 #include "core/rescheduler.h"
 #include "helpers.h"
 #include "sim/simulator.h"
+#include "support/assert.h"
+#include "support/rng.h"
 #include "workloads/sample.h"
 
 namespace aheft::core {
@@ -337,6 +350,505 @@ TEST_P(ReschedulerProperty, MidRunRescheduleIsConsistent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ReschedulerProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808));
+
+// ----- differential: the EFT search against the plain reference loop -----
+//
+// The reference below is the planning loop as it stood before EftSearch:
+// file_available per (in-edge, resource) and every candidate slotted, no
+// pruning. The library must pick the same resource with the exact same
+// start and finish for every job, under every policy combination.
+
+namespace reference {
+
+Schedule pin_history(const RescheduleRequest& request,
+                     std::vector<bool>& pinned) {
+  const dag::Dag& dag = *request.dag;
+  Schedule result(dag.job_count());
+  pinned.assign(dag.job_count(), false);
+  const ExecutionSnapshot* snapshot = request.snapshot;
+  if (snapshot == nullptr) {
+    return result;
+  }
+  for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+    if (snapshot->finished(i)) {
+      const FinishedInfo& info = snapshot->finished_info(i);
+      result.assign(Assignment{i, info.resource, info.ast, info.aft});
+      pinned[i] = true;
+    }
+  }
+  if (request.config.running_policy == RunningJobPolicy::kKeepRunning) {
+    for (const RunningInfo& info : snapshot->running()) {
+      const bool visible =
+          std::find(request.resources.begin(), request.resources.end(),
+                    info.resource) != request.resources.end();
+      const bool fits =
+          sim::time_le(info.expected_finish,
+                       request.pool->resource(info.resource).departure);
+      if (!visible || !fits) {
+        continue;
+      }
+      result.assign(Assignment{info.job, info.resource, info.ast,
+                               info.expected_finish});
+      pinned[info.job] = true;
+    }
+  }
+  return result;
+}
+
+Schedule schedule_in_order(const RescheduleRequest& request,
+                           const std::vector<dag::JobId>& order) {
+  const dag::Dag& dag = *request.dag;
+  const grid::CostProvider& est = *request.estimates;
+
+  std::vector<bool> pinned;
+  Schedule result = pin_history(request, pinned);
+
+  for (const dag::JobId job : order) {
+    if (pinned[job]) {
+      continue;
+    }
+    grid::ResourceId best_resource = grid::kInvalidResource;
+    sim::Time best_start = sim::kTimeInfinity;
+    sim::Time best_finish = sim::kTimeInfinity;
+
+    std::vector<grid::ResourceId> kept;
+    if (request.restrict_to_previous && request.previous->assigned(job)) {
+      kept.push_back(request.previous->assignment(job).resource);
+    }
+
+    const auto search = [&](const std::vector<grid::ResourceId>& candidates,
+                            const AvailabilityView* availability) {
+      for (const grid::ResourceId r : candidates) {
+        const grid::Resource& machine = request.pool->resource(r);
+        const sim::Time not_before = std::max(request.clock, machine.arrival);
+        sim::Time ready = sim::kTimeZero;
+        for (const std::uint32_t e : dag.in_edges(job)) {
+          ready = std::max(ready, file_available(request, e, r, result));
+        }
+        const double w = est.compute_cost(job, r);
+        const sim::Time start =
+            result.earliest_slot(r, ready, w, request.config.slot_policy,
+                                 not_before, machine.departure, availability);
+        if (start == sim::kTimeInfinity) {
+          continue;
+        }
+        const sim::Time finish = start + w;
+        if (best_resource == grid::kInvalidResource ||
+            (finish < best_finish && !sim::time_eq(finish, best_finish))) {
+          best_resource = r;
+          best_start = start;
+          best_finish = finish;
+        }
+      }
+    };
+
+    const std::vector<grid::ResourceId>& primary =
+        kept.empty() ? request.resources : kept;
+    search(primary, request.availability);
+    if (best_resource == grid::kInvalidResource &&
+        request.availability != nullptr) {
+      search(primary, nullptr);
+    }
+    if (best_resource == grid::kInvalidResource && !kept.empty()) {
+      search(request.resources, request.availability);
+      if (best_resource == grid::kInvalidResource &&
+          request.availability != nullptr) {
+        search(request.resources, nullptr);
+      }
+    }
+
+    if (best_resource == grid::kInvalidResource &&
+        request.allow_infeasible) {
+      sim::Time best_departure = -sim::kTimeInfinity;
+      for (const grid::ResourceId r : request.resources) {
+        const grid::Resource& machine = request.pool->resource(r);
+        const sim::Time not_before = std::max(request.clock, machine.arrival);
+        sim::Time ready = sim::kTimeZero;
+        for (const std::uint32_t e : dag.in_edges(job)) {
+          ready = std::max(ready, file_available(request, e, r, result));
+        }
+        const double w = est.compute_cost(job, r);
+        const sim::Time start =
+            result.earliest_slot(r, ready, w, request.config.slot_policy,
+                                 not_before, sim::kTimeInfinity, nullptr);
+        const sim::Time finish = start + w;
+        if (best_resource == grid::kInvalidResource ||
+            machine.departure > best_departure ||
+            (sim::time_eq(machine.departure, best_departure) &&
+             finish < best_finish)) {
+          best_resource = r;
+          best_start = start;
+          best_finish = finish;
+          best_departure = machine.departure;
+        }
+      }
+    }
+
+    AHEFT_ASSERT(best_resource != grid::kInvalidResource,
+                 "no feasible resource for job " + dag.job(job).name);
+    result.assign(Assignment{job, best_resource, best_start, best_finish});
+  }
+  return result;
+}
+
+Schedule aheft(const RescheduleRequest& request) {
+  const dag::Dag& dag = *request.dag;
+  if (request.restrict_to_previous) {
+    std::vector<dag::JobId> order(dag.job_count());
+    for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+      order[i] = i;
+    }
+    const auto start_of = [&](dag::JobId job) {
+      const std::optional<Assignment>& slot =
+          request.previous->maybe_assignment(job);
+      return slot ? slot->start : sim::kTimeInfinity;
+    };
+    std::sort(order.begin(), order.end(), [&](dag::JobId a, dag::JobId b) {
+      const sim::Time sa = start_of(a);
+      const sim::Time sb = start_of(b);
+      if (sa != sb) {
+        return sa < sb;
+      }
+      return a < b;
+    });
+    return schedule_in_order(request, order);
+  }
+  const std::vector<double> ranks =
+      upward_ranks(dag, *request.estimates, request.resources);
+  const std::vector<dag::JobId> order = rank_order(ranks);
+  Schedule best = schedule_in_order(request, order);
+  std::size_t tried = 0;
+  for (std::size_t k = 0;
+       k + 1 < order.size() && tried < request.config.order_candidates; ++k) {
+    const dag::JobId a = order[k];
+    const dag::JobId b = order[k + 1];
+    const double gap = ranks[a] - ranks[b];
+    const double scale = std::max(1.0, std::max(ranks[a], ranks[b]));
+    if (gap > request.config.rank_tie_fraction * scale) {
+      continue;
+    }
+    const std::vector<dag::JobId> succ_of_a = dag.successors(a);
+    if (std::find(succ_of_a.begin(), succ_of_a.end(), b) != succ_of_a.end()) {
+      continue;
+    }
+    std::vector<dag::JobId> variant = order;
+    std::swap(variant[k], variant[k + 1]);
+    ++tried;
+    Schedule candidate = schedule_in_order(request, variant);
+    if (candidate.makespan() <
+        best.makespan() - sim::kTimeEpsilon * (1.0 + best.makespan())) {
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+bool nearly_equal(double a, double b) {
+  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
+  return std::fabs(a - b) <= 1e-9 * scale;
+}
+
+Schedule cpop(const dag::Dag& dag, const grid::CostProvider& estimates,
+              const grid::ResourcePool& pool, SchedulerConfig config,
+              sim::Time clock, const AvailabilityView* availability) {
+  const std::vector<grid::ResourceId> resources = pool.available_at(clock);
+  const std::vector<double> up = upward_ranks(dag, estimates, resources);
+  const std::vector<double> down = downward_ranks(dag, estimates, resources);
+  const std::vector<dag::JobId> critical =
+      cpop_critical_path(dag, estimates, resources);
+  std::vector<bool> on_cp(dag.job_count(), false);
+  for (const dag::JobId i : critical) {
+    on_cp[i] = true;
+  }
+  grid::ResourceId cp_resource = resources.front();
+  double cp_cost = std::numeric_limits<double>::infinity();
+  for (const grid::ResourceId r : resources) {
+    double total = 0.0;
+    for (const dag::JobId i : critical) {
+      total += estimates.compute_cost(i, r);
+    }
+    if (total < cp_cost) {
+      cp_cost = total;
+      cp_resource = r;
+    }
+  }
+  const auto priority = [&](dag::JobId i) { return up[i] + down[i]; };
+  const auto cmp = [&](dag::JobId a, dag::JobId b) {
+    if (!nearly_equal(priority(a), priority(b))) {
+      return priority(a) < priority(b);
+    }
+    return a > b;
+  };
+  std::priority_queue<dag::JobId, std::vector<dag::JobId>, decltype(cmp)>
+      ready(cmp);
+  std::vector<std::uint32_t> pending(dag.job_count(), 0);
+  for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+    pending[i] = static_cast<std::uint32_t>(dag.in_edges(i).size());
+    if (pending[i] == 0) {
+      ready.push(i);
+    }
+  }
+  RescheduleRequest request;
+  request.dag = &dag;
+  request.estimates = &estimates;
+  request.pool = &pool;
+  request.resources = resources;
+  request.clock = clock;
+  request.config = config;
+  request.availability = availability;
+
+  Schedule result(dag.job_count());
+  while (!ready.empty()) {
+    const dag::JobId job = ready.top();
+    ready.pop();
+    grid::ResourceId best_resource = grid::kInvalidResource;
+    sim::Time best_finish = sim::kTimeInfinity;
+    sim::Time best_start = sim::kTimeInfinity;
+    std::vector<grid::ResourceId> candidates;
+    if (on_cp[job]) {
+      candidates.push_back(cp_resource);
+    } else {
+      candidates = resources;
+    }
+    const auto search = [&](const AvailabilityView* view) {
+      for (const grid::ResourceId r : candidates) {
+        const grid::Resource& machine = pool.resource(r);
+        sim::Time ready_time = sim::kTimeZero;
+        for (const std::uint32_t e : dag.in_edges(job)) {
+          ready_time =
+              std::max(ready_time, file_available(request, e, r, result));
+        }
+        const double w = estimates.compute_cost(job, r);
+        const sim::Time start = result.earliest_slot(
+            r, ready_time, w, config.slot_policy,
+            std::max(clock, machine.arrival), machine.departure, view);
+        if (start == sim::kTimeInfinity) {
+          continue;
+        }
+        if (best_resource == grid::kInvalidResource ||
+            (start + w < best_finish &&
+             !sim::time_eq(start + w, best_finish))) {
+          best_resource = r;
+          best_start = start;
+          best_finish = start + w;
+        }
+      }
+    };
+    search(availability);
+    if (best_resource == grid::kInvalidResource && availability != nullptr) {
+      search(nullptr);
+    }
+    AHEFT_ASSERT(best_resource != grid::kInvalidResource,
+                 "no feasible resource for job " + dag.job(job).name);
+    result.assign(Assignment{job, best_resource, best_start, best_finish});
+    for (const std::uint32_t e : dag.out_edges(job)) {
+      const dag::JobId succ = dag.edges()[e].to;
+      if (--pending[succ] == 0) {
+        ready.push(succ);
+      }
+    }
+  }
+  return result;
+}
+
+}  // namespace reference
+
+/// A planner's outcome: the schedule, or the infeasibility it reported.
+struct Outcome {
+  std::optional<Schedule> schedule;
+  std::string failure;
+};
+
+template <typename Plan>
+Outcome outcome_of(Plan plan) {
+  try {
+    return Outcome{plan(), {}};
+  } catch (const AssertionError& error) {
+    // Keep the reason, not the throwing file and line.
+    const std::string what = error.what();
+    const std::size_t at = what.find("no feasible resource");
+    return Outcome{std::nullopt,
+                   at == std::string::npos ? what : what.substr(at)};
+  }
+}
+
+void expect_same_outcome(const Outcome& library, const Outcome& reference) {
+  ASSERT_EQ(library.schedule.has_value(), reference.schedule.has_value())
+      << "library: " << library.failure
+      << " / reference: " << reference.failure;
+  if (library.schedule) {
+    test::expect_bit_identical(*library.schedule, *reference.schedule);
+  } else {
+    EXPECT_EQ(library.failure, reference.failure);
+  }
+}
+
+/// One random planning situation: a DAG on a pool with staggered arrivals
+/// and departures, an initial plan S0, and — unless `initial` — a snapshot
+/// of S0 part-way through, with finished and running jobs.
+struct DifferentialCase {
+  explicit DifferentialCase(std::uint64_t seed) : rng(seed) {
+    test::RandomCaseOptions options;
+    options.jobs = 6 + rng.index(20);
+    options.ccr = std::array{0.1, 1.0, 5.0}[rng.index(3)];
+    options.initial_resources = 2 + rng.index(4);
+    options.interval = rng.uniform(20.0, 200.0);
+    options.fraction = rng.uniform(0.25, 0.75);
+    options.horizon = 1500.0;
+    rc.emplace(test::make_random_case(seed, options));
+    grid::ResourcePool& pool = rc->pool;
+    // Departures on a coarse grid, so machines often leave together and
+    // the longest-survivor choice under allow_infeasible meets ties. In
+    // some cases every machine leaves, so late jobs fit nowhere.
+    const double departing = rng.bernoulli(0.3) ? 1.0 : 0.4;
+    for (grid::ResourceId r = 0; r < pool.universe_size(); ++r) {
+      if (rng.bernoulli(departing)) {
+        const double grid_step = 100.0;
+        const double first =
+            std::floor(pool.resource(r).arrival / grid_step) + 1.0;
+        pool.set_departure(
+            r, grid_step * (first + static_cast<double>(rng.index(4))));
+      }
+    }
+
+    config.slot_policy =
+        rng.bernoulli(0.5) ? SlotPolicy::kInsertion : SlotPolicy::kEndOfQueue;
+    config.running_policy = rng.bernoulli(0.5)
+                                ? RunningJobPolicy::kKeepRunning
+                                : RunningJobPolicy::kRestartable;
+    config.transfer_policy = std::array{
+        TransferPolicy::kRetransmitFromClock, TransferPolicy::kEagerReplicate,
+        TransferPolicy::kPrestagedArrivals}[rng.index(3)];
+    config.order_candidates = rng.index(4);
+
+    const dag::Dag& dag = rc->workload.dag;
+    RescheduleRequest first = base_request();
+    first.resources = pool.available_at(0.0);
+    first.allow_infeasible = true;
+    s0 = aheft_schedule(first);
+
+    initial = rng.bernoulli(0.2);
+    clock = initial ? 0.0 : rng.uniform(0.05, 0.95) * s0.makespan();
+    if (!initial && rng.bernoulli(0.2)) {
+      // Plan exactly at a pool change: a resource arriving at the clock.
+      clock = pool.resource(pool.universe_size() - 1).arrival;
+    }
+    resources = pool.available_at(clock);
+    snapshot.emplace(clock, dag.job_count(), dag.edge_count());
+    if (initial) {
+      return;
+    }
+    for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+      const Assignment& slot = s0.assignment(i);
+      if (slot.finish <= clock) {
+        snapshot->mark_finished(i, FinishedInfo{slot.resource, slot.start,
+                                                slot.finish});
+        for (const std::uint32_t e : dag.out_edges(i)) {
+          snapshot->record_arrival(e, slot.resource, slot.finish);
+          // Some outputs were already sent on to other machines.
+          for (grid::ResourceId r = 0; r < pool.universe_size(); ++r) {
+            if (r != slot.resource && rng.bernoulli(0.3)) {
+              snapshot->record_arrival(
+                  e, r,
+                  slot.finish +
+                      rc->model.comm_cost(dag.edges()[e], slot.resource, r));
+            }
+          }
+        }
+      } else if (slot.start <= clock) {
+        snapshot->add_running(
+            RunningInfo{i, slot.resource, slot.start, slot.finish});
+      }
+    }
+  }
+
+  RescheduleRequest base_request() const {
+    RescheduleRequest req;
+    req.dag = &rc->workload.dag;
+    req.estimates = &rc->model;
+    req.pool = &rc->pool;
+    req.config = config;
+    return req;
+  }
+
+  /// Foreign load on random machines from the clock on; now and then it
+  /// fills every machine, which forces the contention-blind fallback.
+  AvailabilityView random_view() {
+    AvailabilityView view(clock);
+    if (rng.bernoulli(0.25)) {
+      for (grid::ResourceId r = 0; r < rc->pool.universe_size(); ++r) {
+        view.add_busy(r, clock, sim::kTimeInfinity);
+      }
+    }
+    for (std::size_t k = 0; k < 6; ++k) {
+      const auto r =
+          static_cast<grid::ResourceId>(rng.index(rc->pool.universe_size()));
+      const sim::Time start = clock + rng.uniform(0.0, 300.0);
+      view.add_busy(r, start, start + rng.uniform(5.0, 150.0));
+    }
+    view.normalize();
+    return view;
+  }
+
+  RngStream rng;
+  std::optional<test::RandomCase> rc;
+  SchedulerConfig config;
+  Schedule s0;
+  bool initial = false;
+  sim::Time clock = sim::kTimeZero;
+  std::vector<grid::ResourceId> resources;
+  std::optional<ExecutionSnapshot> snapshot;
+};
+
+TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
+  std::size_t planned = 0;
+  std::size_t infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DifferentialCase c(seed);
+    if (c.resources.empty()) {
+      continue;  // every machine is between departure and next arrival
+    }
+    const std::optional<AvailabilityView> view =
+        c.rng.bernoulli(0.5) ? std::optional(c.random_view()) : std::nullopt;
+
+    RescheduleRequest req = c.base_request();
+    req.resources = c.resources;
+    req.clock = c.clock;
+    if (!c.initial) {
+      req.snapshot = &*c.snapshot;
+      req.previous = &c.s0;
+      req.restrict_to_previous = c.rng.bernoulli(0.3);
+    }
+    req.availability = view ? &*view : nullptr;
+    req.allow_infeasible = c.rng.bernoulli(0.5);
+
+    const Outcome library = outcome_of([&] { return aheft_schedule(req); });
+    expect_same_outcome(library,
+                        outcome_of([&] { return reference::aheft(req); }));
+    if (library.schedule) {
+      ++planned;
+    } else {
+      ++infeasible;
+    }
+
+    const dag::Dag& dag = c.rc->workload.dag;
+    const test::RandomCase& rc = *c.rc;
+    expect_same_outcome(outcome_of([&] {
+                          return cpop_schedule(dag, rc.model, rc.pool,
+                                               c.config, c.clock,
+                                               req.availability);
+                        }),
+                        outcome_of([&] {
+                          return reference::cpop(dag, rc.model, rc.pool,
+                                                 c.config, c.clock,
+                                                 req.availability);
+                        }));
+  }
+  // The sweep must mostly plan, not only agree on giving up.
+  EXPECT_GT(planned, 150u);
+  EXPECT_GT(infeasible, 0u);
+}
 
 }  // namespace
 }  // namespace aheft::core
