@@ -73,10 +73,12 @@ void BM_AheftMidRunReschedule(benchmark::State& state) {
   const BenchCase c = make_case(static_cast<std::size_t>(state.range(0)), 20);
   const core::Schedule plan =
       core::heft_schedule(c.workload.dag, c.model, c.pool);
-  sim::Simulator sim;
-  core::ExecutionEngine engine(sim, c.workload.dag, c.model, c.pool);
+  core::SessionEnvironment env;
+  env.pool = &c.pool;
+  core::SimulationSession session(env);
+  core::ExecutionEngine engine(session, c.workload.dag, c.model);
   engine.submit(plan);
-  sim.run_until(plan.makespan() / 2.0);
+  session.simulator().run_until(plan.makespan() / 2.0);
   const core::ExecutionSnapshot snapshot = engine.snapshot();
 
   core::RescheduleRequest request;
@@ -97,11 +99,13 @@ void BM_EngineReplay(benchmark::State& state) {
   const BenchCase c = make_case(static_cast<std::size_t>(state.range(0)), 20);
   const core::Schedule plan =
       core::heft_schedule(c.workload.dag, c.model, c.pool);
+  core::SessionEnvironment env;
+  env.pool = &c.pool;
   for (auto _ : state) {
-    sim::Simulator sim;
-    core::ExecutionEngine engine(sim, c.workload.dag, c.model, c.pool);
+    core::SimulationSession session(env);
+    core::ExecutionEngine engine(session, c.workload.dag, c.model);
     engine.submit(plan);
-    sim.run();
+    session.run();
     benchmark::DoNotOptimize(engine.makespan());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -13,7 +13,7 @@
 #include <sstream>
 
 #include "core/heft.h"
-#include "core/planner.h"
+#include "core/strategy.h"
 #include "dag/io.h"
 #include "support/env.h"
 #include "support/rng.h"
@@ -61,18 +61,20 @@ grid::MachineModel make_costs(const dag::Dag& workflow,
   return model;
 }
 
-core::AdaptiveResult run_once(const dag::Dag& workflow,
-                              const traces::CompiledScenario& scenario,
-                              std::uint64_t seed,
-                              sim::TraceRecorder* trace) {
+core::StrategyOutcome run_once(const dag::Dag& workflow,
+                               const traces::CompiledScenario& scenario,
+                               std::uint64_t seed,
+                               sim::TraceRecorder* trace) {
   const grid::MachineModel model =
       make_costs(workflow, scenario.pool.universe_size(), seed);
-  core::PlannerConfig config;
-  config.scheduler.order_candidates = 4;
-  config.load = scenario.load.empty() ? nullptr : &scenario.load;
-  core::AdaptivePlanner planner(workflow, model, model, scenario.pool,
-                                config, trace);
-  return planner.run();
+  core::SessionEnvironment env;
+  env.pool = &scenario.pool;
+  env.load = scenario.load.empty() ? nullptr : &scenario.load;
+  env.trace = trace;
+  core::StrategyConfig config;
+  config.planner.scheduler.order_candidates = 4;
+  return core::run_strategy(core::StrategyKind::kAdaptiveAheft, workflow,
+                            model, model, env, config);
 }
 
 }  // namespace
@@ -167,7 +169,7 @@ int main(int argc, char** argv) {
 
   // --- 2. run AHEFT on the live scenario -------------------------------
   sim::TraceRecorder exec_trace;
-  const core::AdaptiveResult result =
+  const core::StrategyOutcome result =
       run_once(workflow, scenario, seed, &exec_trace);
 
   std::cout << "\ndecision log:\n";
@@ -196,7 +198,7 @@ int main(int argc, char** argv) {
   replay_request.trace_path = out_path;
   const traces::CompiledScenario replay =
       traces::build_scenario("trace", replay_request);
-  const core::AdaptiveResult replayed =
+  const core::StrategyOutcome replayed =
       run_once(workflow, replay, seed, nullptr);
 
   const bool same_makespan = replayed.makespan == result.makespan;

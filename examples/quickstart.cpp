@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "core/heft.h"
-#include "core/planner.h"
 #include "core/strategy.h"
 #include "dag/dag.h"
 #include "grid/machine_model.h"
@@ -59,12 +58,15 @@ int main() {
 
   // 5. Adaptive run: the planner hears about site-c at t = 12, evaluates a
   //    reschedule of the remaining jobs, and adopts it if it helps.
-  core::PlannerConfig config;
-  config.scheduler.order_candidates = 4;  // explore near-tie rank orders
+  core::StrategyConfig strategy_config;
+  strategy_config.planner.scheduler.order_candidates = 4;  // near-tie orders
   sim::TraceRecorder trace;
-  core::AdaptivePlanner planner(workflow, model, model, pool, config,
-                                &trace);
-  const core::AdaptiveResult result = planner.run();
+  core::SessionEnvironment env;
+  env.pool = &pool;
+  env.trace = &trace;
+  const core::StrategyOutcome result =
+      core::run_strategy(core::StrategyKind::kAdaptiveAheft, workflow, model,
+                         model, env, strategy_config);
 
   std::cout << "Adaptive run: evaluated " << result.evaluations
             << " event(s), adopted " << result.adoptions
@@ -88,13 +90,10 @@ int main() {
   }
   std::cout << "Execution trace:\n" << trace.gantt(jobs, sites) << "\n";
 
-  // 6. The same comparison through the unified strategy API: every
-  //    strategy runs in a session over one shared environment, so the
-  //    makespans are directly comparable.
-  core::SessionEnvironment env;
-  env.pool = &pool;
-  core::StrategyConfig strategy_config;
-  strategy_config.planner = config;
+  // 6. All three strategies through the same entry point: every strategy
+  //    runs in a session over one shared environment, so the makespans
+  //    are directly comparable (the trace above stays the adaptive run's).
+  env.trace = nullptr;
   std::cout << "Strategy comparison (core::run_strategy):\n";
   for (const core::StrategyKind kind :
        {core::StrategyKind::kStaticHeft, core::StrategyKind::kAdaptiveAheft,

@@ -23,11 +23,12 @@ int main() {
 
   const core::Schedule plan =
       core::heft_schedule(scenario.dag, scenario.model, scenario.pool);
-  sim::Simulator sim;
-  core::ExecutionEngine engine(sim, scenario.dag, scenario.model,
-                               scenario.pool);
+  core::SessionEnvironment env;
+  env.pool = &scenario.pool;
+  core::SimulationSession session(env);
+  core::ExecutionEngine engine(session, scenario.dag, scenario.model);
   engine.submit(plan);
-  sim.run_until(15.0);
+  session.simulator().run_until(15.0);
   const core::ExecutionSnapshot snapshot = engine.snapshot();
 
   std::cout << "Workflow state at t=15: " << snapshot.finished_count()

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "dag/algorithms.h"
 #include "sim/simulator.h"
@@ -323,20 +324,25 @@ void DynamicExecution::fail_run(const std::string& reason) {
   // Fire the completion like a normal finish would — in a fresh event,
   // so the failing dispatch unwinds first.
   session_->simulator().schedule_at(now, [this] {
-    if (!done_) {
-      return;
+    if (done_) {
+      report();
     }
-    DynamicRunResult result;
-    result.makespan = makespan_;
-    result.batches = batches_;
-    result.schedule = schedule_;
-    const ContentionStats stats = session_->contention_stats(this);
-    result.contention_wait = stats.total_wait;
-    result.max_contention_wait = stats.max_wait;
-    result.failed = true;
-    result.failure_reason = failure_reason_;
-    done_(result);
   });
+}
+
+void DynamicExecution::report() {
+  StrategyOutcome outcome;
+  outcome.evaluations = batches_;
+  const ContentionStats stats = session_->contention_stats(this);
+  outcome.contention_wait = stats.total_wait;
+  outcome.max_contention_wait = stats.max_wait;
+  outcome.makespan = makespan_;
+  outcome.failed = failed_;
+  outcome.failure_reason = failure_reason_;
+  // The run is over (finished, or failed with dispatch shut down), so
+  // nothing places jobs into the realized schedule anymore.
+  outcome.schedule = std::move(schedule_);
+  done_(std::move(outcome));
 }
 
 void DynamicExecution::record_input_transfers(dag::JobId job,
@@ -493,41 +499,8 @@ void DynamicExecution::complete(dag::JobId job, grid::ResourceId resource,
     dispatch();
   }
   if (finished() && done_) {
-    DynamicRunResult result;
-    result.makespan = makespan_;
-    result.batches = batches_;
-    result.schedule = schedule_;
-    const ContentionStats stats = session_->contention_stats(this);
-    result.contention_wait = stats.total_wait;
-    result.max_contention_wait = stats.max_wait;
-    done_(result);
+    report();
   }
-}
-
-DynamicRunResult run_dynamic(const dag::Dag& dag,
-                             const grid::CostProvider& actual,
-                             const grid::ResourcePool& pool,
-                             DynamicHeuristic heuristic,
-                             sim::TraceRecorder* trace,
-                             const grid::LoadProfile* load) {
-  AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
-  AHEFT_REQUIRE(pool.count_available_at(sim::kTimeZero) > 0,
-                "dynamic run needs at least one initial resource");
-  SessionEnvironment env;
-  env.pool = &pool;
-  env.load = load;
-  env.trace = trace;
-  SimulationSession session(env);
-  DynamicExecution execution(session, dag, actual, heuristic);
-  DynamicRunResult result;
-  bool completed = false;
-  execution.launch(sim::kTimeZero, [&](const DynamicRunResult& r) {
-    result = r;
-    completed = true;
-  });
-  session.run();
-  AHEFT_ASSERT(completed, "dynamic run ended with unfinished jobs");
-  return result;
 }
 
 }  // namespace aheft::core

@@ -19,7 +19,8 @@
 // displaceable by the policy — and commits only when the grant matures,
 // so priority and fair-share genuinely arbitrate dynamic demand. Under
 // FCFS the historical instant advance booking is preserved bit-for-bit.
-// run_dynamic() wraps it all for the classic one-DAG-one-call usage.
+// A one-DAG run is core::run_strategy with StrategyKind::kDynamic over a
+// private session.
 #ifndef AHEFT_CORE_DYNAMIC_SCHEDULER_H_
 #define AHEFT_CORE_DYNAMIC_SCHEDULER_H_
 
@@ -29,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/outcome.h"
 #include "core/schedule.h"
 #include "core/session.h"
 #include "dag/dag.h"
@@ -42,20 +44,6 @@ namespace aheft::core {
 enum class DynamicHeuristic { kMinMin, kMaxMin, kSufferage };
 
 [[nodiscard]] std::string to_string(DynamicHeuristic heuristic);
-
-struct DynamicRunResult {
-  sim::Time makespan = sim::kTimeZero;
-  std::size_t batches = 0;      ///< number of just-in-time decision rounds
-  Schedule schedule;            ///< realized placement (for inspection)
-  /// Cross-workflow machine wait imposed by the session's contention
-  /// policy (zero for uncontended runs).
-  double contention_wait = 0.0;
-  double max_contention_wait = 0.0;
-  /// The run failed terminally (see DynamicExecution's resilience note);
-  /// `makespan` is then the failure time and `schedule` partial.
-  bool failed = false;
-  std::string failure_reason;
-};
 
 /// Event-driven just-in-time execution of one DAG inside a shared
 /// session. Decisions are made with nominal costs over the resources
@@ -87,11 +75,14 @@ class DynamicExecution : public SessionParticipant {
                    DynamicHeuristic heuristic = DynamicHeuristic::kMinMin,
                    double priority = 1.0, bool contention_aware = false);
 
-  using Completion = std::function<void(const DynamicRunResult&)>;
+  /// Receives the run's outcome: `evaluations` counts the decision
+  /// rounds, `schedule` is the realized placement (partial on failure).
+  using Completion = std::function<void(StrategyOutcome)>;
 
   /// Schedules the first decision round at `release` (>= the session
-  /// clock); `done` fires on the session clock once every job finished.
-  /// The execution must outlive the session's run.
+  /// clock); `done` fires on the session clock once every job finished,
+  /// or once the run failed. The execution must outlive the session's
+  /// run.
   void launch(sim::Time release, Completion done);
 
   [[nodiscard]] bool finished() const {
@@ -159,6 +150,8 @@ class DynamicExecution : public SessionParticipant {
   /// Terminal graceful failure: drops every queued reservation and fires
   /// the completion callback once with a failed result (fresh event).
   void fail_run(const std::string& reason);
+  /// Hands the run's outcome to the completion callback.
+  void report();
   void assign(dag::JobId job, grid::ResourceId resource, sim::Time now);
   /// Starts the job at `start` (records the input transfers that began
   /// at the decision, commits the ledger reservation, applies the load
@@ -210,17 +203,6 @@ class DynamicExecution : public SessionParticipant {
   sim::Time makespan_ = sim::kTimeZero;
   sim::Time planned_finish_ = sim::kTimeZero;
 };
-
-/// Simulates a full just-in-time execution of `dag` over the dynamic pool
-/// in a private session. New resources are used by any job that becomes
-/// ready after they arrive. `load` optionally stretches realized run
-/// times (the decision loop keeps using nominal costs).
-[[nodiscard]] DynamicRunResult run_dynamic(
-    const dag::Dag& dag, const grid::CostProvider& actual,
-    const grid::ResourcePool& pool,
-    DynamicHeuristic heuristic = DynamicHeuristic::kMinMin,
-    sim::TraceRecorder* trace = nullptr,
-    const grid::LoadProfile* load = nullptr);
 
 }  // namespace aheft::core
 

@@ -7,31 +7,22 @@
 
 namespace aheft::core {
 
-ExecutionEngine::ExecutionEngine(sim::Simulator& simulator,
+ExecutionEngine::ExecutionEngine(SimulationSession& session,
                                  const dag::Dag& dag,
                                  const grid::CostProvider& actual,
-                                 const grid::ResourcePool& pool,
-                                 sim::TraceRecorder* trace)
-    : simulator_(&simulator),
+                                 double priority)
+    : simulator_(&session.simulator()),
       dag_(&dag),
       actual_(&actual),
-      pool_(&pool),
-      trace_(trace),
+      pool_(&session.pool()),
+      trace_(session.trace()),
+      load_(session.load()),
+      session_(&session),
       jobs_(dag.job_count()),
       done_frac_(dag.job_count(), 0.0),
       restart_debt_(dag.job_count(), 0.0),
       edge_arrivals_(dag.edge_count()) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
-}
-
-ExecutionEngine::ExecutionEngine(SimulationSession& session,
-                                 const dag::Dag& dag,
-                                 const grid::CostProvider& actual,
-                                 double priority)
-    : ExecutionEngine(session.simulator(), dag, actual, session.pool(),
-                      session.trace()) {
-  load_ = session.load();
-  session_ = &session;
   if (session.resilience().active()) {
     resilience_ = &session.resilience();
   }
@@ -123,14 +114,12 @@ void ExecutionEngine::submit(const Schedule& schedule) {
           const bool cancelled = simulator_->cancel(state.completion);
           AHEFT_ASSERT(cancelled, "running job had no completion event");
           account_interrupted_segment(i, now);
-          if (session_ != nullptr) {
-            session_->truncate_commit(this, state.resource, /*tag=*/i, now);
-          }
+          session_->truncate_commit(this, state.resource, /*tag=*/i, now);
           if (trace_ != nullptr) {
             trace_->record_compute(i, state.resource, state.ast, now);
           }
           state = JobState{};
-          ++restarts_;
+          ++counters_.restarts;
         }
         break;
       }
@@ -175,12 +164,10 @@ void ExecutionEngine::rebuild_queues() {
   queue_pos_.clear();
   resource_free_.clear();
   pending_pump_.clear();
-  if (session_ != nullptr) {
-    // A reschedule may have moved the queue heads: drop the pending
-    // acquisitions so stale requests cannot gate competing workflows;
-    // the post-rebuild pumps re-register the live ones.
-    session_->withdraw_all(this);
-  }
+  // A reschedule may have moved the queue heads: drop the pending
+  // acquisitions so stale requests cannot gate competing workflows; the
+  // post-rebuild pumps re-register the live ones.
+  session_->withdraw_all(this);
   for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
     const JobState& state = jobs_[i];
     const Assignment& a = schedule_.assignment(i);
@@ -254,14 +241,11 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
     // (d) the session's contention policy grants the machine slot
     //     (arbitrating against the other workflows' bookings and pending
     //     requests; under FCFS the grant is just their bookings).
-    if (session_ != nullptr) {
-      double request = actual_->compute_cost(job, resource);
-      if (resilience_ != nullptr) {
-        request = requeue_occupancy(job, resource);
-      }
-      start = session_->acquire(this, resource, start, request,
-                                /*tag=*/job);
+    double request = actual_->compute_cost(job, resource);
+    if (resilience_ != nullptr) {
+      request = requeue_occupancy(job, resource);
     }
+    start = session_->acquire(this, resource, start, request, /*tag=*/job);
 
     if (start > now) {
       // Try again when the gating time is reached (deduplicated).
@@ -277,7 +261,13 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
     }
 
     if (!start_job(job, resource)) {
-      return;  // queues restructured (fail/requeue): scan state is stale
+      // Queues restructured (fail/requeue): the scan state is stale. A
+      // requeue moved only this job off a departed machine; the jobs
+      // queued behind it must move too, so rescan in a fresh event.
+      if (!failed_) {
+        simulator_->schedule_at(now, [this, resource] { pump(resource); });
+      }
+      return;
     }
     ++pos;
   }
@@ -345,9 +335,7 @@ bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
     if (sim::time_le(machine.departure, now)) {
       // The machine is already gone; nothing can run here. Withdraw the
       // pending acquisition and move the job elsewhere.
-      if (session_ != nullptr) {
-        session_->withdraw(this, resource, /*tag=*/job);
-      }
+      session_->withdraw(this, resource, /*tag=*/job);
       requeue_job(job, now);
       return false;
     }
@@ -377,9 +365,7 @@ bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
   }
   auto& free_at = resource_free_[resource];
   free_at = std::max(free_at, state.aft);
-  if (session_ != nullptr) {
-    session_->commit(this, resource, /*tag=*/job, state.ast, state.aft);
-  }
+  session_->commit(this, resource, /*tag=*/job, state.ast, state.aft);
   return true;
 }
 
@@ -389,8 +375,8 @@ void ExecutionEngine::complete_job(dag::JobId job) {
   state.phase = Phase::kFinished;
   ++finished_count_;
   makespan_ = std::max(makespan_, state.aft);
-  useful_work_ += state.segment_work;
-  checkpoint_overhead_ += state.segment_debt + state.segment_writes;
+  counters_.useful_work += state.segment_work;
+  counters_.checkpoint_overhead += state.segment_debt + state.segment_writes;
   if (trace_ != nullptr) {
     trace_->record_compute(job, state.resource, state.ast, state.aft);
   }
@@ -426,7 +412,7 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
   const double elapsed =
       std::max(at - state.ast, sim::kTimeZero) / state.load_factor;
   const double debt_paid = std::min(elapsed, state.segment_debt);
-  checkpoint_overhead_ += debt_paid;
+  counters_.checkpoint_overhead += debt_paid;
   resilience::SegmentProgress progress;
   if (resilience_ != nullptr) {
     progress = resilience::segment_progress(
@@ -434,10 +420,10 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
   } else {
     progress.lost = elapsed - debt_paid;  // no checkpoints: all redone
   }
-  checkpoint_overhead_ += progress.overhead;
-  lost_work_ += progress.lost;
+  counters_.checkpoint_overhead += progress.overhead;
+  counters_.lost_work += progress.lost;
   if (progress.retained > 0.0) {
-    useful_work_ += progress.retained;
+    counters_.useful_work += progress.retained;
     // Retained work is in this machine's nominal units; fold it into the
     // machine-independent completed fraction. Strictly < 1: a segment's
     // retainable work is capped below its full remainder.
@@ -463,7 +449,7 @@ void ExecutionEngine::hit_departure(dag::JobId job) {
   }
   // The committed ledger window ends exactly at the wall — no truncation
   // needed; the machine is gone either way.
-  ++revoked_jobs_;
+  ++counters_.revoked_jobs;
   state = JobState{};
   requeue_job(job, now);
 }
@@ -494,7 +480,7 @@ bool ExecutionEngine::revoke_committed(grid::ResourceId resource,
       it != resource_free_.end() && it->second > now) {
     it->second = now;  // the machine frees under the evicted job
   }
-  ++revoked_jobs_;
+  ++counters_.revoked_jobs;
   state = JobState{};
   requeue_job(job, now);
   return true;
@@ -545,9 +531,7 @@ grid::ResourceId ExecutionEngine::choose_requeue_target(dag::JobId job,
         it != resource_free_.end()) {
       start = std::max(start, it->second);
     }
-    if (session_ != nullptr) {
-      start = session_->peek(this, machine.id, start, occupancy);
-    }
+    start = session_->peek(this, machine.id, start, occupancy);
     const sim::Time finish = start + occupancy;
     if (sim::time_le(finish, machine.departure)) {
       if (finish < best_finish) {
@@ -598,9 +582,7 @@ void ExecutionEngine::fail_workflow(const std::string& reason) {
       continue;  // completes this very instant: let it finish
     }
     account_interrupted_segment(i, now);
-    if (session_ != nullptr) {
-      session_->truncate_commit(this, state.resource, /*tag=*/i, now);
-    }
+    session_->truncate_commit(this, state.resource, /*tag=*/i, now);
     if (trace_ != nullptr) {
       trace_->record_compute(i, state.resource, state.ast, now);
     }
@@ -609,9 +591,7 @@ void ExecutionEngine::fail_workflow(const std::string& reason) {
   queues_.clear();
   queue_pos_.clear();
   pending_pump_.clear();
-  if (session_ != nullptr) {
-    session_->withdraw_all(this);
-  }
+  session_->withdraw_all(this);
   makespan_ = std::max(makespan_, now);
   if (failure_hook_) {
     failure_hook_(failure_reason_);

@@ -13,6 +13,11 @@
 // are retransmitted from the current time to any consumer that moved
 // (mirroring FEA case 2), and per-resource queues are rebuilt.
 //
+// The engine always runs inside a SimulationSession (a single workflow is
+// a one-participant session, which behaves identically under every
+// contention policy): the simulator, pool, trace recorder, load profile,
+// and resilience config come from the session's environment.
+//
 // Resilience (session environments with an active ResilienceConfig):
 // a job that loses its machine mid-run — a finite departure its
 // load-stretched duration cannot beat, or a fair-share preemption — keeps
@@ -28,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "core/outcome.h"
 #include "core/schedule.h"
 #include "core/session.h"
 #include "core/snapshot.h"
@@ -44,16 +50,11 @@ namespace aheft::core {
 class ExecutionEngine : public SessionParticipant {
  public:
   /// `actual` is the ground-truth cost model (run times and transfer
-  /// durations the simulated grid really exhibits). `trace` may be null.
-  ExecutionEngine(sim::Simulator& simulator, const dag::Dag& dag,
-                  const grid::CostProvider& actual,
-                  const grid::ResourcePool& pool,
-                  sim::TraceRecorder* trace = nullptr);
-
-  /// Session form: simulator, pool, trace, load profile, and resilience
-  /// config all come from the session's environment, and the engine
-  /// registers itself for cross-workflow resource contention with
-  /// `priority` as its weight under the session's contention policy. The
+  /// durations the simulated grid really exhibits). Simulator, pool,
+  /// trace, load profile, and resilience config all come from the
+  /// session's environment, and the engine registers itself for
+  /// cross-workflow resource contention with `priority` (must be
+  /// positive) as its weight under the session's contention policy. The
   /// session must outlive the engine's execution.
   ExecutionEngine(SimulationSession& session, const dag::Dag& dag,
                   const grid::CostProvider& actual, double priority = 1.0);
@@ -68,19 +69,14 @@ class ExecutionEngine : public SessionParticipant {
   }
   [[nodiscard]] sim::Time makespan() const { return makespan_; }
   [[nodiscard]] std::size_t finished_count() const { return finished_count_; }
-  /// Number of running jobs cancelled and restarted by reschedules.
-  [[nodiscard]] std::size_t restarted_jobs() const { return restarts_; }
-
-  /// Resilience accounting (nominal machine-seconds; all zero when the
-  /// session's resilience config is inactive and no reschedule cancelled
-  /// a running job). "Useful" work is work that counted toward a
-  /// completion or survived in a checkpoint image; "lost" work is redone.
-  [[nodiscard]] std::size_t revoked_jobs() const { return revoked_jobs_; }
-  [[nodiscard]] double lost_work() const { return lost_work_; }
-  [[nodiscard]] double checkpoint_overhead() const {
-    return checkpoint_overhead_;
-  }
-  [[nodiscard]] double useful_work() const { return useful_work_; }
+  /// The engine's share of the run's counters: `restarts` (running jobs
+  /// cancelled and restarted by reschedules) and the resilience
+  /// accounting — revocations absorbed and nominal machine-seconds of
+  /// useful, lost, and checkpoint work (zero when the session's
+  /// resilience config is inactive and no reschedule cancelled a running
+  /// job). "Useful" work counted toward a completion or survived in a
+  /// checkpoint image; "lost" work is redone.
+  [[nodiscard]] const RunCounters& counters() const { return counters_; }
 
   /// Whether the workflow failed terminally (departure under kFail, the
   /// per-job revocation cap, or no machine left to requeue on). A failed
@@ -111,18 +107,6 @@ class ExecutionEngine : public SessionParticipant {
   /// File-movement model; must match the planner's (see TransferPolicy).
   void set_transfer_policy(TransferPolicy policy) {
     transfer_policy_ = policy;
-  }
-  [[nodiscard]] TransferPolicy transfer_policy() const {
-    return transfer_policy_;
-  }
-
-  /// Time-varying effective cost scaling (trace/volatility scenarios): a
-  /// job started at time t on resource j realizes
-  /// compute_cost(i, j) * load->factor(j, t). Null means nominal costs.
-  /// The profile must outlive the engine.
-  void set_load_profile(const grid::LoadProfile* load) { load_ = load; }
-  [[nodiscard]] const grid::LoadProfile* load_profile() const {
-    return load_;
   }
 
   // SessionParticipant: a competing reservation on `resource` committed,
@@ -173,7 +157,8 @@ class ExecutionEngine : public SessionParticipant {
   /// Starts `job` on `resource` now, or — under an active resilience
   /// config — converts a doomed start into a fail/run-to-the-wall/requeue.
   /// Returns false when the engine's queues were restructured (the caller
-  /// must abandon its queue scan).
+  /// must abandon its queue scan and, unless the workflow failed, rescan
+  /// the resource in a fresh event).
   bool start_job(dag::JobId job, grid::ResourceId resource);
   void complete_job(dag::JobId job);
   /// A running job's machine departed under it (DepartureAction::kRequeue
@@ -210,8 +195,11 @@ class ExecutionEngine : public SessionParticipant {
   const grid::CostProvider* actual_;
   const grid::ResourcePool* pool_;
   sim::TraceRecorder* trace_;
-  const grid::LoadProfile* load_ = nullptr;
-  SimulationSession* session_ = nullptr;  ///< contention; null standalone
+  /// Time-varying effective cost scaling: a job started at time t on
+  /// resource j realizes compute_cost(i, j) * load->factor(j, t). Null
+  /// means nominal costs.
+  const grid::LoadProfile* load_;
+  SimulationSession* session_;
   /// The session's resilience config when active; null keeps the engine
   /// on the bit-identical historical paths.
   const resilience::ResilienceConfig* resilience_ = nullptr;
@@ -233,11 +221,7 @@ class ExecutionEngine : public SessionParticipant {
   std::map<grid::ResourceId, sim::Time> resource_free_;
   std::map<grid::ResourceId, sim::Time> pending_pump_;
   std::size_t finished_count_ = 0;
-  std::size_t restarts_ = 0;
-  std::size_t revoked_jobs_ = 0;
-  double lost_work_ = 0.0;
-  double checkpoint_overhead_ = 0.0;
-  double useful_work_ = 0.0;
+  RunCounters counters_;
   bool failed_ = false;
   std::string failure_reason_;
   sim::Time makespan_ = sim::kTimeZero;

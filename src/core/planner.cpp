@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "core/heft.h"
 #include "core/rescheduler.h"
@@ -22,16 +23,12 @@ AdaptivePlanner::AdaptivePlanner(const dag::Dag& dag,
                                  const grid::CostProvider& estimates,
                                  const grid::CostProvider& actual,
                                  const grid::ResourcePool& pool,
-                                 PlannerConfig config,
-                                 sim::TraceRecorder* trace,
-                                 grid::PerformanceHistoryRepository* history)
+                                 PlannerConfig config)
     : dag_(dag),
       estimates_(estimates),
       actual_(actual),
       pool_(pool),
-      config_(config),
-      trace_(trace),
-      history_(history) {
+      config_(config) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
 }
 
@@ -129,7 +126,7 @@ void AdaptivePlanner::launch(SimulationSession& session, sim::Time release,
   priority_ = priority;
   done_ = std::move(done);
   completed_ = false;
-  result_ = AdaptiveResult{};
+  result_ = StrategyOutcome{};
   predicted_makespan_ = sim::kTimeZero;
   engine_.reset();
   session.simulator().schedule_at(release, [this] { start(); });
@@ -219,39 +216,17 @@ void AdaptivePlanner::start() {
 void AdaptivePlanner::finish() {
   AHEFT_ASSERT(!completed_, "planner finished twice");
   completed_ = true;
-  result_.makespan = engine_->makespan();
-  result_.restarts = engine_->restarted_jobs();
-  result_.revoked_jobs = engine_->revoked_jobs();
-  result_.lost_work = engine_->lost_work();
-  result_.checkpoint_overhead = engine_->checkpoint_overhead();
-  result_.useful_work = engine_->useful_work();
-  result_.failed = engine_->failed();
-  result_.failure_reason = engine_->failure_reason();
+  result_.merge(engine_->counters());
   const ContentionStats stats = session_->contention_stats(engine_.get());
   result_.contention_wait = stats.total_wait;
   result_.max_contention_wait = stats.max_wait;
-  result_.final_schedule = engine_->current_schedule();
+  result_.makespan = engine_->makespan();
+  result_.failed = engine_->failed();
+  result_.failure_reason = engine_->failure_reason();
+  result_.schedule = engine_->current_schedule();
   if (done_) {
-    done_(result_);
+    done_(std::move(result_));
   }
-}
-
-AdaptiveResult AdaptivePlanner::run() {
-  SessionEnvironment env;
-  env.pool = &pool_;
-  env.load = config_.load;
-  env.trace = trace_;
-  env.history = history_;
-  SimulationSession session(env);
-  launch(session, sim::kTimeZero, {});
-  session.run();
-  AHEFT_ASSERT(completed_, "workflow did not complete");
-  const AdaptiveResult result = result_;
-  // The engine references the session's simulator; drop it before the
-  // session goes out of scope so no stale pointer survives this call.
-  engine_.reset();
-  session_ = nullptr;
-  return result;
 }
 
 }  // namespace aheft::core

@@ -49,8 +49,6 @@ class PlannerDriver final : public StrategyDriver {
       config_.react_to_pool_changes = false;  // plan once, never adapt
       config_.react_to_variance = false;
     }
-    // The session environment is the single source of the load profile.
-    config_.load = nullptr;
   }
 
   [[nodiscard]] StrategyKind kind() const override { return kind_; }
@@ -73,27 +71,8 @@ class PlannerDriver final : public StrategyDriver {
       const std::lock_guard<std::mutex> lock(mutex_);
       launches_.push_back(std::move(owned));
     }
-    planner->launch(
-        session, options.release,
-        [done = std::move(done)](const AdaptiveResult& result) {
-          if (done) {
-            StrategyOutcome outcome;
-            outcome.makespan = result.makespan;
-            outcome.evaluations = result.evaluations;
-            outcome.adoptions = result.adoptions;
-            outcome.restarts = result.restarts;
-            outcome.contention_wait = result.contention_wait;
-            outcome.max_contention_wait = result.max_contention_wait;
-            outcome.revoked_jobs = result.revoked_jobs;
-            outcome.lost_work = result.lost_work;
-            outcome.checkpoint_overhead = result.checkpoint_overhead;
-            outcome.useful_work = result.useful_work;
-            outcome.failed = result.failed;
-            outcome.failure_reason = result.failure_reason;
-            done(outcome);
-          }
-        },
-        options.priority);
+    planner->launch(session, options.release, std::move(done),
+                    options.priority);
   }
 
  private:
@@ -128,20 +107,7 @@ class DynamicDriver final : public StrategyDriver {
       const std::lock_guard<std::mutex> lock(mutex_);
       launches_.push_back(std::move(owned));
     }
-    execution->launch(
-        options.release,
-        [done = std::move(done)](const DynamicRunResult& result) {
-          if (done) {
-            StrategyOutcome outcome;
-            outcome.makespan = result.makespan;
-            outcome.evaluations = result.batches;
-            outcome.contention_wait = result.contention_wait;
-            outcome.max_contention_wait = result.max_contention_wait;
-            outcome.failed = result.failed;
-            outcome.failure_reason = result.failure_reason;
-            done(outcome);
-          }
-        });
+    execution->launch(options.release, std::move(done));
   }
 
  private:
@@ -175,9 +141,9 @@ StrategyOutcome run_strategy(StrategyKind kind, const dag::Dag& dag,
   SimulationSession session(env);
   StrategyOutcome outcome;
   bool completed = false;
-  driver->launch(session, dag, estimates, actual, sim::kTimeZero,
-                 [&](const StrategyOutcome& result) {
-                   outcome = result;
+  driver->launch(session, dag, estimates, actual, LaunchOptions{},
+                 [&](StrategyOutcome result) {
+                   outcome = std::move(result);
                    completed = true;
                  });
   session.run();

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/dynamic_scheduler.h"
+#include "core/outcome.h"
 #include "core/planner.h"
 #include "core/session.h"
 #include "dag/dag.h"
@@ -41,42 +42,12 @@ enum class StrategyKind { kStaticHeft, kAdaptiveAheft, kDynamic };
 /// advertised names always match what actually parses.
 [[nodiscard]] std::vector<std::string> strategy_names();
 
-/// Makespan and bookkeeping of one simulated strategy run. `makespan` is
-/// the absolute completion time on the session clock (for a workflow
-/// released at t the duration is makespan - t).
-struct StrategyOutcome {
-  sim::Time makespan = sim::kTimeZero;
-  std::size_t evaluations = 0;  ///< events evaluated (dynamic: batches)
-  std::size_t adoptions = 0;
-  std::size_t restarts = 0;
-  /// Cross-workflow machine wait imposed by the session's contention
-  /// policy: total across the workflow's jobs, and the worst single
-  /// acquisition. Zero for uncontended runs.
-  double contention_wait = 0.0;
-  double max_contention_wait = 0.0;
-  /// Resilience accounting (planner strategies; the dynamic baseline has
-  /// no restart machinery and reports zeros): jobs revoked mid-run,
-  /// nominal machine-seconds redone / spent on checkpoint traffic /
-  /// retained as useful progress.
-  std::size_t revoked_jobs = 0;
-  double lost_work = 0.0;
-  double checkpoint_overhead = 0.0;
-  double useful_work = 0.0;
-  /// The workflow failed terminally instead of completing; `makespan` is
-  /// then the failure time. Only possible under an active resilience
-  /// config (DepartureAction::kFail, the revocation cap, or no machine
-  /// left to requeue on).
-  bool failed = false;
-  std::string failure_reason;
-};
-
 /// Per-strategy knobs. The planner config drives HEFT (reaction flags
 /// forced off) and AHEFT; the heuristic drives the dynamic baseline.
-/// PlannerConfig::load is ignored here — the session environment is the
-/// single source of the load profile. PlannerConfig::contention_aware
-/// applies to every strategy: the planners fit their (re)plans into the
-/// session ledger's availability snapshot, and the dynamic baseline's
-/// release-time greedy-EFT estimate prices the same snapshot.
+/// PlannerConfig::contention_aware applies to every strategy: the
+/// planners fit their (re)plans into the session ledger's availability
+/// snapshot, and the dynamic baseline's release-time greedy-EFT estimate
+/// prices the same snapshot.
 struct StrategyConfig {
   PlannerConfig planner;
   DynamicHeuristic heuristic = DynamicHeuristic::kMinMin;
@@ -102,7 +73,9 @@ class StrategyDriver {
   [[nodiscard]] virtual StrategyKind kind() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  using Completion = std::function<void(const StrategyOutcome&)>;
+  /// Receives the planner's or dynamic execution's outcome by value,
+  /// moved up from the run without copying.
+  using Completion = std::function<void(StrategyOutcome)>;
 
   /// Begins executing `dag` inside `session` per `options`; `done` fires
   /// on the session clock when the workflow completes. May be called any
@@ -112,24 +85,14 @@ class StrategyDriver {
                       const grid::CostProvider& estimates,
                       const grid::CostProvider& actual,
                       const LaunchOptions& options, Completion done) = 0;
-
-  /// Convenience form for the common default-priority launch.
-  void launch(SimulationSession& session, const dag::Dag& dag,
-              const grid::CostProvider& estimates,
-              const grid::CostProvider& actual, sim::Time release,
-              Completion done) {
-    launch(session, dag, estimates, actual, LaunchOptions{release, 1.0},
-           std::move(done));
-  }
 };
 
 /// Builds the driver for `kind` with the given knobs.
 [[nodiscard]] std::unique_ptr<StrategyDriver> make_strategy_driver(
     StrategyKind kind, const StrategyConfig& config = {});
 
-/// Convenience: runs one DAG through a private session over `env` to
-/// completion — the single code path for the classic one-DAG
-/// comparison (the per-strategy shims that used to wrap it are gone).
+/// Runs one DAG through a private session over `env` to completion: the
+/// one entry point for a single-workflow run of any strategy.
 [[nodiscard]] StrategyOutcome run_strategy(
     StrategyKind kind, const dag::Dag& dag,
     const grid::CostProvider& estimates, const grid::CostProvider& actual,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <utility>
 
 #include "support/assert.h"
 #include "support/stats.h"
@@ -98,12 +99,12 @@ StreamOutcome run_workflow_stream(const SessionEnvironment& env,
     slot.name = instance.name;
     slot.arrival = instance.arrival;
     auto completion = [&slot, flag = done.data() + i](
-                          const StrategyOutcome& outcome) {
-      slot.outcome = outcome;
+                          StrategyOutcome outcome) {
       slot.finish = outcome.makespan;
       slot.makespan = outcome.makespan - slot.arrival;
       slot.wait = outcome.contention_wait;
       slot.max_wait = outcome.max_contention_wait;
+      slot.outcome = std::move(outcome);
       *flag = 1;
     };
     if (shards == 1) {
@@ -157,18 +158,13 @@ StreamOutcome run_workflow_stream(const SessionEnvironment& env,
   sim::Time last_finish = sim::kTimeZero;
   double sum_makespan = 0.0;
   double sum_slowdown = 0.0;
-  double sum_wait = 0.0;
   std::vector<double> fairness_basis;
   fairness_basis.reserve(stream.workflows.size());
   for (const WorkflowResult& wf : stream.workflows) {
     first_arrival = std::min(first_arrival, wf.arrival);
     last_finish = std::max(last_finish, wf.finish);
-    sum_wait += wf.wait;
+    stream.merge(wf.outcome);
     stream.max_wait = std::max(stream.max_wait, wf.wait);
-    stream.revoked_jobs += wf.outcome.revoked_jobs;
-    stream.lost_work += wf.outcome.lost_work;
-    stream.checkpoint_overhead += wf.outcome.checkpoint_overhead;
-    stream.useful_work += wf.outcome.useful_work;
     if (wf.outcome.failed) {
       ++stream.failed_workflows;
       continue;  // timing statistics price completed work only
@@ -190,7 +186,7 @@ StreamOutcome run_workflow_stream(const SessionEnvironment& env,
     stream.mean_slowdown = sum_slowdown / completed;
     stream.jain_fairness = jain_fairness_index(fairness_basis);
   }
-  stream.mean_wait = sum_wait / count;
+  stream.mean_wait = stream.contention_wait / count;
   const double spent =
       stream.useful_work + stream.lost_work + stream.checkpoint_overhead;
   stream.goodput = spent > 0.0 ? stream.useful_work / spent : 1.0;

@@ -10,13 +10,15 @@
 // SessionEnvironment::contention_policy). Per-workflow makespans,
 // slowdowns (vs an uncontended solo run of the same instance at the same
 // release time), and contention waits plus aggregate throughput and
-// Jain's fairness index land in a StreamOutcome.
+// Jain's fairness index land in a StreamOutcome, whose counters are the
+// merge() of its workflows' outcomes.
 #ifndef AHEFT_CORE_WORKFLOW_STREAM_H_
 #define AHEFT_CORE_WORKFLOW_STREAM_H_
 
 #include <string>
 #include <vector>
 
+#include "core/outcome.h"
 #include "core/strategy.h"
 
 namespace aheft::core {
@@ -48,7 +50,10 @@ struct WorkflowResult {
   StrategyOutcome outcome;
 };
 
-struct StreamOutcome {
+/// The stream's RunCounters are the merge() of every workflow's outcome,
+/// folded in arrival-index order: summed counters and waits, and the
+/// worst single acquisition wait of any workflow.
+struct StreamOutcome : RunCounters {
   std::vector<WorkflowResult> workflows;  ///< arrival order
   sim::Time span = sim::kTimeZero;        ///< max finish - min arrival
   double throughput = 0.0;                ///< workflows per unit of span
@@ -67,17 +72,11 @@ struct StreamOutcome {
   /// resilience config's DepartureAction::kFail, the revocation cap, or
   /// no machine left to requeue on) are excluded from the makespan /
   /// slowdown / fairness statistics above and from the throughput
-  /// numerator; their contention waits still count. Work is in nominal
-  /// machine-seconds: `useful_work` counted toward completions or
-  /// survived in checkpoint images, `lost_work` was redone, and
-  /// `checkpoint_overhead` paid for writes and restart reads. Goodput is
-  /// useful over total machine-seconds spent (1 when none were spent).
+  /// numerator; their counters and contention waits still count. Goodput
+  /// is useful over total machine-seconds spent (useful + lost +
+  /// checkpoint overhead; 1 when none were spent).
   std::size_t completed_workflows = 0;
   std::size_t failed_workflows = 0;
-  std::size_t revoked_jobs = 0;
-  double lost_work = 0.0;
-  double checkpoint_overhead = 0.0;
-  double useful_work = 0.0;
   double goodput = 1.0;
 };
 

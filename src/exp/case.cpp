@@ -1,6 +1,7 @@
 #include "exp/case.h"
 
 #include <optional>
+#include <utility>
 
 #include "core/heft.h"
 #include "core/strategy.h"
@@ -191,34 +192,17 @@ CaseResult run_case(const CaseSpec& spec) {
 
 namespace {
 
-StreamStrategySummary summarize(const core::StreamOutcome& outcome) {
+StreamStrategySummary summarize(core::StreamOutcome outcome) {
   StreamStrategySummary summary;
-  summary.makespans.reserve(outcome.workflows.size());
-  summary.slowdowns.reserve(outcome.workflows.size());
-  summary.waits.reserve(outcome.workflows.size());
-  for (const core::WorkflowResult& wf : outcome.workflows) {
+  static_cast<core::StreamOutcome&>(summary) = std::move(outcome);
+  summary.makespans.reserve(summary.workflows.size());
+  summary.slowdowns.reserve(summary.workflows.size());
+  summary.waits.reserve(summary.workflows.size());
+  for (const core::WorkflowResult& wf : summary.workflows) {
     summary.makespans.push_back(wf.makespan);
     summary.slowdowns.push_back(wf.slowdown);
     summary.waits.push_back(wf.wait);
-    summary.adoptions += wf.outcome.adoptions;
-    summary.restarts += wf.outcome.restarts;
   }
-  summary.span = outcome.span;
-  summary.throughput = outcome.throughput;
-  summary.mean_makespan = outcome.mean_makespan;
-  summary.max_makespan = outcome.max_makespan;
-  summary.mean_slowdown = outcome.mean_slowdown;
-  summary.max_slowdown = outcome.max_slowdown;
-  summary.mean_wait = outcome.mean_wait;
-  summary.max_wait = outcome.max_wait;
-  summary.jain_fairness = outcome.jain_fairness;
-  summary.completed_workflows = outcome.completed_workflows;
-  summary.failed_workflows = outcome.failed_workflows;
-  summary.revoked_jobs = outcome.revoked_jobs;
-  summary.lost_work = outcome.lost_work;
-  summary.checkpoint_overhead = outcome.checkpoint_overhead;
-  summary.useful_work = outcome.useful_work;
-  summary.goodput = outcome.goodput;
   return summary;
 }
 

@@ -119,34 +119,13 @@ struct CaseEnvironment {
 /// the same result, on any thread.
 [[nodiscard]] CaseResult run_case(const CaseSpec& spec);
 
-/// Per-strategy aggregate of one multi-DAG stream run.
-struct StreamStrategySummary {
+/// Per-strategy aggregate of one multi-DAG stream run: the stream's own
+/// outcome (aggregates, merged counters, and per-workflow results) plus
+/// per-workflow columns in arrival order.
+struct StreamStrategySummary : core::StreamOutcome {
   std::vector<double> makespans;   ///< per workflow, arrival order
   std::vector<double> slowdowns;   ///< contended / solo, arrival order
   std::vector<double> waits;       ///< contention wait, arrival order
-  double span = 0.0;               ///< last finish - first arrival
-  double throughput = 0.0;         ///< workflows per unit of span
-  double mean_makespan = 0.0;
-  double max_makespan = 0.0;
-  double mean_slowdown = 1.0;
-  double max_slowdown = 1.0;
-  double mean_wait = 0.0;          ///< contention wait per workflow
-  double max_wait = 0.0;           ///< worst per-workflow contention wait
-  double jain_fairness = 1.0;      ///< Jain's index over the slowdowns
-  std::size_t adoptions = 0;       ///< summed over workflows (AHEFT)
-  /// Running jobs cancelled and restarted by adopted reschedules,
-  /// summed over workflows (planner strategies only).
-  std::size_t restarts = 0;
-  /// Resilience aggregate (see StreamOutcome): completions vs terminal
-  /// failures, revocations absorbed, the machine-second ledger, and
-  /// goodput = useful / (useful + lost + overhead).
-  std::size_t completed_workflows = 0;
-  std::size_t failed_workflows = 0;
-  std::size_t revoked_jobs = 0;
-  double lost_work = 0.0;
-  double checkpoint_overhead = 0.0;
-  double useful_work = 0.0;
-  double goodput = 1.0;
   /// Performance-history fingerprint when CaseSpec::use_history fed the
   /// strategy a repository: total observations absorbed and every
   /// (operation, resource) key's smoothed estimate in key order — a

@@ -30,6 +30,26 @@ RandomCase make_random_case(std::uint64_t seed,
   return RandomCase{std::move(workload), std::move(pool), std::move(model)};
 }
 
+core::SessionEnvironment solo_environment(const grid::ResourcePool& pool,
+                                          sim::TraceRecorder* trace) {
+  core::SessionEnvironment env;
+  env.pool = &pool;
+  env.trace = trace;
+  return env;
+}
+
+core::StrategyOutcome run_aheft(const dag::Dag& dag,
+                                const grid::CostProvider& estimates,
+                                const grid::CostProvider& actual,
+                                const grid::ResourcePool& pool,
+                                const core::PlannerConfig& config) {
+  core::StrategyConfig strategy;
+  strategy.planner = config;
+  return core::run_strategy(core::StrategyKind::kAdaptiveAheft, dag,
+                            estimates, actual, solo_environment(pool),
+                            strategy);
+}
+
 void expect_bit_identical(const core::Schedule& a, const core::Schedule& b) {
   ASSERT_EQ(a.job_count(), b.job_count());
   for (dag::JobId i = 0; i < a.job_count(); ++i) {

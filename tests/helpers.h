@@ -5,6 +5,8 @@
 #include <cstdint>
 
 #include "core/schedule.h"
+#include "core/session.h"
+#include "core/strategy.h"
 #include "grid/machine_model.h"
 #include "grid/resource_pool.h"
 #include "sim/trace.h"
@@ -34,6 +36,19 @@ struct RandomCaseOptions {
 /// Deterministic random case from a seed.
 [[nodiscard]] RandomCase make_random_case(std::uint64_t seed,
                                           const RandomCaseOptions& options = {});
+
+/// A session environment over `pool` with every other member at its
+/// default (FCFS, serial, nominal costs, no history), recording into
+/// `trace` when given. Single-workflow tests run in such a session.
+[[nodiscard]] core::SessionEnvironment solo_environment(
+    const grid::ResourcePool& pool, sim::TraceRecorder* trace = nullptr);
+
+/// One AHEFT run of `dag` through core::run_strategy over
+/// solo_environment(pool).
+[[nodiscard]] core::StrategyOutcome run_aheft(
+    const dag::Dag& dag, const grid::CostProvider& estimates,
+    const grid::CostProvider& actual, const grid::ResourcePool& pool,
+    const core::PlannerConfig& config = {});
 
 /// Asserts two schedules are bit-identical: every job on the same
 /// resource with the exact same start and finish (no epsilon). The

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 
 #include "core/dynamic_scheduler.h"
+#include "core/strategy.h"
 #include "core/heft.h"
 #include "helpers.h"
 #include "traces/load_timeline.h"
@@ -12,14 +14,30 @@
 namespace aheft::core {
 namespace {
 
+/// One just-in-time run of `graph` through core::run_strategy in a
+/// private session over `pool`.
+StrategyOutcome run_just_in_time(
+    const dag::Dag& graph, const grid::CostProvider& model,
+    const grid::ResourcePool& pool,
+    DynamicHeuristic heuristic = DynamicHeuristic::kMinMin,
+    sim::TraceRecorder* trace = nullptr,
+    const grid::LoadProfile* load = nullptr) {
+  SessionEnvironment env = test::solo_environment(pool, trace);
+  env.load = load;
+  StrategyConfig config;
+  config.heuristic = heuristic;
+  return run_strategy(StrategyKind::kDynamic, graph, model, model, env,
+                      config);
+}
+
 TEST(Dynamic, RunsSampleDagToCompletion) {
   const auto scenario = workloads::sample_scenario();
   sim::TraceRecorder trace;
-  const DynamicRunResult result = run_dynamic(
+  const StrategyOutcome result = run_just_in_time(
       scenario.dag, scenario.model, scenario.pool,
       DynamicHeuristic::kMinMin, &trace);
   EXPECT_GT(result.makespan, 0.0);
-  EXPECT_GE(result.batches, 1u);
+  EXPECT_GE(result.evaluations, 1u);
   EXPECT_TRUE(result.schedule.complete());
   test::expect_valid_trace(trace, scenario.dag, scenario.model,
                            scenario.pool);
@@ -29,8 +47,8 @@ TEST(Dynamic, DeferredTransfersMakeItNoBetterThanHeft) {
   // On the worked example the just-in-time strategy cannot beat the static
   // plan: every cross-resource input waits for a decision before moving.
   const auto scenario = workloads::sample_scenario();
-  const DynamicRunResult minmin =
-      run_dynamic(scenario.dag, scenario.model, scenario.pool);
+  const StrategyOutcome minmin =
+      run_just_in_time(scenario.dag, scenario.model, scenario.pool);
   const Schedule heft =
       heft_schedule(scenario.dag, scenario.model, scenario.pool);
   EXPECT_GE(minmin.makespan, heft.makespan() - sim::kTimeEpsilon);
@@ -46,7 +64,7 @@ TEST(Dynamic, SingleJobMatchesFastestResource) {
   grid::MachineModel model(1, 2);
   model.set_compute_cost(0, 0, 9.0);
   model.set_compute_cost(0, 1, 4.0);
-  const DynamicRunResult result = run_dynamic(graph, model, pool);
+  const StrategyOutcome result = run_just_in_time(graph, model, pool);
   EXPECT_DOUBLE_EQ(result.makespan, 4.0);
   EXPECT_EQ(result.schedule.assignment(0).resource, 1u);
 }
@@ -62,7 +80,7 @@ TEST(Dynamic, MinMinPrefersShortJobFirstOnContention) {
   grid::MachineModel model(2, 1);
   model.set_compute_cost(0, 0, 10.0);
   model.set_compute_cost(1, 0, 2.0);
-  const DynamicRunResult result = run_dynamic(graph, model, pool);
+  const StrategyOutcome result = run_just_in_time(graph, model, pool);
   EXPECT_DOUBLE_EQ(result.schedule.assignment(1).start, 0.0);
   EXPECT_DOUBLE_EQ(result.schedule.assignment(0).start, 2.0);
   EXPECT_DOUBLE_EQ(result.makespan, 12.0);
@@ -78,8 +96,8 @@ TEST(Dynamic, MaxMinPrefersLongJobFirstOnContention) {
   grid::MachineModel model(2, 1);
   model.set_compute_cost(0, 0, 10.0);
   model.set_compute_cost(1, 0, 2.0);
-  const DynamicRunResult result =
-      run_dynamic(graph, model, pool, DynamicHeuristic::kMaxMin);
+  const StrategyOutcome result =
+      run_just_in_time(graph, model, pool, DynamicHeuristic::kMaxMin);
   EXPECT_DOUBLE_EQ(result.schedule.assignment(0).start, 0.0);
   EXPECT_DOUBLE_EQ(result.schedule.assignment(1).start, 10.0);
 }
@@ -102,7 +120,7 @@ TEST(Dynamic, UsesResourcesThatArriveMidRun) {
     model.set_compute_cost(i, 0, 10.0);
     model.set_compute_cost(i, 1, 10.0);
   }
-  const DynamicRunResult result = run_dynamic(graph, model, pool);
+  const StrategyOutcome result = run_just_in_time(graph, model, pool);
   // head on r1 [0,10); then left/right in parallel on r1 and r2.
   EXPECT_DOUBLE_EQ(result.makespan, 20.0);
   EXPECT_NE(result.schedule.assignment(left).resource,
@@ -125,7 +143,7 @@ TEST(Dynamic, ChainPaysTransferAtDecisionTime) {
   model.set_compute_cost(0, 1, 5.0);
   model.set_compute_cost(1, 0, 4.0);
   model.set_compute_cost(1, 1, 3.0);
-  const DynamicRunResult result = run_dynamic(graph, model, pool);
+  const StrategyOutcome result = run_just_in_time(graph, model, pool);
   // On r0 (with a): 5 + 4 = 9. On r1: 5 + 6 (transfer from t=5) + 3 = 14.
   EXPECT_EQ(result.schedule.assignment(b).resource, 0u);
   EXPECT_DOUBLE_EQ(result.makespan, 9.0);
@@ -139,7 +157,7 @@ TEST(Dynamic, RejectsEmptyInitialPool) {
   pool.add(grid::Resource{.name = "late", .arrival = 10.0});
   grid::MachineModel model(1, 1);
   model.set_compute_cost(0, 0, 1.0);
-  EXPECT_THROW(run_dynamic(graph, model, pool), std::invalid_argument);
+  EXPECT_THROW(run_just_in_time(graph, model, pool), std::invalid_argument);
 }
 
 TEST(Dynamic, LoadProfileStretchesRealizedRunTimes) {
@@ -157,12 +175,12 @@ TEST(Dynamic, LoadProfileStretchesRealizedRunTimes) {
   model.set_compute_cost(0, 0, 10.0);
   model.set_compute_cost(1, 0, 5.0);
 
-  const DynamicRunResult nominal = run_dynamic(graph, model, pool);
+  const StrategyOutcome nominal = run_just_in_time(graph, model, pool);
   EXPECT_DOUBLE_EQ(nominal.makespan, 15.0);
 
   traces::LoadTimeline load;
   load.add(0, 0.0, sim::kTimeInfinity, 2.0);
-  const DynamicRunResult stretched = run_dynamic(
+  const StrategyOutcome stretched = run_just_in_time(
       graph, model, pool, DynamicHeuristic::kMinMin, nullptr, &load);
   EXPECT_DOUBLE_EQ(stretched.makespan, 30.0);
   EXPECT_NE(stretched.makespan, nominal.makespan);
@@ -184,7 +202,7 @@ TEST(Dynamic, LoadSegmentSampledAtRealizedStart) {
 
   traces::LoadTimeline load;
   load.add(0, 10.0, sim::kTimeInfinity, 2.0);
-  const DynamicRunResult result = run_dynamic(
+  const StrategyOutcome result = run_just_in_time(
       graph, model, pool, DynamicHeuristic::kMinMin, nullptr, &load);
   EXPECT_DOUBLE_EQ(result.makespan, 20.0);
 }
@@ -201,7 +219,7 @@ TEST(Dynamic, SkipsMachinesThatDepartBeforeCompletion) {
   grid::MachineModel model(1, 2);
   model.set_compute_cost(0, 0, 6.0);  // would outlive the window
   model.set_compute_cost(0, 1, 9.0);
-  const DynamicRunResult result = run_dynamic(graph, model, pool);
+  const StrategyOutcome result = run_just_in_time(graph, model, pool);
   EXPECT_EQ(result.schedule.assignment(0).resource, 1u);
   EXPECT_DOUBLE_EQ(result.makespan, 9.0);
 }
@@ -214,7 +232,7 @@ TEST(Dynamic, ReportsWhenNoMachineCanFinishBeforeDeparting) {
   pool.add(grid::Resource{.name = "doomed", .departure = 5.0});
   grid::MachineModel model(1, 1);
   model.set_compute_cost(0, 0, 10.0);
-  EXPECT_THROW(run_dynamic(graph, model, pool), std::runtime_error);
+  EXPECT_THROW(run_just_in_time(graph, model, pool), std::runtime_error);
 }
 
 TEST(Dynamic, LoadStretchOutlivingTheMachineFailsTheRunMidDispatch) {
@@ -235,14 +253,15 @@ TEST(Dynamic, LoadStretchOutlivingTheMachineFailsTheRunMidDispatch) {
   load.add(0, 0.0, sim::kTimeInfinity, 2.0);
 
   SessionEnvironment env;
+
   env.pool = &pool;
   env.load = &load;
   env.resilience.departure_action = resilience::DepartureAction::kFail;
   SimulationSession session(env);
   DynamicExecution execution(session, graph, model);
-  std::optional<DynamicRunResult> result;
+  std::optional<StrategyOutcome> result;
   execution.launch(sim::kTimeZero,
-                   [&](const DynamicRunResult& r) { result = r; });
+                   [&](StrategyOutcome r) { result = std::move(r); });
   session.run();
 
   ASSERT_TRUE(result.has_value());
@@ -268,8 +287,8 @@ TEST_P(DynamicProperty, ProducesValidExecutions) {
        {DynamicHeuristic::kMinMin, DynamicHeuristic::kMaxMin,
         DynamicHeuristic::kSufferage}) {
     sim::TraceRecorder trace;
-    const DynamicRunResult result =
-        run_dynamic(c.workload.dag, c.model, c.pool, heuristic, &trace);
+    const StrategyOutcome result =
+        run_just_in_time(c.workload.dag, c.model, c.pool, heuristic, &trace);
     EXPECT_GT(result.makespan, 0.0);
     test::expect_valid_trace(trace, c.workload.dag, c.model, c.pool);
   }

@@ -16,15 +16,14 @@ TEST(Engine, ReplaysHeftScheduleExactly) {
   const auto scenario = workloads::sample_scenario();
   const Schedule plan =
       heft_schedule(scenario.dag, scenario.model, scenario.pool);
-  sim::Simulator sim;
   sim::TraceRecorder trace;
-  ExecutionEngine engine(sim, scenario.dag, scenario.model, scenario.pool,
-                         &trace);
+  SimulationSession session(test::solo_environment(scenario.pool, &trace));
+  ExecutionEngine engine(session, scenario.dag, scenario.model);
   engine.submit(plan);
-  sim.run();
+  session.run();
   ASSERT_TRUE(engine.finished());
   EXPECT_DOUBLE_EQ(engine.makespan(), 80.0);
-  EXPECT_EQ(engine.restarted_jobs(), 0u);
+  EXPECT_EQ(engine.counters().restarts, 0u);
 
   // Every compute interval matches the plan.
   const auto computes = trace.sorted(sim::IntervalKind::kCompute);
@@ -43,12 +42,11 @@ TEST(Engine, RecordsCrossResourceTransfers) {
   const auto scenario = workloads::sample_scenario();
   const Schedule plan =
       heft_schedule(scenario.dag, scenario.model, scenario.pool);
-  sim::Simulator sim;
   sim::TraceRecorder trace;
-  ExecutionEngine engine(sim, scenario.dag, scenario.model, scenario.pool,
-                         &trace);
+  SimulationSession session(test::solo_environment(scenario.pool, &trace));
+  ExecutionEngine engine(session, scenario.dag, scenario.model);
   engine.submit(plan);
-  sim.run();
+  session.run();
   const auto transfers = trace.sorted(sim::IntervalKind::kTransfer);
   // n1 (r3) feeds n2 (r1) and n4, n6 (r2): at least those transfers exist.
   EXPECT_GE(transfers.size(), 3u);
@@ -61,10 +59,10 @@ TEST(Engine, SnapshotMidRunMatchesReality) {
   const auto scenario = workloads::sample_scenario();
   const Schedule plan =
       heft_schedule(scenario.dag, scenario.model, scenario.pool);
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, scenario.dag, scenario.model, scenario.pool);
+  SimulationSession session(test::solo_environment(scenario.pool));
+  ExecutionEngine engine(session, scenario.dag, scenario.model);
   engine.submit(plan);
-  sim.run_until(30.0);
+  session.simulator().run_until(30.0);
   const ExecutionSnapshot snap = engine.snapshot();
   EXPECT_DOUBLE_EQ(snap.clock(), 30.0);
   // By t=30: n1 [0,9) and n3 [9,28) finished on r3; n4 [18,26) on r2.
@@ -89,14 +87,14 @@ TEST(Engine, ResubmittingSamePlanIsANoop) {
   const auto scenario = workloads::sample_scenario();
   const Schedule plan =
       heft_schedule(scenario.dag, scenario.model, scenario.pool);
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, scenario.dag, scenario.model, scenario.pool);
+  SimulationSession session(test::solo_environment(scenario.pool));
+  ExecutionEngine engine(session, scenario.dag, scenario.model);
   engine.submit(plan);
-  sim.run_until(30.0);
+  session.simulator().run_until(30.0);
   engine.submit(plan);  // identical plan: nothing restarts
-  sim.run();
+  session.run();
   EXPECT_DOUBLE_EQ(engine.makespan(), 80.0);
-  EXPECT_EQ(engine.restarted_jobs(), 0u);
+  EXPECT_EQ(engine.counters().restarts, 0u);
 }
 
 TEST(Engine, ReplacementMovesPendingJob) {
@@ -119,18 +117,18 @@ TEST(Engine, ReplacementMovesPendingJob) {
   serial.assign(Assignment{a, 0, 0.0, 10.0});
   serial.assign(Assignment{b, 0, 10.0, 20.0});
 
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, graph, model, pool);
+  SimulationSession session(test::solo_environment(pool));
+  ExecutionEngine engine(session, graph, model);
   engine.submit(serial);
-  sim.run_until(5.0);
+  session.simulator().run_until(5.0);
 
   Schedule parallel(2);
   parallel.assign(Assignment{a, 0, 0.0, 10.0});  // keep running job
   parallel.assign(Assignment{b, 1, 5.0, 15.0});
   engine.submit(parallel);
-  sim.run();
+  session.run();
   EXPECT_DOUBLE_EQ(engine.makespan(), 15.0);
-  EXPECT_EQ(engine.restarted_jobs(), 0u);
+  EXPECT_EQ(engine.counters().restarts, 0u);
 }
 
 TEST(Engine, ReplacementRestartsRunningJob) {
@@ -146,18 +144,18 @@ TEST(Engine, ReplacementRestartsRunningJob) {
 
   Schedule slow(1);
   slow.assign(Assignment{a, 0, 0.0, 10.0});
-  sim::Simulator sim;
   sim::TraceRecorder trace;
-  ExecutionEngine engine(sim, graph, model, pool, &trace);
+  SimulationSession session(test::solo_environment(pool, &trace));
+  ExecutionEngine engine(session, graph, model);
   engine.submit(slow);
-  sim.run_until(4.0);
+  session.simulator().run_until(4.0);
 
   Schedule fast(1);
   fast.assign(Assignment{a, 1, 4.0, 7.0});  // restart elsewhere
   engine.submit(fast);
-  sim.run();
+  session.run();
   EXPECT_DOUBLE_EQ(engine.makespan(), 7.0);
-  EXPECT_EQ(engine.restarted_jobs(), 1u);
+  EXPECT_EQ(engine.counters().restarts, 1u);
   // The cancelled partial run is visible in the trace.
   const auto computes = trace.sorted(sim::IntervalKind::kCompute);
   ASSERT_EQ(computes.size(), 2u);
@@ -169,10 +167,10 @@ TEST(Engine, RewritingHistoryIsRejected) {
   const auto scenario = workloads::sample_scenario();
   const Schedule plan =
       heft_schedule(scenario.dag, scenario.model, scenario.pool);
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, scenario.dag, scenario.model, scenario.pool);
+  SimulationSession session(test::solo_environment(scenario.pool));
+  ExecutionEngine engine(session, scenario.dag, scenario.model);
   engine.submit(plan);
-  sim.run_until(15.0);  // n1 finished at 9 on r3
+  session.simulator().run_until(15.0);  // n1 finished at 9 on r3
 
   Schedule rewrite(10);
   rewrite.assign(Assignment{0, 0, 0.0, 14.0});  // pretend n1 ran on r1
@@ -189,8 +187,8 @@ TEST(Engine, CompletionHookObservesEveryJob) {
   const auto scenario = workloads::sample_scenario();
   const Schedule plan =
       heft_schedule(scenario.dag, scenario.model, scenario.pool);
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, scenario.dag, scenario.model, scenario.pool);
+  SimulationSession session(test::solo_environment(scenario.pool));
+  ExecutionEngine engine(session, scenario.dag, scenario.model);
   std::size_t completions = 0;
   double last_finish = 0.0;
   engine.set_completion_hook([&](dag::JobId, grid::ResourceId, sim::Time,
@@ -200,19 +198,68 @@ TEST(Engine, CompletionHookObservesEveryJob) {
     last_finish = aft;
   });
   engine.submit(plan);
-  sim.run();
+  session.run();
   EXPECT_EQ(completions, 10u);
   EXPECT_DOUBLE_EQ(last_finish, 80.0);
 }
 
 TEST(Engine, RequiresCompleteSchedule) {
   const auto scenario = workloads::sample_scenario();
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, scenario.dag, scenario.model, scenario.pool);
+  SimulationSession session(test::solo_environment(scenario.pool));
+  ExecutionEngine engine(session, scenario.dag, scenario.model);
   Schedule partial(10);
   partial.assign(Assignment{0, 2, 0.0, 9.0});
   EXPECT_THROW(engine.submit(partial), std::invalid_argument);
   EXPECT_THROW((void)engine.current_schedule(), std::invalid_argument);
+}
+
+// ----- requeue on departure -----------------------------------------------
+
+TEST(EngineRequeue, EveryJobQueuedOnADepartedMachineMoves) {
+  // pb -> b and pa -> a. The plan queues a then b on "doomed", which
+  // departs at 5, long before either can start there. a's producer
+  // finishes last (t = 10), so the pump that requeues a is the last one
+  // any completion triggers on "doomed"; b's input has been there since
+  // t = 1 and must be moved by that same scan, not abandoned.
+  dag::Dag graph;
+  const dag::JobId pb = graph.add_job("pb");
+  const dag::JobId pa = graph.add_job("pa");
+  const dag::JobId a = graph.add_job("a");
+  const dag::JobId b = graph.add_job("b");
+  graph.add_edge(pb, b, 0.0);
+  graph.add_edge(pa, a, 0.0);
+  graph.finalize();
+  grid::ResourcePool pool;
+  const grid::ResourceId stays = pool.add(grid::Resource{.name = "stays"});
+  const grid::ResourceId doomed = pool.add(grid::Resource{.name = "doomed"});
+  // Finite on purpose: choose_requeue_target treats an infinite
+  // departure as already past (see ROADMAP).
+  pool.set_departure(stays, 100.0);
+  pool.set_departure(doomed, 5.0);
+  grid::MachineModel model(4, 2);
+  for (grid::ResourceId r : {stays, doomed}) {
+    model.set_compute_cost(pb, r, 1.0);
+    model.set_compute_cost(pa, r, 9.0);
+    model.set_compute_cost(a, r, 1.0);
+    model.set_compute_cost(b, r, 1.0);
+  }
+  Schedule plan(4);
+  plan.assign(Assignment{pb, stays, 0.0, 1.0});
+  plan.assign(Assignment{pa, stays, 1.0, 10.0});
+  plan.assign(Assignment{a, doomed, 10.0, 11.0});
+  plan.assign(Assignment{b, doomed, 11.0, 12.0});
+
+  SessionEnvironment env = test::solo_environment(pool);
+  env.resilience.departure_action = resilience::DepartureAction::kRequeue;
+  SimulationSession session(env);
+  ExecutionEngine engine(session, graph, model);
+  engine.submit(plan);
+  session.run();
+  EXPECT_FALSE(engine.failed()) << engine.failure_reason();
+  EXPECT_EQ(engine.current_schedule().assignment(a).resource, stays);
+  EXPECT_EQ(engine.current_schedule().assignment(b).resource, stays);
+  EXPECT_TRUE(engine.finished());
+  EXPECT_DOUBLE_EQ(engine.makespan(), 12.0);
 }
 
 // ----- property sweep: replay fidelity over random cases ------------------
@@ -222,11 +269,11 @@ class EngineProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EngineProperty, RealizedEqualsPlannedUnderPerfectPrediction) {
   const test::RandomCase c = test::make_random_case(GetParam());
   const Schedule plan = heft_schedule(c.workload.dag, c.model, c.pool);
-  sim::Simulator sim;
   sim::TraceRecorder trace;
-  ExecutionEngine engine(sim, c.workload.dag, c.model, c.pool, &trace);
+  SimulationSession session(test::solo_environment(c.pool, &trace));
+  ExecutionEngine engine(session, c.workload.dag, c.model);
   engine.submit(plan);
-  sim.run();
+  session.run();
   ASSERT_TRUE(engine.finished());
   EXPECT_NEAR(engine.makespan(), plan.makespan(), 1e-6);
   test::expect_valid_trace(trace, c.workload.dag, c.model, c.pool);

@@ -2,6 +2,8 @@
 // Fig. 2) coupled to the executor.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/heft.h"
 #include "core/strategy.h"
 #include "core/planner.h"
@@ -28,9 +30,8 @@ TEST(Planner, Fig5AdoptionRealizesPublished76) {
   const auto scenario = workloads::sample_scenario(15.0);
   PlannerConfig config;
   config.scheduler.order_candidates = 8;  // see DESIGN.md: one tie swap
-  AdaptivePlanner planner(scenario.dag, scenario.model, scenario.model,
-                          scenario.pool, config);
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result = test::run_aheft(
+      scenario.dag, scenario.model, scenario.model, scenario.pool, config);
   EXPECT_DOUBLE_EQ(result.initial_makespan, 80.0);
   EXPECT_DOUBLE_EQ(result.makespan, 76.0);
   EXPECT_EQ(result.adoptions, 1u);
@@ -47,9 +48,8 @@ TEST(Planner, StrictTransfersDeclineNonImprovingReschedule) {
   const auto scenario = workloads::sample_scenario(15.0);
   PlannerConfig config;
   config.scheduler.transfer_policy = TransferPolicy::kRetransmitFromClock;
-  AdaptivePlanner planner(scenario.dag, scenario.model, scenario.model,
-                          scenario.pool, config);
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result = test::run_aheft(
+      scenario.dag, scenario.model, scenario.model, scenario.pool, config);
   EXPECT_DOUBLE_EQ(result.makespan, 80.0);
   EXPECT_EQ(result.adoptions, 0u);
   EXPECT_EQ(result.evaluations, 1u);
@@ -62,9 +62,8 @@ TEST(Planner, AdoptionThresholdSuppressesSmallGains) {
   PlannerConfig config;
   config.scheduler.order_candidates = 8;
   config.scheduler.adoption_threshold = 0.10;  // demand >10% improvement
-  AdaptivePlanner planner(scenario.dag, scenario.model, scenario.model,
-                          scenario.pool, config);
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result = test::run_aheft(
+      scenario.dag, scenario.model, scenario.model, scenario.pool, config);
   // 76 is only a 5% improvement over 80: rejected under the threshold.
   EXPECT_DOUBLE_EQ(result.makespan, 80.0);
   EXPECT_EQ(result.adoptions, 0u);
@@ -73,8 +72,8 @@ TEST(Planner, AdoptionThresholdSuppressesSmallGains) {
 TEST(Planner, EventPerPoolChange) {
   const auto c = test::make_random_case(1234);
   PlannerConfig config;
-  AdaptivePlanner planner(c.workload.dag, c.model, c.model, c.pool, config);
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result =
+      test::run_aheft(c.workload.dag, c.model, c.model, c.pool, config);
   // Every arrival before completion is evaluated; none after.
   const auto changes =
       c.pool.change_times(sim::kTimeZero, result.makespan);
@@ -101,24 +100,23 @@ TEST(Planner, ResourceDepartureForcesAdoption) {
   model.set_compute_cost(b, 0, 5.0);
   model.set_compute_cost(b, 1, 20.0);
 
-  AdaptivePlanner planner(graph, model, model, pool, {});
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result = test::run_aheft(graph, model, model, pool);
   ASSERT_FALSE(result.decisions.empty());
   EXPECT_TRUE(result.decisions.back().forced);
   EXPECT_EQ(result.decisions.back().event, "resource-departure");
   EXPECT_GE(result.adoptions, 1u);
   // b cannot fit on r1 before its departure, so it runs on r2.
-  EXPECT_EQ(result.final_schedule.assignment(b).resource, 1u);
+  EXPECT_EQ(result.schedule.assignment(b).resource, 1u);
   EXPECT_DOUBLE_EQ(result.makespan, 26.0);  // 5 + 1 (transfer) + 20
 }
 
 TEST(Planner, HistoryRepositoryCollectsActuals) {
   const auto scenario = workloads::sample_scenario(15.0);
   grid::PerformanceHistoryRepository history;
-  PlannerConfig config;
-  AdaptivePlanner planner(scenario.dag, scenario.model, scenario.model,
-                          scenario.pool, config, nullptr, &history);
-  (void)planner.run();
+  SessionEnvironment env = test::solo_environment(scenario.pool);
+  env.history = &history;
+  (void)run_strategy(StrategyKind::kAdaptiveAheft, scenario.dag,
+                     scenario.model, scenario.model, env);
   EXPECT_EQ(history.total_observations(), 10u);
   // All sample jobs share one operation; r3 ran n1 (9), n3 (19), ...
   EXPECT_TRUE(history.estimate("sample", 2).has_value());
@@ -132,9 +130,8 @@ TEST(Planner, VarianceEventsTriggerEvaluations) {
   config.react_to_pool_changes = false;
   config.react_to_variance = true;
   config.variance_threshold = 0.05;
-  AdaptivePlanner planner(c.workload.dag, estimates, c.model, c.pool,
-                          config);
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result =
+      test::run_aheft(c.workload.dag, estimates, c.model, c.pool, config);
   EXPECT_GT(result.evaluations, 0u);
   for (const AdoptionRecord& record : result.decisions) {
     EXPECT_EQ(record.event, "performance-variance");
@@ -147,8 +144,8 @@ TEST(Planner, NoVarianceEventsUnderPerfectPrediction) {
   config.react_to_pool_changes = false;
   config.react_to_variance = true;
   config.variance_threshold = 0.05;
-  AdaptivePlanner planner(c.workload.dag, c.model, c.model, c.pool, config);
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result =
+      test::run_aheft(c.workload.dag, c.model, c.model, c.pool, config);
   EXPECT_EQ(result.evaluations, 0u);
 }
 
@@ -165,12 +162,10 @@ TEST(Planner, ContentionAwareSoloMatchesBlindAndStampsFreshSnapshots) {
   PlannerConfig aware = blind;
   aware.contention_aware = true;
 
-  AdaptivePlanner blind_planner(scenario.dag, scenario.model, scenario.model,
-                                scenario.pool, blind);
-  const AdaptiveResult a = blind_planner.run();
-  AdaptivePlanner aware_planner(scenario.dag, scenario.model, scenario.model,
-                                scenario.pool, aware);
-  const AdaptiveResult b = aware_planner.run();
+  const StrategyOutcome a = test::run_aheft(
+      scenario.dag, scenario.model, scenario.model, scenario.pool, blind);
+  const StrategyOutcome b = test::run_aheft(
+      scenario.dag, scenario.model, scenario.model, scenario.pool, aware);
 
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(b.makespan, 76.0);
@@ -201,16 +196,16 @@ TEST(Planner, ReEvaluationSnapshotsAreFresh) {
   SimulationSession session(env);
   AdaptivePlanner first(c.workload.dag, c.model, c.model, c.pool, config);
   AdaptivePlanner second(c.workload.dag, c.model, c.model, c.pool, config);
-  AdaptiveResult first_result;
-  AdaptiveResult second_result;
+  StrategyOutcome first_result;
+  StrategyOutcome second_result;
   bool first_done = false;
   bool second_done = false;
-  first.launch(session, sim::kTimeZero, [&](const AdaptiveResult& r) {
-    first_result = r;
+  first.launch(session, sim::kTimeZero, [&](StrategyOutcome r) {
+    first_result = std::move(r);
     first_done = true;
   });
-  second.launch(session, 25.0, [&](const AdaptiveResult& r) {
-    second_result = r;
+  second.launch(session, 25.0, [&](StrategyOutcome r) {
+    second_result = std::move(r);
     second_done = true;
   });
   session.run();
@@ -218,7 +213,7 @@ TEST(Planner, ReEvaluationSnapshotsAreFresh) {
   ASSERT_TRUE(second_done);
 
   std::size_t stamped = 0;
-  for (const AdaptiveResult* result : {&first_result, &second_result}) {
+  for (const StrategyOutcome* result : {&first_result, &second_result}) {
     for (const AdoptionRecord& record : result->decisions) {
       EXPECT_DOUBLE_EQ(record.view_snapshot, record.time);
       ++stamped;
@@ -255,10 +250,10 @@ TEST(Planner, ContentionAwarePlansRouteAroundForeignLoad) {
     PlannerConfig config;
     config.contention_aware = aware;
     AdaptivePlanner planner(graph, model, model, pool, config);
-    AdaptiveResult result;
+    StrategyOutcome result;
     bool done = false;
-    planner.launch(session, sim::kTimeZero, [&](const AdaptiveResult& r) {
-      result = r;
+    planner.launch(session, sim::kTimeZero, [&](StrategyOutcome r) {
+      result = std::move(r);
       done = true;
     });
     session.run();
@@ -289,8 +284,8 @@ TEST_P(PlannerProperty, AheftNeverWorseThanHeftAndRealizesPrediction) {
 
   const Schedule heft = heft_schedule(c.workload.dag, c.model, c.pool);
   PlannerConfig config;
-  AdaptivePlanner planner(c.workload.dag, c.model, c.model, c.pool, config);
-  const AdaptiveResult result = planner.run();
+  const StrategyOutcome result =
+      test::run_aheft(c.workload.dag, c.model, c.model, c.pool, config);
 
   // Initial plan matches static HEFT.
   EXPECT_NEAR(result.initial_makespan, heft.makespan(), 1e-9);

@@ -150,7 +150,7 @@ class Fig5 : public ::testing::Test {
   void run_to_15() {
     heft_ = heft_schedule(scenario_.dag, scenario_.model, scenario_.pool);
     engine_.submit(heft_);
-    sim_.run_until(15.0);
+    session_.simulator().run_until(15.0);
     snapshot_ = engine_.snapshot();
   }
 
@@ -168,9 +168,8 @@ class Fig5 : public ::testing::Test {
   }
 
   workloads::SampleScenario scenario_ = workloads::sample_scenario(15.0);
-  sim::Simulator sim_;
-  ExecutionEngine engine_{sim_, scenario_.dag, scenario_.model,
-                          scenario_.pool};
+  SimulationSession session_{test::solo_environment(scenario_.pool)};
+  ExecutionEngine engine_{session_, scenario_.dag, scenario_.model};
   Schedule heft_;
   ExecutionSnapshot snapshot_ = ExecutionSnapshot::initial(10, 15);
 };
@@ -312,11 +311,11 @@ TEST_P(ReschedulerProperty, MidRunRescheduleIsConsistent) {
   const test::RandomCase c = test::make_random_case(GetParam());
   const Schedule initial = heft_schedule(c.workload.dag, c.model, c.pool);
 
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, c.workload.dag, c.model, c.pool);
+  SimulationSession session(test::solo_environment(c.pool));
+  ExecutionEngine engine(session, c.workload.dag, c.model);
   engine.submit(initial);
   const sim::Time pause = initial.makespan() / 2.0;
-  sim.run_until(pause);
+  session.simulator().run_until(pause);
   const ExecutionSnapshot snap = engine.snapshot();
 
   RescheduleRequest req;
@@ -342,7 +341,7 @@ TEST_P(ReschedulerProperty, MidRunRescheduleIsConsistent) {
   // Submitting the candidate and running to completion must succeed and
   // realize exactly the predicted makespan (accurate estimates).
   engine.submit(candidate);
-  sim.run();
+  session.run();
   EXPECT_TRUE(engine.finished());
   EXPECT_NEAR(engine.makespan(), candidate.makespan(), 1e-6);
 }

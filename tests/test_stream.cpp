@@ -1,7 +1,7 @@
-// Strategy-driver / session / multi-DAG workflow-stream tests: session
-// equivalence with the legacy entry points, cross-workflow contention
-// under every contention policy, arrival-time ordering, wait-time
-// accounting, and stream determinism.
+// Strategy-driver / session / multi-DAG workflow-stream tests:
+// cross-workflow contention under every contention policy, arrival-time
+// ordering, wait-time accounting, merged outcome counters, and stream
+// determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,55 +81,7 @@ struct CollisionCase {
   }
 };
 
-// --------------------------------------------------- session equivalence --
-
-/// The classic per-strategy entry points (the planner's own run(), the
-/// one-call dynamic simulation) must produce the identical result as the
-/// unified session path: same makespan, same counters.
-TEST(Session, ClassicEntryPointsMatchRunStrategy) {
-  const test::RandomCase c = test::make_random_case(99);
-  SessionEnvironment env;
-  env.pool = &c.pool;
-
-  AdaptivePlanner planner(c.workload.dag, c.model, c.model, c.pool, {});
-  const AdaptiveResult aheft_old = planner.run();
-  const StrategyOutcome aheft_new = run_strategy(
-      StrategyKind::kAdaptiveAheft, c.workload.dag, c.model, c.model, env);
-  EXPECT_DOUBLE_EQ(aheft_old.makespan, aheft_new.makespan);
-  EXPECT_EQ(aheft_old.evaluations, aheft_new.evaluations);
-  EXPECT_EQ(aheft_old.adoptions, aheft_new.adoptions);
-  EXPECT_EQ(aheft_old.restarts, aheft_new.restarts);
-
-  const DynamicRunResult dyn_old =
-      run_dynamic(c.workload.dag, c.model, c.pool);
-  const StrategyOutcome dyn_new = run_strategy(
-      StrategyKind::kDynamic, c.workload.dag, c.model, c.model, env);
-  EXPECT_DOUBLE_EQ(dyn_old.makespan, dyn_new.makespan);
-  EXPECT_EQ(dyn_old.batches, dyn_new.evaluations);
-}
-
-/// The planner's own run() (a private session) and an explicit launch
-/// into a caller-owned session agree as well.
-TEST(Session, ExplicitLaunchMatchesPlannerRun) {
-  const test::RandomCase c = test::make_random_case(7);
-  AdaptivePlanner planner(c.workload.dag, c.model, c.model, c.pool, {});
-  const AdaptiveResult direct = planner.run();
-
-  SessionEnvironment env;
-  env.pool = &c.pool;
-  SimulationSession session(env);
-  AdaptivePlanner launched(c.workload.dag, c.model, c.model, c.pool, {});
-  AdaptiveResult via_launch;
-  bool completed = false;
-  launched.launch(session, sim::kTimeZero, [&](const AdaptiveResult& r) {
-    via_launch = r;
-    completed = true;
-  });
-  session.run();
-  ASSERT_TRUE(completed);
-  EXPECT_DOUBLE_EQ(direct.makespan, via_launch.makespan);
-  EXPECT_EQ(direct.adoptions, via_launch.adoptions);
-}
+// --------------------------------------------------------------- session --
 
 TEST(Session, RejectsMissingPool) {
   EXPECT_THROW(SimulationSession{SessionEnvironment{}},
@@ -269,11 +221,42 @@ TEST(ContentionPolicy, SessionRejectsUnknownPolicyAndBadPriority) {
   SimulationSession session(policy_env(c.pool, "fcfs"));
   ExecutionEngine engine(session, c.dag, c.model);
   EXPECT_THROW(session.add_participant(nullptr), std::invalid_argument);
-  ExecutionEngine standalone(session.simulator(), c.dag, c.model, c.pool);
-  EXPECT_THROW(session.add_participant(&standalone, 0.0),
+  EXPECT_THROW(ExecutionEngine(session, c.dag, c.model, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(session.add_participant(&standalone, -2.0),
+  EXPECT_THROW(ExecutionEngine(session, c.dag, c.model, -2.0),
                std::invalid_argument);
+}
+
+void expect_same_counters(const RunCounters& a, const RunCounters& b) {
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.adoptions, b.adoptions);
+  EXPECT_EQ(a.restarts, b.restarts);
+  EXPECT_EQ(a.contention_wait, b.contention_wait);
+  EXPECT_EQ(a.max_contention_wait, b.max_contention_wait);
+  EXPECT_EQ(a.revoked_jobs, b.revoked_jobs);
+  EXPECT_EQ(a.lost_work, b.lost_work);
+  EXPECT_EQ(a.checkpoint_overhead, b.checkpoint_overhead);
+  EXPECT_EQ(a.useful_work, b.useful_work);
+}
+
+/// A stream's counters are its workflows' outcomes merged in arrival
+/// order: every counter sums, the worst single wait takes the max.
+void expect_counters_merge_workflows(const StreamOutcome& stream) {
+  RunCounters folded;
+  for (const WorkflowResult& wf : stream.workflows) {
+    const RunCounters& c = wf.outcome;
+    folded.evaluations += c.evaluations;
+    folded.adoptions += c.adoptions;
+    folded.restarts += c.restarts;
+    folded.contention_wait += c.contention_wait;
+    folded.max_contention_wait =
+        std::max(folded.max_contention_wait, c.max_contention_wait);
+    folded.revoked_jobs += c.revoked_jobs;
+    folded.lost_work += c.lost_work;
+    folded.checkpoint_overhead += c.checkpoint_overhead;
+    folded.useful_work += c.useful_work;
+  }
+  expect_same_counters(stream, folded);
 }
 
 /// FCFS convoy: the long workflow launches first and keeps the machine
@@ -293,6 +276,12 @@ TEST(ContentionPolicy, FcfsStarvesTheShortWorkflow) {
   EXPECT_DOUBLE_EQ(outcome.workflows[1].slowdown, 7.0);
   EXPECT_DOUBLE_EQ(outcome.max_slowdown, 7.0);
   EXPECT_DOUBLE_EQ(outcome.max_wait, 60.0);
+  // The stream's counters merge the workflows': the short workflow's
+  // single 60-unit wait is both the total and the worst acquisition.
+  expect_counters_merge_workflows(outcome);
+  EXPECT_DOUBLE_EQ(outcome.contention_wait, 60.0);
+  EXPECT_DOUBLE_EQ(outcome.max_contention_wait, 60.0);
+  EXPECT_DOUBLE_EQ(outcome.mean_wait, 30.0);
 }
 
 /// Fair share breaks the convoy once the short workflow's stretch (wall
@@ -720,6 +709,41 @@ TEST(Stream, CaseProducesSaneAggregates) {
     for (const double slowdown : s->slowdowns) {
       EXPECT_GT(slowdown, 0.5);
     }
+    expect_counters_merge_workflows(*s);
+  }
+
+  // The experiment layer's summary is the core stream outcome itself, so
+  // it reports exactly the totals of a direct run over the same
+  // instances.
+  const exp::CaseSpec spec = stream_spec();
+  const exp::CaseEnvironment env = exp::build_case_environment(spec);
+  const exp::StreamSetup setup = exp::build_stream_setup(spec, env);
+  const exp::StreamStrategySummary summary = exp::run_stream_strategy(
+      spec, env, setup, StrategyKind::kAdaptiveAheft);
+
+  SessionEnvironment session;
+
+  session.pool = &env.scenario.pool;
+  session.load = env.scenario.load.empty() ? nullptr : &env.scenario.load;
+  StrategyConfig config;
+  config.planner.scheduler = spec.scheduler;
+  config.planner.react_to_variance = spec.react_to_variance;
+  const std::unique_ptr<StrategyDriver> driver =
+      make_strategy_driver(StrategyKind::kAdaptiveAheft, config);
+  const StreamOutcome direct =
+      run_workflow_stream(session, *driver, setup.instances);
+
+  EXPECT_GT(direct.evaluations, 0u);  // the totals are not all zero
+  expect_counters_merge_workflows(direct);
+  expect_same_counters(summary, direct);
+  EXPECT_EQ(summary.completed_workflows, direct.completed_workflows);
+  EXPECT_EQ(summary.failed_workflows, direct.failed_workflows);
+  EXPECT_EQ(summary.mean_wait, direct.mean_wait);
+  EXPECT_EQ(summary.max_wait, direct.max_wait);
+  EXPECT_EQ(summary.goodput, direct.goodput);
+  ASSERT_EQ(summary.makespans.size(), direct.workflows.size());
+  for (std::size_t i = 0; i < direct.workflows.size(); ++i) {
+    EXPECT_EQ(summary.makespans[i], direct.workflows[i].makespan);
   }
 }
 

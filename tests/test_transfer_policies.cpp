@@ -5,7 +5,7 @@
 
 #include "core/execution_engine.h"
 #include "core/heft.h"
-#include "core/planner.h"
+#include "core/strategy.h"
 #include "core/rescheduler.h"
 #include "helpers.h"
 #include "sim/simulator.h"
@@ -49,18 +49,18 @@ struct MoveFixture {
   /// Returns b's realized start time.
   sim::Time move_b_to_r2(TransferPolicy policy, sim::Time clock,
                          sim::Time b_start) {
-    sim::Simulator sim;
-    ExecutionEngine engine(sim, graph, model, pool);
+    SimulationSession session(test::solo_environment(pool));
+    ExecutionEngine engine(session, graph, model);
     engine.set_transfer_policy(policy);
     engine.submit(initial_plan());
-    sim.run_until(clock);
+    session.simulator().run_until(clock);
 
     Schedule moved(3);
     moved.assign(Assignment{filler, 0, 0.0, filler_cost_});
     moved.assign(Assignment{a, 1, 0.0, 5.0});
     moved.assign(Assignment{b, 2, b_start, b_start + 5.0});
     engine.submit(moved);
-    sim.run();
+    session.run();
     EXPECT_TRUE(engine.finished());
     const ExecutionSnapshot end = engine.snapshot();
     return end.finished_info(b).ast;
@@ -120,11 +120,11 @@ TEST(TransferPolicies, FeaMatchesTheFileAvailabilityPerPolicy) {
         std::pair{TransferPolicy::kEagerReplicate, 15.0},
         std::pair{TransferPolicy::kPrestagedArrivals, 15.0}}) {
     MoveFixture fx(30.0, 0.0);
-    sim::Simulator sim;
-    ExecutionEngine engine(sim, fx.graph, fx.model, fx.pool);
+    SimulationSession session(test::solo_environment(fx.pool));
+    ExecutionEngine engine(session, fx.graph, fx.model);
     engine.set_transfer_policy(policy);
     engine.submit(fx.initial_plan());
-    sim.run_until(20.0);
+    session.simulator().run_until(20.0);
     const ExecutionSnapshot snap = engine.snapshot();
 
     RescheduleRequest req;
@@ -149,12 +149,12 @@ TEST(TransferPolicies, AdoptedPredictionRealizedUnderEveryPolicy) {
         TransferPolicy::kPrestagedArrivals}) {
     for (const std::uint64_t seed : {61u, 62u, 63u}) {
       const test::RandomCase c = test::make_random_case(seed);
-      PlannerConfig config;
-      config.scheduler.transfer_policy = policy;
+      StrategyConfig strategy;
+      strategy.planner.scheduler.transfer_policy = policy;
       sim::TraceRecorder trace;
-      AdaptivePlanner planner(c.workload.dag, c.model, c.model, c.pool,
-                              config, &trace);
-      const AdaptiveResult result = planner.run();
+      const StrategyOutcome result = run_strategy(
+          StrategyKind::kAdaptiveAheft, c.workload.dag, c.model, c.model,
+          test::solo_environment(c.pool, &trace), strategy);
       // Realized == last adopted prediction, and never worse than HEFT.
       sim::Time last = result.initial_makespan;
       for (const AdoptionRecord& record : result.decisions) {
@@ -175,10 +175,10 @@ TEST(TransferPolicies, OptimisticPoliciesNeverPredictLaterAvailability) {
   // prestaged is never later than under the strict policy.
   const test::RandomCase c = test::make_random_case(77);
   const Schedule plan = heft_schedule(c.workload.dag, c.model, c.pool);
-  sim::Simulator sim;
-  ExecutionEngine engine(sim, c.workload.dag, c.model, c.pool);
+  SimulationSession session(test::solo_environment(c.pool));
+  ExecutionEngine engine(session, c.workload.dag, c.model);
   engine.submit(plan);
-  sim.run_until(plan.makespan() / 2.0);
+  session.simulator().run_until(plan.makespan() / 2.0);
   const ExecutionSnapshot snap = engine.snapshot();
 
   RescheduleRequest req;

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/execution_engine.h"
-#include "core/planner.h"
+#include "core/strategy.h"
 #include "core/heft.h"
 #include "core/whatif.h"
 #include "helpers.h"
@@ -17,14 +17,13 @@ class WhatIf : public ::testing::Test {
   void run_to(sim::Time t) {
     plan_ = heft_schedule(scenario_.dag, scenario_.model, scenario_.pool);
     engine_.submit(plan_);
-    sim_.run_until(t);
+    session_.simulator().run_until(t);
     snapshot_ = engine_.snapshot();
   }
 
   workloads::SampleScenario scenario_ = workloads::sample_scenario(1e9);
-  sim::Simulator sim_;
-  ExecutionEngine engine_{sim_, scenario_.dag, scenario_.model,
-                          scenario_.pool};
+  SimulationSession session_{test::solo_environment(scenario_.pool)};
+  ExecutionEngine engine_{session_, scenario_.dag, scenario_.model};
   Schedule plan_;
   ExecutionSnapshot snapshot_ = ExecutionSnapshot::initial(10, 15);
 };
@@ -64,9 +63,10 @@ TEST_F(WhatIf, AddedPredictionMatchesRealizedOutcome) {
   const auto real = workloads::sample_scenario(15.0);
   PlannerConfig planner_config;
   planner_config.scheduler = config;
-  AdaptivePlanner planner(real.dag, real.model, real.model, real.pool,
-                          planner_config);
-  EXPECT_NEAR(planner.run().makespan, predicted, 1e-9);
+  EXPECT_NEAR(test::run_aheft(real.dag, real.model, real.model, real.pool,
+                              planner_config)
+                  .makespan,
+              predicted, 1e-9);
 }
 
 TEST_F(WhatIf, RemovingAResourceNeverImprovesPrediction) {
@@ -111,10 +111,10 @@ TEST(WhatIfProperty, AddingAResourceNeverHurtsPrediction) {
     c.pool.set_arrival(3, 1e9);
     const Schedule plan = heft_schedule(c.workload.dag, c.model, c.pool);
 
-    sim::Simulator sim;
-    ExecutionEngine engine(sim, c.workload.dag, c.model, c.pool);
+    SimulationSession session(test::solo_environment(c.pool));
+    ExecutionEngine engine(session, c.workload.dag, c.model);
     engine.submit(plan);
-    sim.run_until(plan.makespan() / 3.0);
+    session.simulator().run_until(plan.makespan() / 3.0);
     const ExecutionSnapshot snap = engine.snapshot();
 
     const WhatIfAnalyzer analyzer(c.workload.dag, c.model, c.pool);
