@@ -226,17 +226,6 @@ std::string write_swf_string(const SwfLog& log) {
   return out.str();
 }
 
-void write_swf_file(const std::string& path, const SwfLog& log) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot create SWF file '" + path + "'");
-  }
-  write_swf(out, log);
-  if (!out.flush()) {
-    throw std::runtime_error("failed writing SWF file '" + path + "'");
-  }
-}
-
 std::vector<SwfJob> usable_jobs(const SwfLog& log, bool include_failed) {
   std::vector<SwfJob> jobs;
   jobs.reserve(log.jobs.size());

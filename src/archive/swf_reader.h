@@ -114,8 +114,6 @@ class SwfParseError : public std::runtime_error {
 /// gridtrace writer's guarantee.
 void write_swf(std::ostream& out, const SwfLog& log);
 [[nodiscard]] std::string write_swf_string(const SwfLog& log);
-/// Throws std::runtime_error when the file cannot be created.
-void write_swf_file(const std::string& path, const SwfLog& log);
 
 /// The simulatable subset of a log: completed jobs (or, with
 /// `include_failed`, any terminal status) carrying a positive runtime and

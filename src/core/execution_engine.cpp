@@ -18,10 +18,10 @@ ExecutionEngine::ExecutionEngine(SimulationSession& session,
       trace_(session.trace()),
       load_(session.load()),
       session_(&session),
+      record_(sim::kTimeZero, dag.job_count(), dag.edge_count()),
       jobs_(dag.job_count()),
       done_frac_(dag.job_count(), 0.0),
-      restart_debt_(dag.job_count(), 0.0),
-      edge_arrivals_(dag.edge_count()) {
+      restart_debt_(dag.job_count(), 0.0) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
   if (session.resilience().active()) {
     resilience_ = &session.resilience();
@@ -40,24 +40,19 @@ const Schedule& ExecutionEngine::current_schedule() const {
   return schedule_;
 }
 
-void ExecutionEngine::record_arrival(std::size_t edge_index,
-                                     grid::ResourceId resource,
-                                     sim::Time when) {
-  auto& per_edge = edge_arrivals_[edge_index];
-  const auto it = per_edge.find(resource);
-  if (it == per_edge.end() || when < it->second) {
-    per_edge[resource] = when;
-  }
+void ExecutionEngine::reset_job(dag::JobId job) {
+  record_.mark_pending(job);
+  jobs_[job] = JobState{};
 }
 
 sim::Time ExecutionEngine::ensure_transfer(std::size_t edge_index,
                                            grid::ResourceId target,
                                            sim::Time when) {
   const dag::Edge& edge = dag_->edges()[edge_index];
-  const JobState& producer = jobs_[edge.from];
-  AHEFT_ASSERT(producer.phase == Phase::kFinished,
+  const JobRecord& producer = record_.record(edge.from);
+  AHEFT_ASSERT(producer.phase == JobPhase::kFinished,
                "transfer initiated before producer finished");
-  auto& per_edge = edge_arrivals_[edge_index];
+  const auto& per_edge = record_.arrivals(edge_index);
   if (const auto it = per_edge.find(target); it != per_edge.end()) {
     return it->second;  // already there or already in flight
   }
@@ -78,7 +73,7 @@ sim::Time ExecutionEngine::ensure_transfer(std::size_t edge_index,
       start = arrival - c;
       break;
   }
-  per_edge[target] = arrival;
+  record_.record_arrival(edge_index, target, arrival);
   if (trace_ != nullptr && arrival > start) {
     trace_->record_transfer(edge.from, edge.to, target, start, arrival);
   }
@@ -93,16 +88,16 @@ void ExecutionEngine::submit(const Schedule& schedule) {
   const sim::Time now = simulator_->now();
 
   for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    JobState& state = jobs_[i];
+    const JobRecord& state = record_.record(i);
     const Assignment& next = schedule.assignment(i);
     switch (state.phase) {
-      case Phase::kFinished:
+      case JobPhase::kFinished:
         // A reschedule must keep completed work where it happened.
         AHEFT_ASSERT(next.resource == state.resource &&
                          sim::time_eq(next.finish, state.aft),
                      "reschedule rewrote history of a finished job");
         break;
-      case Phase::kRunning: {
+      case JobPhase::kRunning: {
         const bool kept = next.resource == state.resource &&
                           sim::time_eq(next.start, state.ast);
         if (!kept) {
@@ -111,19 +106,19 @@ void ExecutionEngine::submit(const Schedule& schedule) {
           // frees now, so the ledger's committed reservation is truncated
           // to the cancellation instead of blocking competitors until the
           // cancelled job's projected finish.
-          const bool cancelled = simulator_->cancel(state.completion);
+          const bool cancelled = simulator_->cancel(jobs_[i].completion);
           AHEFT_ASSERT(cancelled, "running job had no completion event");
           account_interrupted_segment(i, now);
           session_->truncate_commit(this, state.resource, /*tag=*/i, now);
           if (trace_ != nullptr) {
             trace_->record_compute(i, state.resource, state.ast, now);
           }
-          state = JobState{};
+          reset_job(i);
           ++counters_.restarts;
         }
         break;
       }
-      case Phase::kPending:
+      case JobPhase::kPending:
         break;
     }
   }
@@ -138,8 +133,8 @@ void ExecutionEngine::submit(const Schedule& schedule) {
   // (FEA case 2: the copy cannot leave before `now`).
   for (std::size_t e = 0; e < dag_->edge_count(); ++e) {
     const dag::Edge& edge = dag_->edges()[e];
-    if (jobs_[edge.from].phase != Phase::kFinished ||
-        jobs_[edge.to].phase == Phase::kFinished) {
+    if (phase(edge.from) != JobPhase::kFinished ||
+        phase(edge.to) == JobPhase::kFinished) {
       continue;
     }
     ensure_transfer(e, schedule_.assignment(edge.to).resource, now);
@@ -169,11 +164,11 @@ void ExecutionEngine::rebuild_queues() {
   // post-rebuild pumps re-register the live ones.
   session_->withdraw_all(this);
   for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    const JobState& state = jobs_[i];
+    const JobRecord& state = record_.record(i);
     const Assignment& a = schedule_.assignment(i);
-    if (state.phase == Phase::kPending) {
+    if (state.phase == JobPhase::kPending) {
       queues_[a.resource].push_back(i);
-    } else if (state.phase == Phase::kRunning) {
+    } else if (state.phase == JobPhase::kRunning) {
       // The machine stays busy until the running job's projected finish.
       auto& free_at = resource_free_[state.resource];
       free_at = std::max(free_at, state.aft);
@@ -207,23 +202,23 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
 
   while (pos < queue.size()) {
     const dag::JobId job = queue[pos];
-    const JobState& state = jobs_[job];
-    if (state.phase == Phase::kFinished ||
+    const JobPhase state = phase(job);
+    if (state == JobPhase::kFinished ||
         schedule_.assignment(job).resource != resource) {
       ++pos;  // stale entry after a reschedule or a requeue
       continue;
     }
-    AHEFT_ASSERT(state.phase == Phase::kPending,
+    AHEFT_ASSERT(state == JobPhase::kPending,
                  "queued job is already running");
 
     // (a) inputs present on this resource?
     sim::Time ready = sim::kTimeZero;
     for (const std::uint32_t e : dag_->in_edges(job)) {
       const dag::Edge& edge = dag_->edges()[e];
-      if (jobs_[edge.from].phase != Phase::kFinished) {
+      if (phase(edge.from) != JobPhase::kFinished) {
         return;  // producer pending/running: its completion re-pumps us
       }
-      const auto& arrivals = edge_arrivals_[e];
+      const auto& arrivals = record_.arrivals(e);
       const auto it = arrivals.find(resource);
       AHEFT_ASSERT(it != arrivals.end(),
                    "input of " + dag_->job(job).name +
@@ -342,9 +337,6 @@ bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
   }
 
   JobState& state = jobs_[job];
-  state.phase = Phase::kRunning;
-  state.resource = resource;
-  state.ast = now;
   state.load_factor = factor;
   state.segment_work = work;
   state.segment_debt = debt;
@@ -352,33 +344,35 @@ bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
   if (resilience_ != nullptr) {
     restart_debt_[job] = 0.0;  // consumed into this segment
   }
+  // Run to the wall when the job does not fit: the departure interrupts it
+  // and it keeps only its checkpointed floor progress.
+  const sim::Time aft = fits ? now + duration : machine.departure;
+  record_.add_running(RunningInfo{job, resource, now, aft});
   if (fits) {
-    state.aft = now + duration;
-    state.completion = simulator_->schedule_at(
-        state.aft, [this, job] { complete_job(job); });
+    state.completion =
+        simulator_->schedule_at(aft, [this, job] { complete_job(job); });
   } else {
-    // Run to the wall: the job is interrupted by the departure and keeps
-    // only its checkpointed floor progress.
-    state.aft = machine.departure;
-    state.completion = simulator_->schedule_at(
-        state.aft, [this, job] { hit_departure(job); });
+    state.completion =
+        simulator_->schedule_at(aft, [this, job] { hit_departure(job); });
   }
   auto& free_at = resource_free_[resource];
-  free_at = std::max(free_at, state.aft);
-  session_->commit(this, resource, /*tag=*/job, state.ast, state.aft);
+  free_at = std::max(free_at, aft);
+  session_->commit(this, resource, /*tag=*/job, now, aft);
   return true;
 }
 
 void ExecutionEngine::complete_job(dag::JobId job) {
-  JobState& state = jobs_[job];
-  AHEFT_ASSERT(state.phase == Phase::kRunning, "completion of non-running job");
-  state.phase = Phase::kFinished;
-  ++finished_count_;
-  makespan_ = std::max(makespan_, state.aft);
+  const JobState& state = jobs_[job];
+  AHEFT_ASSERT(phase(job) == JobPhase::kRunning,
+               "completion of non-running job");
+  const JobRecord run = record_.record(job);
+  record_.set_clock(simulator_->now());  // no finish after the clock
+  record_.mark_finished(job, FinishedInfo{run.resource, run.ast, run.aft});
+  makespan_ = std::max(makespan_, run.aft);
   counters_.useful_work += state.segment_work;
   counters_.checkpoint_overhead += state.segment_debt + state.segment_writes;
   if (trace_ != nullptr) {
-    trace_->record_compute(job, state.resource, state.ast, state.aft);
+    trace_->record_compute(job, run.resource, run.ast, run.aft);
   }
 
   // Push outputs to wherever the current schedule placed the consumers
@@ -388,29 +382,30 @@ void ExecutionEngine::complete_job(dag::JobId job) {
   std::vector<grid::ResourceId> to_pump;
   for (const std::uint32_t e : dag_->out_edges(job)) {
     const dag::Edge& edge = dag_->edges()[e];
-    record_arrival(e, state.resource, state.aft);
-    if (jobs_[edge.to].phase != Phase::kFinished) {
+    record_.record_arrival(e, run.resource, run.aft);
+    if (phase(edge.to) != JobPhase::kFinished) {
       const grid::ResourceId target = schedule_.assignment(edge.to).resource;
-      ensure_transfer(e, target, state.aft);
+      ensure_transfer(e, target, run.aft);
       to_pump.push_back(target);
     }
   }
   for (const grid::ResourceId target : to_pump) {
     pump(target);
   }
-  pump(state.resource);
+  pump(run.resource);
   if (hook_) {
-    hook_(job, state.resource, state.ast, state.aft);
+    hook_(job, run.resource, run.ast, run.aft);
   }
 }
 
 void ExecutionEngine::account_interrupted_segment(dag::JobId job,
                                                   sim::Time at) {
-  JobState& state = jobs_[job];
+  const JobState& state = jobs_[job];
+  const JobRecord& run = record_.record(job);
   // Wall-clock elapsed back to nominal units (the segment composition is
   // nominal; the load factor stretched it uniformly).
   const double elapsed =
-      std::max(at - state.ast, sim::kTimeZero) / state.load_factor;
+      std::max(at - run.ast, sim::kTimeZero) / state.load_factor;
   const double debt_paid = std::min(elapsed, state.segment_debt);
   counters_.checkpoint_overhead += debt_paid;
   resilience::SegmentProgress progress;
@@ -427,7 +422,7 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
     // Retained work is in this machine's nominal units; fold it into the
     // machine-independent completed fraction. Strictly < 1: a segment's
     // retainable work is capped below its full remainder.
-    const double total = actual_->compute_cost(job, state.resource);
+    const double total = actual_->compute_cost(job, run.resource);
     done_frac_[job] = std::min(done_frac_[job] + progress.retained / total,
                                1.0);
   }
@@ -439,18 +434,18 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
 }
 
 void ExecutionEngine::hit_departure(dag::JobId job) {
-  JobState& state = jobs_[job];
-  AHEFT_ASSERT(state.phase == Phase::kRunning,
+  const JobRecord& run = record_.record(job);
+  AHEFT_ASSERT(run.phase == JobPhase::kRunning,
                "departure hit a non-running job");
   const sim::Time now = simulator_->now();
   account_interrupted_segment(job, now);
   if (trace_ != nullptr) {
-    trace_->record_compute(job, state.resource, state.ast, now);
+    trace_->record_compute(job, run.resource, run.ast, now);
   }
   // The committed ledger window ends exactly at the wall — no truncation
   // needed; the machine is gone either way.
   ++counters_.revoked_jobs;
-  state = JobState{};
+  reset_job(job);
   requeue_job(job, now);
 }
 
@@ -461,11 +456,11 @@ bool ExecutionEngine::revoke_committed(grid::ResourceId resource,
     return false;
   }
   const dag::JobId job = static_cast<dag::JobId>(tag);
-  JobState& state = jobs_[job];
-  if (state.phase != Phase::kRunning || state.resource != resource) {
+  const JobRecord& run = record_.record(job);
+  if (run.phase != JobPhase::kRunning || run.resource != resource) {
     return false;
   }
-  if (!simulator_->cancel(state.completion)) {
+  if (!simulator_->cancel(jobs_[job].completion)) {
     return false;  // completing this very instant: nothing left to take
   }
   const sim::Time now = simulator_->now();
@@ -474,14 +469,14 @@ bool ExecutionEngine::revoke_committed(grid::ResourceId resource,
   // re-registration, so the eviction does not zero its fair-share wait.
   session_->truncate_commit(this, resource, tag, now, /*carry_baseline=*/true);
   if (trace_ != nullptr) {
-    trace_->record_compute(job, resource, state.ast, now);
+    trace_->record_compute(job, resource, run.ast, now);
   }
   if (const auto it = resource_free_.find(resource);
       it != resource_free_.end() && it->second > now) {
     it->second = now;  // the machine frees under the evicted job
   }
   ++counters_.revoked_jobs;
-  state = JobState{};
+  reset_job(job);
   requeue_job(job, now);
   return true;
 }
@@ -574,19 +569,19 @@ void ExecutionEngine::fail_workflow(const std::string& reason) {
   failure_reason_ = reason;
   const sim::Time now = simulator_->now();
   for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    JobState& state = jobs_[i];
-    if (state.phase != Phase::kRunning) {
+    const JobRecord& run = record_.record(i);
+    if (run.phase != JobPhase::kRunning) {
       continue;
     }
-    if (!simulator_->cancel(state.completion)) {
+    if (!simulator_->cancel(jobs_[i].completion)) {
       continue;  // completes this very instant: let it finish
     }
     account_interrupted_segment(i, now);
-    session_->truncate_commit(this, state.resource, /*tag=*/i, now);
+    session_->truncate_commit(this, run.resource, /*tag=*/i, now);
     if (trace_ != nullptr) {
-      trace_->record_compute(i, state.resource, state.ast, now);
+      trace_->record_compute(i, run.resource, run.ast, now);
     }
-    state = JobState{};
+    reset_job(i);
   }
   queues_.clear();
   queue_pos_.clear();
@@ -598,23 +593,9 @@ void ExecutionEngine::fail_workflow(const std::string& reason) {
   }
 }
 
-ExecutionSnapshot ExecutionEngine::snapshot() const {
-  ExecutionSnapshot snap(simulator_->now(), dag_->job_count(),
-                         dag_->edge_count());
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    const JobState& state = jobs_[i];
-    if (state.phase == Phase::kFinished) {
-      snap.mark_finished(i, FinishedInfo{state.resource, state.ast, state.aft});
-    } else if (state.phase == Phase::kRunning) {
-      snap.add_running(RunningInfo{i, state.resource, state.ast, state.aft});
-    }
-  }
-  for (std::size_t e = 0; e < dag_->edge_count(); ++e) {
-    for (const auto& [resource, when] : edge_arrivals_[e]) {
-      snap.record_arrival(e, resource, when);
-    }
-  }
-  return snap;
+const ExecutionSnapshot& ExecutionEngine::snapshot() {
+  record_.set_clock(simulator_->now());
+  return record_;
 }
 
 }  // namespace aheft::core

@@ -65,10 +65,9 @@ class ExecutionEngine : public SessionParticipant {
   void submit(const Schedule& schedule);
 
   [[nodiscard]] bool finished() const {
-    return finished_count_ == dag_->job_count();
+    return record_.finished_count() == dag_->job_count();
   }
   [[nodiscard]] sim::Time makespan() const { return makespan_; }
-  [[nodiscard]] std::size_t finished_count() const { return finished_count_; }
   /// The engine's share of the run's counters: `restarts` (running jobs
   /// cancelled and restarted by reschedules) and the resilience
   /// accounting — revocations absorbed and nominal machine-seconds of
@@ -94,9 +93,11 @@ class ExecutionEngine : public SessionParticipant {
 
   [[nodiscard]] const Schedule& current_schedule() const;
 
-  /// Captures the execution state at the current simulation time, in the
-  /// form the Planner's rescheduler consumes.
-  [[nodiscard]] ExecutionSnapshot snapshot() const;
+  /// The engine's execution record, stamped with the current simulation
+  /// time, in the form the Planner's rescheduler consumes. The engine
+  /// updates the record in place, so the reference is valid until the
+  /// engine's next event; copy the snapshot to keep it.
+  [[nodiscard]] const ExecutionSnapshot& snapshot();
 
   /// Callback fired after each job completion (the Performance Monitor's
   /// feed, Fig. 1): (job, resource, actual start, actual finish).
@@ -130,12 +131,9 @@ class ExecutionEngine : public SessionParticipant {
   bool revoke_committed(grid::ResourceId resource, std::uint64_t tag) override;
 
  private:
-  enum class Phase { kPending, kRunning, kFinished };
+  /// A job's running-segment accounting; its phase, resource, start and
+  /// (projected) finish live in the shared record_.
   struct JobState {
-    Phase phase = Phase::kPending;
-    grid::ResourceId resource = grid::kInvalidResource;
-    sim::Time ast = sim::kTimeZero;
-    sim::Time aft = sim::kTimeZero;  ///< completion (projected while running)
     sim::EventId completion = 0;
     // The running segment's composition, fixed at start (nominal units;
     // wall clock = nominal * load_factor). Interruption accounting
@@ -148,8 +146,11 @@ class ExecutionEngine : public SessionParticipant {
 
   void rebuild_queues();
   void pump(grid::ResourceId resource);
-  void record_arrival(std::size_t edge_index, grid::ResourceId resource,
-                      sim::Time when);
+  [[nodiscard]] JobPhase phase(dag::JobId job) const {
+    return record_.record(job).phase;
+  }
+  /// Returns a cancelled or revoked running job to pending.
+  void reset_job(dag::JobId job);
   /// Launches the transfer of edge `e`'s payload toward `target` at `when`
   /// if it is not already there or in flight; returns the arrival time.
   sim::Time ensure_transfer(std::size_t edge_index, grid::ResourceId target,
@@ -206,6 +207,9 @@ class ExecutionEngine : public SessionParticipant {
 
   Schedule schedule_;
   bool has_schedule_ = false;
+  /// Phase, placement and times of every job, plus every edge's
+  /// arrivals: the execution record snapshot() hands to the planner.
+  ExecutionSnapshot record_;
   std::vector<JobState> jobs_;
   /// Fraction of each job's total work persisted by checkpoints. Kept as
   /// a fraction (not absolute units) because compute costs differ per
@@ -215,12 +219,10 @@ class ExecutionEngine : public SessionParticipant {
   /// Checkpoint read cost owed when each job next starts (a prior image
   /// exists); cleared once paid.
   std::vector<double> restart_debt_;
-  EdgeArrivals edge_arrivals_;
   std::map<grid::ResourceId, std::vector<dag::JobId>> queues_;
   std::map<grid::ResourceId, std::size_t> queue_pos_;
   std::map<grid::ResourceId, sim::Time> resource_free_;
   std::map<grid::ResourceId, sim::Time> pending_pump_;
-  std::size_t finished_count_ = 0;
   RunCounters counters_;
   bool failed_ = false;
   std::string failure_reason_;

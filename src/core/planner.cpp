@@ -46,7 +46,9 @@ void AdaptivePlanner::evaluate(const std::string& reason, bool forced) {
   }
   ++result_.evaluations;
 
-  const ExecutionSnapshot snapshot = engine_->snapshot();
+  // The engine's live record: nothing below advances the simulation, and
+  // the only mutation (the adopting submit) comes after its last read.
+  const ExecutionSnapshot& snapshot = engine_->snapshot();
   RescheduleRequest request;
   request.dag = &dag_;
   request.estimates = &estimates_;

@@ -47,13 +47,18 @@ Schedule pin_history(const RescheduleRequest& request,
   }
   for (dag::JobId i = 0; i < dag.job_count(); ++i) {
     if (snapshot->finished(i)) {
-      const FinishedInfo& info = snapshot->finished_info(i);
+      const FinishedInfo info = snapshot->finished_info(i);
       result.assign(Assignment{i, info.resource, info.ast, info.aft});
       pinned[i] = true;
     }
   }
   if (request.config.running_policy == RunningJobPolicy::kKeepRunning) {
-    for (const RunningInfo& info : snapshot->running()) {
+    for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+      const std::optional<RunningInfo> running = snapshot->running_info(i);
+      if (!running.has_value()) {
+        continue;
+      }
+      const RunningInfo& info = *running;
       // A running job can only be kept if its resource is still in the
       // visible set and survives long enough — otherwise it is implicitly
       // restarted (rescheduling as the fault-tolerance mechanism).
@@ -83,7 +88,7 @@ ResolvedInput resolve_input(const RescheduleRequest& request,
   const dag::Edge& edge = dag.edges()[edge_index];
   const dag::JobId producer = edge.from;
   if (request.snapshot != nullptr && request.snapshot->finished(producer)) {
-    const FinishedInfo& info = request.snapshot->finished_info(producer);
+    const FinishedInfo info = request.snapshot->finished_info(producer);
     return ResolvedInput{&edge, &request.snapshot->arrivals(edge_index),
                          info.resource, info.aft};
   }

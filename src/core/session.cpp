@@ -501,12 +501,4 @@ ContentionStats SimulationSession::contention_stats(
   return {};
 }
 
-std::size_t SimulationSession::participant_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& shard : states_) {
-    total += shard->participants.size();
-  }
-  return total;
-}
-
 }  // namespace aheft::core

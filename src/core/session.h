@@ -326,10 +326,6 @@ class SimulationSession {
   [[nodiscard]] ContentionStats contention_stats(
       const SessionParticipant* participant) const;
 
-  /// Participants registered across every shard. Sum over shard tables;
-  /// call from the owning thread during setup or after run().
-  [[nodiscard]] std::size_t participant_count() const noexcept;
-
   /// Drains the event set — serial for one shard, lock-step epochs on
   /// the environment's shard_workers otherwise; returns the final clock.
   sim::Time run() { return sharded_.run(env_.shard_workers); }

@@ -74,15 +74,6 @@ void ShardedSimulator::post(std::size_t target, Time when,
       Staged{when, target, origin.posted++, std::move(action), tls_shard});
 }
 
-bool ShardedSimulator::any_staged() const {
-  for (const auto& shard : shards_) {
-    if (!shard->outbox.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Time ShardedSimulator::min_next_event_time() const {
   Time earliest = kTimeInfinity;
   for (const auto& shard : shards_) {

@@ -141,7 +141,6 @@ class ShardedSimulator {
   /// Barrier step: merges every outbox in (time, origin, seq) order and
   /// schedules the messages on their target shards.
   void apply_staged();
-  [[nodiscard]] bool any_staged() const;
   [[nodiscard]] Time min_next_event_time() const;
   /// Effective width for the epoch starting at horizon `h1`: the fixed
   /// floor, widened by the adaptive lookahead toward the second-smallest

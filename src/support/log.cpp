@@ -46,10 +46,6 @@ LogLevel log_level() {
   return static_cast<LogLevel>(level);
 }
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void log_write(LogLevel level, const std::string& message) {

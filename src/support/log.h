@@ -13,9 +13,6 @@ enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 /// (default: warn).
 [[nodiscard]] LogLevel log_level();
 
-/// Overrides the process-wide level (used by tests).
-void set_log_level(LogLevel level);
-
 namespace detail {
 void log_write(LogLevel level, const std::string& message);
 }  // namespace detail

@@ -2,6 +2,9 @@
 // replacement semantics, file-transfer bookkeeping.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/execution_engine.h"
 #include "core/heft.h"
 #include "helpers.h"
@@ -262,6 +265,63 @@ TEST(EngineRequeue, EveryJobQueuedOnADepartedMachineMoves) {
   EXPECT_DOUBLE_EQ(engine.makespan(), 12.0);
 }
 
+TEST(EngineRequeue, RunToTheWallJobIsRecordedRunningOnItsNewMachine) {
+  // p -> j. j starts on "short" at t = 1, but its 10 units cannot beat the
+  // departure at 5: under kRequeue it runs to the wall, and the departure
+  // requeues it onto "spare" at t = 5, where its input is resent.
+  dag::Dag graph;
+  const dag::JobId p = graph.add_job("p");
+  const dag::JobId j = graph.add_job("j");
+  graph.add_edge(p, j, 0.0);
+  graph.finalize();
+  grid::ResourcePool pool;
+  const grid::ResourceId short_lived =
+      pool.add(grid::Resource{.name = "short"});
+  const grid::ResourceId spare = pool.add(grid::Resource{.name = "spare"});
+  pool.set_departure(short_lived, 5.0);
+  // Finite on purpose: choose_requeue_target treats an infinite
+  // departure as already past (see ROADMAP).
+  pool.set_departure(spare, 100.0);
+  grid::MachineModel model(2, 2);
+  for (grid::ResourceId r : {short_lived, spare}) {
+    model.set_compute_cost(p, r, 1.0);
+    model.set_compute_cost(j, r, 10.0);
+  }
+  Schedule plan(2);
+  plan.assign(Assignment{p, short_lived, 0.0, 1.0});
+  plan.assign(Assignment{j, short_lived, 1.0, 11.0});
+
+  SessionEnvironment env = test::solo_environment(pool);
+  env.resilience.departure_action = resilience::DepartureAction::kRequeue;
+  SimulationSession session(env);
+  ExecutionEngine engine(session, graph, model);
+  engine.submit(plan);
+  session.simulator().run_until(4.0);
+  {
+    const ExecutionSnapshot& before = engine.snapshot();
+    ASSERT_TRUE(before.running_info(j).has_value());
+    EXPECT_EQ(before.running_info(j)->resource, short_lived);
+    EXPECT_DOUBLE_EQ(before.running_info(j)->expected_finish, 5.0);
+  }
+
+  session.simulator().run_until(6.0);
+  const ExecutionSnapshot& after = engine.snapshot();
+  EXPECT_DOUBLE_EQ(after.clock(), 6.0);
+  EXPECT_FALSE(after.finished(j));
+  const auto running = after.running_info(j);
+  ASSERT_TRUE(running.has_value());
+  EXPECT_EQ(running->resource, spare);
+  EXPECT_DOUBLE_EQ(running->ast, 5.0);
+  EXPECT_DOUBLE_EQ(running->expected_finish, 15.0);
+  EXPECT_EQ(after.arrivals(0).count(spare), 1u);
+  EXPECT_EQ(engine.counters().revoked_jobs, 1u);
+
+  session.run();
+  EXPECT_FALSE(engine.failed()) << engine.failure_reason();
+  EXPECT_TRUE(engine.finished());
+  EXPECT_DOUBLE_EQ(engine.makespan(), 15.0);
+}
+
 // ----- property sweep: replay fidelity over random cases ------------------
 
 class EngineProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -272,9 +332,55 @@ TEST_P(EngineProperty, RealizedEqualsPlannedUnderPerfectPrediction) {
   sim::TraceRecorder trace;
   SimulationSession session(test::solo_environment(c.pool, &trace));
   ExecutionEngine engine(session, c.workload.dag, c.model);
+  const dag::Dag& dag = c.workload.dag;
+  // At every completion the snapshot reads exactly the jobs reported so
+  // far, with each finished producer's output at its own resource at AFT.
+  // A copy taken at the first completion keeps reading that moment.
+  std::vector<bool> reported(dag.job_count(), false);
+  std::size_t reported_count = 0;
+  std::optional<ExecutionSnapshot> first;
+  dag::JobId first_job = dag::kInvalidJob;
+  sim::Time first_aft = sim::kTimeZero;
+  engine.set_completion_hook([&](dag::JobId job, grid::ResourceId resource,
+                                 sim::Time, sim::Time aft) {
+    reported[job] = true;
+    ++reported_count;
+    const ExecutionSnapshot& snap = engine.snapshot();
+    EXPECT_DOUBLE_EQ(snap.clock(), aft);
+    EXPECT_EQ(snap.finished_count(), reported_count);
+    for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+      ASSERT_EQ(snap.finished(i), reported[i]) << "job " << i;
+    }
+    EXPECT_EQ(snap.finished_info(job).resource, resource);
+    for (std::size_t e = 0; e < dag.edge_count(); ++e) {
+      const dag::JobId from = dag.edges()[e].from;
+      if (!snap.finished(from)) {
+        continue;
+      }
+      const FinishedInfo info = snap.finished_info(from);
+      const auto& arrivals = snap.arrivals(e);
+      const auto it = arrivals.find(info.resource);
+      ASSERT_NE(it, arrivals.end()) << "edge " << e;
+      EXPECT_DOUBLE_EQ(it->second, info.aft) << "edge " << e;
+    }
+    if (!first.has_value()) {
+      first = snap;
+      first_job = job;
+      first_aft = aft;
+      return;
+    }
+    EXPECT_GT(snap.finished_count(), first->finished_count());
+    EXPECT_DOUBLE_EQ(first->clock(), first_aft);
+    EXPECT_EQ(first->finished_count(), 1u);
+    for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+      EXPECT_EQ(first->finished(i), i == first_job) << "job " << i;
+    }
+  });
   engine.submit(plan);
   session.run();
   ASSERT_TRUE(engine.finished());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(engine.snapshot().finished_count(), dag.job_count());
   EXPECT_NEAR(engine.makespan(), plan.makespan(), 1e-6);
   test::expect_valid_trace(trace, c.workload.dag, c.model, c.pool);
 }
