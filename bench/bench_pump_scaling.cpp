@@ -14,30 +14,26 @@
 // kMaxRatio x the smallest per event.
 //
 // Phase 2 (sharded throughput): the same dedicated-machine chains at
-// 256/1k/4k workflows, swept over SessionEnvironment::shards, the fixed
-// --epoch-width axis, and a sinks arm (trace recorder + performance
-// history fed through the per-shard stamped sinks, with a completion
-// hook recording every job — sharded AHEFT's write path). Rows report
-// events, wall seconds, events/sec, plus the barrier-count metrics
-// (epochs, staged_messages, staging_high_water). On a machine with
-// >= 8 cores and an axis containing shards=1 and shards=8, self-checks
-// fail when 8 shards deliver less than kMinSpeedup x the serial
-// throughput at the largest workflow count — once with sinks off and
-// once with the history arm on.
+// 256/1k/4k workflows, swept over SessionEnvironment::shards and a sinks
+// arm (trace recorder + performance history fed through the per-shard
+// stamped sinks, with a completion hook recording every job — sharded
+// AHEFT's write path). Rows report events, wall seconds, events/sec and
+// the barrier count (epochs). On a machine with >= 8 cores and an axis
+// containing shards=1 and shards=8, self-checks fail when 8 shards
+// deliver less than kMinSpeedup x the serial throughput at the largest
+// workflow count — once with sinks off and once with the history arm on.
 //
-// Phase 3 (sparse stream, adaptive epoch width): each shard's workflows
-// are staggered into a disjoint time window, so a width=0 run pays one
-// barrier per distinct event time while the adaptive lookahead (widen
-// toward the second-smallest next-event time across shards) drains a
-// whole window per epoch. The self-check fails unless adaptive runs
-// strictly fewer epochs than width=0 AND the merged trace/history sinks
-// are byte-identical between the two runs.
+// Phase 3 (sparse stream): each shard's workflows are staggered into a
+// disjoint time window. An epoch drains every shard to the
+// second-smallest next-event time across shards, so the stream should
+// take at most one epoch per shard window. The self-check fails unless
+// it does AND the merged trace/history sinks are byte-identical to the
+// same run drained inline (no pool).
 //
 // The engines are driven directly with precomputed schedules (no HEFT
 // pass), so the measurement isolates the executor/session hot path.
 //
-// Extra knobs: --smoke (quarter-size), --shards=a,b,c,
-// --epoch-width=a,b,c, --json=path.
+// Extra knobs: --smoke (quarter-size), --shards=a,b,c, --json=path.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -63,12 +59,9 @@ struct ScalingPoint {
   std::size_t workflows = 0;
   std::size_t jobs_per_workflow = 0;
   std::size_t shards = 1;
-  double epoch_width = 0.0;
   bool sinks = false;
   std::uint64_t events = 0;
   std::uint64_t epochs = 0;
-  std::uint64_t staged_messages = 0;
-  std::size_t staging_high_water = 0;
   double seconds = 0.0;
   [[nodiscard]] double micros_per_event() const {
     return events == 0 ? 0.0 : seconds * 1e6 / static_cast<double>(events);
@@ -189,15 +182,15 @@ ScalingPoint run_point(std::size_t workflows, std::size_t jobs) {
 /// `stagger` > 0 gives every workflow's *first* job a compute cost of
 /// stagger x (its machine's shard index + 1), so each shard's chain
 /// activity lands in a disjoint time window — the sparse-stream shape
-/// where the adaptive epoch width wins (the engine is work-conserving,
+/// where an epoch spans a whole window (the engine is work-conserving,
 /// so staggering must come from simulated work, not plan times). With
 /// `sinks` on, a completion hook records every job into the session's
 /// per-shard history delta (the sharded AHEFT write path) and `capture`
 /// (when non-null) receives the merged trace/history contents.
 ScalingPoint run_wide_point(std::size_t workflows, std::size_t jobs,
                             std::size_t shards, ThreadPool* workers,
-                            bool sinks, const sim::EpochConfig& epoch,
-                            sim::Time stagger, SinkCapture* capture) {
+                            bool sinks, sim::Time stagger,
+                            SinkCapture* capture) {
   grid::ResourcePool pool;
   for (std::size_t w = 0; w < workflows; ++w) {
     pool.add(grid::Resource{.name = "m" + std::to_string(w)});
@@ -219,7 +212,6 @@ ScalingPoint run_wide_point(std::size_t workflows, std::size_t jobs,
   env.pool = &pool;
   env.shards = shards;
   env.shard_workers = shards > 1 ? workers : nullptr;
-  env.epoch = epoch;
   if (sinks) {
     env.trace = &trace;
     env.history = &history;
@@ -274,13 +266,10 @@ ScalingPoint run_wide_point(std::size_t workflows, std::size_t jobs,
   point.workflows = workflows;
   point.jobs_per_workflow = jobs;
   point.shards = session.shard_count();
-  point.epoch_width = epoch.width;
   point.sinks = sinks;
   point.seconds = watch.seconds();
   point.events = session.executed_events();
   point.epochs = session.sharded().epochs();
-  point.staged_messages = session.sharded().staged_messages();
-  point.staging_high_water = session.sharded().staging_high_water();
   for (const auto& engine : engines) {
     if (!engine->finished()) {
       std::cerr << "pump-scaling sharded workflow did not finish\n";
@@ -319,22 +308,19 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> workflow_counts = {4, 16, 64};
   constexpr double kMaxRatio = 3.0;
   // Sharded phase axes: stream widths from the ROADMAP's
-  // thousands-of-streams target, shard counts and fixed epoch widths
-  // from the CLI.
+  // thousands-of-streams target, shard counts from the CLI.
   const std::vector<std::size_t> wide_counts =
       smoke ? std::vector<std::size_t>{256, 1024}
             : std::vector<std::size_t>{256, 1024, 4096};
   const std::size_t wide_jobs = smoke ? 4 : 16;
   const std::vector<std::size_t> shard_counts =
       bench::parse_shards(args, {1, 8});
-  const std::vector<double> width_axis =
-      bench::parse_epoch_widths(args, {0.0});
   constexpr double kMinSpeedup = 2.0;
 
   bench::print_header(
       "Pump scaling: per-machine-event work vs workflow count", options,
       workflow_counts.size() +
-          wide_counts.size() * shard_counts.size() * width_axis.size() * 2);
+          wide_counts.size() * shard_counts.size() * 2);
   bench::JsonReport report("bench_pump_scaling", options);
 
   std::vector<ScalingPoint> points;
@@ -366,39 +352,30 @@ int main(int argc, char** argv) {
   std::vector<ScalingPoint> wide_points;
   for (const std::size_t w : wide_counts) {
     for (const std::size_t shards : shard_counts) {
-      for (const double width : width_axis) {
-        for (const bool sinks : {false, true}) {
-          const sim::EpochConfig epoch{width, false, sim::kTimeInfinity};
-          const ScalingPoint best = best_of_two([&] {
-            return run_wide_point(w, wide_jobs, shards, &workers, sinks,
-                                  epoch, 0.0, nullptr);
-          });
-          wide_points.push_back(best);
-          report.add_row(
-              {{"workflows", std::to_string(w)},
-               {"shards", std::to_string(best.shards)},
-               {"epoch_width", format_double(width, 3)},
-               {"sinks", sinks ? "on" : "off"}},
-              {{"events", static_cast<double>(best.events)},
-               {"seconds", best.seconds},
-               {"events_per_sec", best.events_per_sec()},
-               {"micros_per_event", best.micros_per_event()},
-               {"epochs", static_cast<double>(best.epochs)},
-               {"staged_messages",
-                static_cast<double>(best.staged_messages)},
-               {"staging_high_water",
-                static_cast<double>(best.staging_high_water)}});
-        }
+      for (const bool sinks : {false, true}) {
+        const ScalingPoint best = best_of_two([&] {
+          return run_wide_point(w, wide_jobs, shards, &workers, sinks, 0.0,
+                                nullptr);
+        });
+        wide_points.push_back(best);
+        report.add_row(
+            {{"workflows", std::to_string(w)},
+             {"shards", std::to_string(best.shards)},
+             {"sinks", sinks ? "on" : "off"}},
+            {{"events", static_cast<double>(best.events)},
+             {"seconds", best.seconds},
+             {"events_per_sec", best.events_per_sec()},
+             {"micros_per_event", best.micros_per_event()},
+             {"epochs", static_cast<double>(best.epochs)}});
       }
     }
   }
 
-  AsciiTable wide_table({"workflows", "shards", "width", "sinks", "events",
-                         "epochs", "seconds", "events/sec"});
+  AsciiTable wide_table({"workflows", "shards", "sinks", "events", "epochs",
+                         "seconds", "events/sec"});
   for (const ScalingPoint& p : wide_points) {
     wide_table.add_row({std::to_string(p.workflows),
                         std::to_string(p.shards),
-                        format_double(p.epoch_width, 1),
                         p.sinks ? "on" : "off",
                         std::to_string(p.events),
                         std::to_string(p.epochs),
@@ -410,35 +387,26 @@ int main(int argc, char** argv) {
             << wide_table.to_string() << "\n";
 
   // Phase 3: sparse stream — each shard's workflows staggered into a
-  // disjoint window. Adaptive width must collapse the barrier count
-  // without changing one byte of the merged sinks.
+  // disjoint window. Each epoch must span a whole window, and the pool
+  // run's merged sinks must equal the same run drained inline.
   const std::size_t sparse_workflows = 64;
   const std::size_t sparse_jobs = 32;
   const std::size_t sparse_shards = 4;
   const sim::Time kStagger = 1000.0;
-  SinkCapture fixed_capture;
-  SinkCapture adaptive_capture;
-  const ScalingPoint fixed_point = run_wide_point(
-      sparse_workflows, sparse_jobs, sparse_shards, &workers, true,
-      sim::EpochConfig{0.0, false, sim::kTimeInfinity}, kStagger,
-      &fixed_capture);
-  const ScalingPoint adaptive_point = run_wide_point(
-      sparse_workflows, sparse_jobs, sparse_shards, &workers, true,
-      sim::EpochConfig{0.0, true, sim::kTimeInfinity}, kStagger,
-      &adaptive_capture);
-  for (const ScalingPoint* p : {&fixed_point, &adaptive_point}) {
-    report.add_row(
-        {{"phase", "sparse"},
-         {"mode", p == &fixed_point ? "fixed" : "adaptive"},
-         {"workflows", std::to_string(p->workflows)},
-         {"shards", std::to_string(p->shards)}},
-        {{"events", static_cast<double>(p->events)},
-         {"seconds", p->seconds},
-         {"epochs", static_cast<double>(p->epochs)},
-         {"staged_messages", static_cast<double>(p->staged_messages)},
-         {"staging_high_water",
-          static_cast<double>(p->staging_high_water)}});
-  }
+  SinkCapture pool_capture;
+  SinkCapture inline_capture;
+  const ScalingPoint sparse_point =
+      run_wide_point(sparse_workflows, sparse_jobs, sparse_shards, &workers,
+                     true, kStagger, &pool_capture);
+  const ScalingPoint inline_point =
+      run_wide_point(sparse_workflows, sparse_jobs, sparse_shards, nullptr,
+                     true, kStagger, &inline_capture);
+  report.add_row({{"phase", "sparse"},
+                  {"workflows", std::to_string(sparse_point.workflows)},
+                  {"shards", std::to_string(sparse_point.shards)}},
+                 {{"events", static_cast<double>(sparse_point.events)},
+                  {"seconds", sparse_point.seconds},
+                  {"epochs", static_cast<double>(sparse_point.epochs)}});
   report.write_if_requested(options);
 
   const double first = points.front().micros_per_event();
@@ -453,8 +421,8 @@ int main(int argc, char** argv) {
             << points.back().workflows / points.front().workflows
             << "x) -> " << (flat ? "PASS" : "FAIL") << "\n";
 
-  // Shard speedup self-checks at the largest workflow count and the first
-  // epoch width, sinks off and sinks on (the history arm): enforced only
+  // Shard speedup self-checks at the largest workflow count, sinks off
+  // and sinks on (the history arm): enforced only
   // where they can physically hold — the axis must compare 1 and 8 shards
   // and the machine must have >= 8 cores for 8 shards to run
   // concurrently.
@@ -469,8 +437,7 @@ int main(int argc, char** argv) {
     double serial_eps = 0.0;
     double sharded_eps = 0.0;
     for (const ScalingPoint& p : wide_points) {
-      if (p.workflows != wide_counts.back() || p.sinks != sinks ||
-          p.epoch_width != width_axis.front()) {
+      if (p.workflows != wide_counts.back() || p.sinks != sinks) {
         continue;
       }
       if (p.shards == 1) {
@@ -500,17 +467,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Adaptive-width self-check: logical, so no core-count gate — a null
+  // Sparse-stream self-check: logical, so no core-count gate — a null
   // or undersized pool drains epochs inline with identical semantics.
-  const bool fewer_epochs = adaptive_point.epochs < fixed_point.epochs;
-  const bool identical = captures_equal(fixed_capture, adaptive_capture) &&
-                         fixed_point.events == adaptive_point.events;
-  const bool adaptive_ok = fewer_epochs && identical;
-  std::cout << "adaptive-width self-check: sparse stream ran "
-            << adaptive_point.epochs << " epochs adaptive vs "
-            << fixed_point.epochs << " at width=0 (want strictly fewer), "
-            << "merged sinks " << (identical ? "byte-identical" : "DIFFER")
-            << " -> " << (adaptive_ok ? "PASS" : "FAIL") << "\n";
+  const bool window_epochs = sparse_point.epochs <= sparse_point.shards;
+  const bool identical = captures_equal(pool_capture, inline_capture) &&
+                         sparse_point.events == inline_point.events;
+  const bool sparse_ok = window_epochs && identical;
+  std::cout << "sparse-stream self-check: " << sparse_point.epochs
+            << " epochs over " << sparse_point.shards
+            << " shard windows (want at most one per window), merged sinks "
+            << (identical ? "byte-identical" : "DIFFER")
+            << " to the inline drain -> " << (sparse_ok ? "PASS" : "FAIL")
+            << "\n";
 
-  return flat && sharded_ok && adaptive_ok ? 0 : 1;
+  return flat && sharded_ok && sparse_ok ? 0 : 1;
 }

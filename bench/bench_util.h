@@ -33,7 +33,6 @@
 #ifndef AHEFT_BENCH_BENCH_UTIL_H_
 #define AHEFT_BENCH_BENCH_UTIL_H_
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -102,10 +101,6 @@ inline void print_help(const char* program) {
       << "  --shards=a,b,c               parallel-simulation shard axis\n"
       << "                               (benches that sweep it; 1 = the\n"
       << "                               serial event loop)\n"
-      << "  --epoch-width=a,b,c          fixed epoch-width axis for the\n"
-      << "                               sharded kernel's tick barriers\n"
-      << "                               (benches that sweep it; 0 = a\n"
-      << "                               barrier per distinct event time)\n"
       << "  --help                       this message\n\n"
       << "strategies:\n ";
   for (const std::string& name : core::strategy_names()) {
@@ -236,41 +231,6 @@ inline std::vector<std::size_t> parse_streams(
 inline std::vector<std::size_t> parse_shards(
     const ArgParser& args, std::vector<std::size_t> fallback) {
   return parse_size_axis(args, "shards", std::move(fallback), "1,8");
-}
-
-/// Parses --epoch-width=a,b,c (non-negative reals) — the fixed epoch
-/// width axis for benches that sweep the sharded kernel's barrier
-/// spacing. Returns `fallback` when absent; exits with a usage message
-/// on malformed input.
-inline std::vector<double> parse_epoch_widths(const ArgParser& args,
-                                              std::vector<double> fallback) {
-  if (!args.has("epoch-width")) {
-    return fallback;
-  }
-  std::vector<double> values;
-  std::stringstream in(args.get("epoch-width", ""));
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    try {
-      std::size_t consumed = 0;
-      const double value = std::stod(token, &consumed);
-      if (token.empty() || consumed != token.size() || value < 0.0 ||
-          !std::isfinite(value)) {
-        throw std::invalid_argument("not a non-negative real");
-      }
-      values.push_back(value);
-    } catch (const std::exception&) {
-      std::cerr << "bad --epoch-width token '" << token
-                << "' (want non-negative reals, e.g. --epoch-width=0,0.5,2)"
-                << "\n";
-      std::exit(2);
-    }
-  }
-  if (values.empty()) {
-    std::cerr << "--epoch-width needs at least one non-negative real\n";
-    std::exit(2);
-  }
-  return values;
 }
 
 /// Resolves --strategy=heft|aheft|dynamic through the canonical

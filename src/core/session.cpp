@@ -21,7 +21,7 @@ std::size_t effective_shards(const SessionEnvironment& env) {
 }  // namespace
 
 SimulationSession::SimulationSession(const SessionEnvironment& env)
-    : env_(env), sharded_(effective_shards(env), env.epoch) {
+    : env_(env), sharded_(effective_shards(env)) {
   const std::size_t shards = sharded_.shard_count();
   // Backfill proves a hole fits from the request's nominal duration; a
   // load profile stretches realized run times past that proof, so the
@@ -97,70 +97,32 @@ grid::PerformanceHistoryRepository* SimulationSession::history()
 }
 
 void SimulationSession::merge_shard_sinks() {
-  // (stamp, origin shard, seq) is the same strict total order the staged
-  // cross-shard message path applies at barriers: independent of worker
-  // scheduling, so the merged sinks replay byte-identically run to run.
+  // Each shard's pending run is already in (stamp, seq) order, and the
+  // k-way merge breaks stamp ties by shard index: the merged sinks follow
+  // (stamp, origin shard, seq), independent of worker scheduling, so they
+  // replay byte-identically run to run.
   if (env_.trace != nullptr) {
-    struct TaggedTrace {
-      sim::StampedTraceRecord record;
-      std::size_t shard = 0;
-    };
-    std::vector<TaggedTrace> merged;
-    for (std::size_t s = 0; s < states_.size(); ++s) {
-      for (sim::StampedTraceRecord& record :
-           states_[s]->trace_sink->take_pending()) {
-        merged.push_back(TaggedTrace{std::move(record), s});
-      }
+    std::vector<std::vector<sim::StampedTraceRecord>> runs;
+    runs.reserve(states_.size());
+    for (const auto& shard : states_) {
+      runs.push_back(shard->trace_sink->take_pending());
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const TaggedTrace& a, const TaggedTrace& b) {
-                if (a.record.stamp != b.record.stamp) {
-                  return a.record.stamp < b.record.stamp;
-                }
-                if (a.shard != b.shard) {
-                  return a.shard < b.shard;
-                }
-                return a.record.seq < b.record.seq;
-              });
-    for (const TaggedTrace& tagged : merged) {
-      const sim::TraceInterval& interval = tagged.record.interval;
-      if (interval.kind == sim::IntervalKind::kCompute) {
-        env_.trace->record_compute(interval.job, interval.resource,
-                                   interval.start, interval.end);
-      } else {
-        env_.trace->record_transfer(interval.job, interval.consumer,
-                                    interval.resource, interval.start,
-                                    interval.end);
-      }
-    }
+    sim::merge_stamped_runs(runs,
+                            [this](const sim::StampedTraceRecord& record) {
+                              env_.trace->record(record.interval);
+                            });
   }
   if (env_.history != nullptr) {
-    struct TaggedObservation {
-      grid::PendingObservation observation;
-      std::size_t shard = 0;
-    };
-    std::vector<TaggedObservation> merged;
-    for (std::size_t s = 0; s < states_.size(); ++s) {
-      for (grid::PendingObservation& observation :
-           states_[s]->history_delta->take_pending()) {
-        merged.push_back(TaggedObservation{std::move(observation), s});
-      }
+    std::vector<std::vector<grid::PendingObservation>> runs;
+    runs.reserve(states_.size());
+    for (const auto& shard : states_) {
+      runs.push_back(shard->history_delta->take_pending());
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const TaggedObservation& a, const TaggedObservation& b) {
-                if (a.observation.stamp != b.observation.stamp) {
-                  return a.observation.stamp < b.observation.stamp;
-                }
-                if (a.shard != b.shard) {
-                  return a.shard < b.shard;
-                }
-                return a.observation.seq < b.observation.seq;
-              });
-    for (const TaggedObservation& tagged : merged) {
-      env_.history->record(tagged.observation.operation,
-                           tagged.observation.resource,
-                           tagged.observation.duration);
-    }
+    sim::merge_stamped_runs(
+        runs, [this](const grid::PendingObservation& observation) {
+          env_.history->record(observation.operation, observation.resource,
+                               observation.duration);
+        });
   }
 }
 

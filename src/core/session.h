@@ -31,6 +31,8 @@
 // binding was active when they registered (bind_shard), and may only
 // touch resources of that shard — enforced at acquire time — so the hot
 // path takes no locks and a fixed shard count replays bit-identically.
+// Shards exchange nothing during a run; their only shared state, the
+// environment trace and history sinks, is merged at epoch barriers.
 // Every accessor below (simulator(), pool(), ledger(), ...) resolves to
 // the calling thread's bound shard; with one shard the session is
 // exactly the historical serial session.
@@ -40,7 +42,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/contention_policy.h"
@@ -105,10 +106,6 @@ struct SessionEnvironment {
   /// Workers the epoch barriers fan out on; null drains shards inline on
   /// the calling thread (deterministic either way). Must outlive run().
   ThreadPool* shard_workers = nullptr;
-  /// Epoch-width policy for the tick barriers (fixed floor + optional
-  /// adaptive lookahead); the default is the historical width=0 behavior.
-  /// Ignored at shards=1 (the serial fast path has no epochs).
-  sim::EpochConfig epoch;
   /// Resilience: checkpoint/restart model, the departure action, and
   /// fair-share preemption (see resilience/checkpoint_model.h). The
   /// default config is inactive and leaves every simulated event
@@ -210,19 +207,13 @@ class SimulationSession {
   [[nodiscard]] std::size_t shard_of(grid::ResourceId resource) const;
   /// Binds the calling thread to shard `s` until the returned guard
   /// dies. Setup code uses this to construct participants on their home
-  /// shard; during run() the epoch drains bind each worker themselves.
+  /// shard, or to schedule on that shard through simulator(); during
+  /// run() the epoch drains bind each worker themselves.
   [[nodiscard]] sim::ShardedSimulator::ShardBinding bind_shard(
       std::size_t s) {
     return sim::ShardedSimulator::ShardBinding(sharded_, s);
   }
-  /// Schedules `action` on shard `target` at absolute time `when`.
-  /// Cross-shard posts made during run() are exchanged at the next tick
-  /// barrier in deterministic (time, origin, sequence) order.
-  void post(std::size_t target, sim::Time when,
-            sim::EventQueue::Action action) {
-    sharded_.post(target, when, std::move(action));
-  }
-  /// The sharded kernel, for run statistics (epochs, staging volume).
+  /// The sharded kernel, for run statistics (epochs).
   [[nodiscard]] const sim::ShardedSimulator& sharded() const noexcept {
     return sharded_;
   }
@@ -326,8 +317,9 @@ class SimulationSession {
   [[nodiscard]] ContentionStats contention_stats(
       const SessionParticipant* participant) const;
 
-  /// Drains the event set — serial for one shard, lock-step epochs on
-  /// the environment's shard_workers otherwise; returns the final clock.
+  /// Drains the event set in lock-step epochs on the environment's
+  /// shard_workers (one epoch to completion for one shard); returns the
+  /// final clock.
   sim::Time run() { return sharded_.run(env_.shard_workers); }
 
  private:
@@ -405,8 +397,8 @@ class SimulationSession {
 
   /// Barrier merge: drains every shard's stamped trace/history sink and
   /// replays the records into the environment sinks in (stamp, origin
-  /// shard, origin seq) order — the staged-message order. Runs on the
-  /// coordinator thread with every drain worker parked.
+  /// shard, origin seq) order. Runs on the coordinator thread with every
+  /// drain worker parked.
   void merge_shard_sinks();
 
   SessionEnvironment env_;

@@ -117,20 +117,20 @@ StreamOutcome run_workflow_stream(const SessionEnvironment& env,
                     std::move(completion));
     } else {
       // Sharded path: pin the instance to a home shard (round-robin in
-      // launch order — deterministic) and launch it there in a posted
-      // event at its arrival, when the launching thread is bound to the
-      // shard and session.pool() resolves to the shard's machines.
+      // launch order — deterministic) and launch it there in an event at
+      // its arrival, when the launching thread is bound to the shard and
+      // session.pool() resolves to the shard's machines.
       const std::size_t home = next_shard;
       next_shard = (next_shard + 1) % shards;
-      session.post(home, instance.arrival,
-                   [&session, &driver, &instance,
-                    completion = std::move(completion)]() mutable {
-                     driver.launch(
-                         session, *instance.dag, *instance.estimates,
-                         *instance.actual,
-                         LaunchOptions{instance.arrival, instance.priority},
-                         std::move(completion));
-                   });
+      const auto binding = session.bind_shard(home);
+      session.simulator().schedule_at(
+          instance.arrival, [&session, &driver, &instance,
+                             completion = std::move(completion)]() mutable {
+            driver.launch(session, *instance.dag, *instance.estimates,
+                          *instance.actual,
+                          LaunchOptions{instance.arrival, instance.priority},
+                          std::move(completion));
+          });
     }
   }
   session.run();

@@ -102,14 +102,15 @@ struct StreamConfig {
 ///
 /// With SessionEnvironment::shards > 1 the session's machines are
 /// partitioned across parallel event-loop shards and each instance is
-/// pinned round-robin (in arrival order) to one shard: it contends only
-/// for that shard's machines, and the shards tick in lock-step epochs on
-/// the thread pool. Trace recorders and history repositories compose with
-/// the sharded run: each shard writes a private stamped sink the session
-/// merges at tick barriers in (time, origin shard, origin seq) order. A
-/// fixed shard count gives bit-identical outcomes — and byte-identical
-/// merged sinks — run to run; shards = 1 is bit-identical to the
-/// historical serial stream, sinks included.
+/// pinned round-robin (in arrival order) to one shard: its launch is
+/// scheduled on that shard before the run, it contends only for that
+/// shard's machines, and the shards tick in lock-step epochs on the
+/// thread pool without exchanging anything. Trace recorders and history
+/// repositories compose with the sharded run: each shard writes a private
+/// stamped sink the session merges at tick barriers in (time, origin
+/// shard, origin seq) order. A fixed shard count gives bit-identical
+/// outcomes — and byte-identical merged sinks — run to run; shards = 1 is
+/// bit-identical to the historical serial stream, sinks included.
 [[nodiscard]] StreamOutcome run_workflow_stream(
     const SessionEnvironment& env, StrategyDriver& driver,
     std::vector<WorkflowInstance> instances, StreamConfig config = {});

@@ -1,15 +1,18 @@
 // Sharded discrete-event kernel: N per-shard event loops ticked in
 // lock-step epochs on a thread pool, with deterministic tick barriers.
 //
-// Each shard owns a private `Simulator` (clock + event queue). An epoch
-// picks the global minimum next-event time across shards as the horizon,
-// drains every shard up to that horizon in parallel, then applies
-// cross-shard messages staged during the epoch at the barrier — sorted by
-// (time, origin shard, origin sequence) so a fixed shard count replays
-// bit-identically run to run, regardless of worker scheduling. With one
-// shard the epoch machinery is bypassed entirely and `run()` is the
-// historical serial loop, so shards=1 is bit-identical to the
-// pre-sharding simulator (the compat fence).
+// Each shard owns a private `Simulator` (clock + event queue), and shards
+// exchange nothing during a run: an event may only reach its own shard's
+// queue (shard() enforces it). The only state shards share — the
+// session's trace and history sinks — is merged at the barriers.
+//
+// One epoch rule: every epoch drains all shards to one common target, the
+// second-smallest next-event time across shards (ties counted), or to
+// completion when only one shard has events. Everything strictly before
+// the target belongs to the single frontier shard, and since no shard can
+// reach another, draining that far changes nothing another shard
+// observes. With one shard the first epoch drains the lone loop to
+// completion — exactly the serial `Simulator::run()`.
 #ifndef AHEFT_SIM_SHARDED_SIMULATOR_H_
 #define AHEFT_SIM_SHARDED_SIMULATOR_H_
 
@@ -24,34 +27,10 @@
 
 namespace aheft::sim {
 
-/// Epoch-width policy for the lock-step barriers.
-///
-/// `width` is the fixed floor added to every horizon (the historical
-/// `epoch_width` knob). With `adaptive` set, each epoch additionally looks
-/// ahead to the second-smallest next-event time across shards: everything
-/// strictly before it belongs to the single frontier shard, so draining
-/// that far cannot reorder anything another shard would observe. The
-/// lookahead is clamped to `max_width` (infinite by default); when only
-/// one shard has pending events the lookahead is `max_width` outright.
-/// The effective width of an epoch is max(width, clamped lookahead), so
-/// adaptive never narrows a fixed width — and with `adaptive` false the
-/// fixed-width and width=0 paths are exactly the historical ones.
-struct EpochConfig {
-  Time width = 0.0;
-  bool adaptive = false;
-  Time max_width = kTimeInfinity;
-};
-
 class ShardedSimulator {
  public:
-  /// Creates `shards` independent event loops (must be >= 1). Events that
-  /// land exactly on an epoch horizon run in the same epoch; a positive
-  /// `epoch_width` widens each epoch to [h, h + width], trading barrier
-  /// frequency for intra-epoch reordering *between* shards (never within
-  /// one shard, so per-shard determinism is unaffected).
-  explicit ShardedSimulator(std::size_t shards, Time epoch_width = 0.0);
-  /// Full epoch-width policy, including the adaptive lookahead.
-  ShardedSimulator(std::size_t shards, const EpochConfig& epoch);
+  /// Creates `shards` independent event loops (must be >= 1).
+  explicit ShardedSimulator(std::size_t shards);
   ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -60,7 +39,9 @@ class ShardedSimulator {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// The shard's private event loop. Outside run() any shard may be
-  /// touched; during run() only the shard bound to the calling thread.
+  /// touched; during run() a thread bound to a shard may only reach that
+  /// shard (unbound threads — the coordinator, nested solo sessions —
+  /// are not checked).
   [[nodiscard]] Simulator& shard(std::size_t s);
   [[nodiscard]] const Simulator& shard(std::size_t s) const;
 
@@ -69,26 +50,17 @@ class ShardedSimulator {
   /// callers and single-shard sessions never need a binding.
   [[nodiscard]] std::size_t current_shard() const;
 
-  /// Shorthand for shard(current_shard()).
-  [[nodiscard]] Simulator& current() { return shard(current_shard()); }
+  /// The calling thread's shard, shard(current_shard()).
+  [[nodiscard]] Simulator& current() { return *shards_[current_shard()]; }
 
-  /// Schedules `action` on `target`'s loop at absolute time `when`.
-  /// Same-shard (or not running) posts schedule directly. Cross-shard
-  /// posts from inside run() are staged in the origin shard's bounded
-  /// outbox and applied at the next tick barrier, at max(when, target
-  /// clock) — the conservative rule: a message can never rewind a shard.
-  void post(std::size_t target, Time when, EventQueue::Action action);
-
-  /// Runs epochs until every shard is idle and no messages are staged.
-  /// Returns the maximum final clock across shards. `pool` may be null
-  /// (epochs drain inline; still deterministic, useful for tests).
+  /// Runs epochs until every shard is idle. Returns the maximum final
+  /// clock across shards. `pool` may be null (epochs drain inline;
+  /// still deterministic, useful for tests).
   Time run(ThreadPool* pool);
 
   /// Installs a hook called on the coordinator thread after each epoch's
-  /// parallel drain returns (every worker parked) and before the next
-  /// epoch's staged messages are applied — the race-free window the
-  /// session uses to merge per-shard trace/history sinks. Never called on
-  /// the single-shard serial fast path (no barriers exist there).
+  /// parallel drain returns (every worker parked) — the race-free window
+  /// the session uses to merge per-shard trace/history sinks.
   void set_barrier_hook(std::function<void()> hook) {
     barrier_hook_ = std::move(hook);
   }
@@ -112,49 +84,19 @@ class ShardedSimulator {
   // Run statistics.
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   [[nodiscard]] std::uint64_t executed_events() const;
-  [[nodiscard]] std::uint64_t staged_messages() const { return staged_total_; }
-  /// Largest number of messages held in any one shard's outbox at a
-  /// barrier — the bound the staging buffers actually needed.
-  [[nodiscard]] std::size_t staging_high_water() const {
-    return staging_high_water_;
-  }
+  // Always 0: shards exchange no messages. Kept only for the benchmark's
+  // per-layer schema.
+  [[nodiscard]] std::uint64_t staged_messages() const { return 0; }
+  [[nodiscard]] std::size_t staging_high_water() const { return 0; }
 
  private:
-  /// A cross-shard message captured between barriers.
-  struct Staged {
-    Time when;
-    std::size_t target;
-    std::uint64_t seq;  // per-origin-shard sequence number
-    EventQueue::Action action;
-    std::size_t origin;
-  };
-
-  struct Shard {
-    Simulator sim;
-    // Staging outbox, written only by the shard's own drain thread
-    // between barriers and consumed only at the barrier — no locks.
-    std::vector<Staged> outbox;
-    std::uint64_t posted = 0;
-  };
-
-  void drain(std::size_t s, Time horizon);
-  /// Barrier step: merges every outbox in (time, origin, seq) order and
-  /// schedules the messages on their target shards.
-  void apply_staged();
-  [[nodiscard]] Time min_next_event_time() const;
-  /// Effective width for the epoch starting at horizon `h1`: the fixed
-  /// floor, widened by the adaptive lookahead toward the second-smallest
-  /// next-event time across shards (clamped to max_width).
-  [[nodiscard]] Time epoch_width_for(Time h1) const;
+  void drain(std::size_t s, Time target);
 
   // Simulator is immovable, so shards live behind unique_ptr.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  EpochConfig epoch_;
+  std::vector<std::unique_ptr<Simulator>> shards_;
   std::function<void()> barrier_hook_;
   bool running_ = false;
   std::uint64_t epochs_ = 0;
-  std::uint64_t staged_total_ = 0;
-  std::size_t staging_high_water_ = 0;
 };
 
 }  // namespace aheft::sim

@@ -18,28 +18,29 @@ EventId Simulator::schedule_in(Time delay, EventQueue::Action action) {
 
 bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
-bool Simulator::step() {
-  if (queue_.empty()) {
-    return false;
-  }
+void Simulator::fire_next() {
   auto fired = queue_.pop();
   AHEFT_ASSERT(fired.time >= now_, "event queue went backwards in time");
   now_ = fired.time;
   ++executed_;
   fired.action();
-  return true;
 }
 
-Time Simulator::run() {
-  while (step()) {
+bool Simulator::step() {
+  if (queue_.empty()) {
+    return false;
   }
-  return now_;
+  fire_next();
+  return true;
 }
 
 Time Simulator::run_until(Time horizon) {
   AHEFT_REQUIRE(horizon >= now_, "horizon is in the past");
-  while (!queue_.empty() && queue_.next_time() <= horizon) {
-    step();
+  // One queue probe per event: next_time() is infinite only when the
+  // queue is empty, so it doubles as the emptiness test.
+  for (Time next = queue_.next_time(); next < kTimeInfinity && next <= horizon;
+       next = queue_.next_time()) {
+    fire_next();
   }
   // Idle up to the horizon: the clock advances even with nothing to do, so
   // callers can observe/modify state "at time t" (SimJava semantics).

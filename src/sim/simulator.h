@@ -34,18 +34,20 @@ class Simulator {
   bool cancel(EventId id);
 
   /// Runs until the event set is exhausted. Returns the final clock value.
-  Time run();
+  Time run() { return run_until(kTimeInfinity); }
 
-  /// Runs events with time <= horizon; the clock ends at
-  /// min(horizon, last-event time). Events beyond the horizon stay pending.
+  /// Runs events with time <= horizon; the clock ends at a finite
+  /// horizon, or at the last event's time for an infinite one. Events
+  /// beyond the horizon stay pending.
   Time run_until(Time horizon);
 
   /// Executes exactly one event if one is pending. Returns false when idle.
   bool step();
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
-  /// Time of the earliest pending event; kTimeInfinity when idle. The
-  /// sharded core uses this to compute each epoch's global horizon.
+  /// Time of the earliest pending event; kTimeInfinity exactly when idle
+  /// (the queue rejects infinite times). The sharded core reads it to
+  /// pick each epoch's common target.
   [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
   [[nodiscard]] std::size_t pending_events() const {
     return queue_.live_count();
@@ -53,6 +55,9 @@ class Simulator {
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
+  /// Pops the earliest event, advances the clock to it and runs it.
+  void fire_next();
+
   EventQueue queue_;
   Time now_ = kTimeZero;
   std::uint64_t executed_ = 0;

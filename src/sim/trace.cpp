@@ -9,35 +9,12 @@
 
 namespace aheft::sim {
 
-void TraceRecorder::record_compute(std::uint32_t job, std::uint32_t resource,
-                                   Time start, Time end) {
-  AHEFT_REQUIRE(time_le(start, end), "compute interval ends before it starts");
-  intervals_.push_back(
-      TraceInterval{IntervalKind::kCompute, job, job, resource, start, end});
-}
-
-void TraceRecorder::record_transfer(std::uint32_t producer,
-                                    std::uint32_t consumer,
-                                    std::uint32_t target_resource, Time start,
-                                    Time end) {
-  AHEFT_REQUIRE(time_le(start, end), "transfer interval ends before it starts");
-  intervals_.push_back(TraceInterval{IntervalKind::kTransfer, producer,
-                                     consumer, target_resource, start, end});
-}
-
-void StampedTraceSink::record_compute(std::uint32_t job, std::uint32_t resource,
-                                      Time start, Time end) {
-  TraceRecorder::record_compute(job, resource, start, end);
-  pending_.push_back(StampedTraceRecord{clock_(), seq_++, intervals().back()});
-}
-
-void StampedTraceSink::record_transfer(std::uint32_t producer,
-                                       std::uint32_t consumer,
-                                       std::uint32_t target_resource,
-                                       Time start, Time end) {
-  TraceRecorder::record_transfer(producer, consumer, target_resource, start,
-                                 end);
-  pending_.push_back(StampedTraceRecord{clock_(), seq_++, intervals().back()});
+void TraceRecorder::record(const TraceInterval& interval) {
+  AHEFT_REQUIRE(time_le(interval.start, interval.end),
+                interval.kind == IntervalKind::kCompute
+                    ? "compute interval ends before it starts"
+                    : "transfer interval ends before it starts");
+  append(interval);
 }
 
 std::vector<StampedTraceRecord> StampedTraceSink::take_pending() {

@@ -7,8 +7,7 @@
 // subclasses it for the sharded core: each shard owns one, writes it from
 // its own drain thread only, and the session merges the stamped pending
 // records into the shared recorder at tick barriers in deterministic
-// (stamp, origin shard, origin seq) order — the same order the staged
-// cross-shard message path uses.
+// (stamp, origin shard, origin seq) order with merge_stamped_runs().
 #ifndef AHEFT_SIM_TRACE_H_
 #define AHEFT_SIM_TRACE_H_
 
@@ -44,11 +43,19 @@ class TraceRecorder {
   TraceRecorder& operator=(TraceRecorder&&) = default;
   virtual ~TraceRecorder() = default;
 
-  virtual void record_compute(std::uint32_t job, std::uint32_t resource,
-                              Time start, Time end);
-  virtual void record_transfer(std::uint32_t producer, std::uint32_t consumer,
-                               std::uint32_t target_resource, Time start,
-                               Time end);
+  void record_compute(std::uint32_t job, std::uint32_t resource, Time start,
+                      Time end) {
+    record(TraceInterval{IntervalKind::kCompute, job, job, resource, start,
+                         end});
+  }
+  void record_transfer(std::uint32_t producer, std::uint32_t consumer,
+                       std::uint32_t target_resource, Time start, Time end) {
+    record(TraceInterval{IntervalKind::kTransfer, producer, consumer,
+                         target_resource, start, end});
+  }
+  /// Validates `interval` (it must not end before it starts) and appends
+  /// it.
+  void record(const TraceInterval& interval);
 
   [[nodiscard]] const std::vector<TraceInterval>& intervals() const {
     return intervals_;
@@ -65,6 +72,13 @@ class TraceRecorder {
 
   void clear() { intervals_.clear(); }
 
+ protected:
+  /// Stores one validated interval; the serial recorder keeps it in
+  /// intervals().
+  virtual void append(const TraceInterval& interval) {
+    intervals_.push_back(interval);
+  }
+
  private:
   std::vector<TraceInterval> intervals_;
 };
@@ -80,9 +94,8 @@ struct StampedTraceRecord {
 /// Shard-private trace buffer. Written only by the owning shard's drain
 /// thread; the pending records are taken at tick barriers (on the
 /// coordinator thread, with the drain workers parked) and replayed into the
-/// shared `TraceRecorder` in (stamp, origin shard, seq) order. Also keeps
-/// the inherited per-shard interval list, so a sink is a complete recorder
-/// of its own shard's activity.
+/// shared `TraceRecorder` in (stamp, origin shard, seq) order. It keeps
+/// each record once, in the pending run: its own intervals() stays empty.
 class StampedTraceSink final : public TraceRecorder {
  public:
   /// `clock` reads the owning shard's simulation clock; it is called on the
@@ -90,21 +103,46 @@ class StampedTraceSink final : public TraceRecorder {
   explicit StampedTraceSink(std::function<Time()> clock)
       : clock_(std::move(clock)) {}
 
-  void record_compute(std::uint32_t job, std::uint32_t resource, Time start,
-                      Time end) override;
-  void record_transfer(std::uint32_t producer, std::uint32_t consumer,
-                       std::uint32_t target_resource, Time start,
-                       Time end) override;
-
   /// Drains the records accumulated since the last call, in append order
   /// (nondecreasing stamp, strictly increasing seq).
   [[nodiscard]] std::vector<StampedTraceRecord> take_pending();
+
+ protected:
+  void append(const TraceInterval& interval) override {
+    pending_.push_back(StampedTraceRecord{clock_(), seq_++, interval});
+  }
 
  private:
   std::function<Time()> clock_;
   std::uint64_t seq_ = 0;
   std::vector<StampedTraceRecord> pending_;
 };
+
+/// Merges per-shard runs of stamped records into one (stamp, shard, seq)
+/// sequence and calls `emit` on each record in that order. Every run must
+/// already be in (stamp, seq) order — what take_pending() returns — so a
+/// k-way merge suffices: it repeatedly emits the smallest head stamp, and
+/// a stamp tie goes to the lower shard index. `Record` needs a `stamp`
+/// member; both StampedTraceRecord and grid::PendingObservation qualify.
+template <typename Record, typename Emit>
+void merge_stamped_runs(const std::vector<std::vector<Record>>& runs,
+                        Emit&& emit) {
+  std::vector<std::size_t> heads(runs.size(), 0);
+  while (true) {
+    std::size_t best = runs.size();
+    for (std::size_t s = 0; s < runs.size(); ++s) {
+      if (heads[s] < runs[s].size() &&
+          (best == runs.size() ||
+           runs[s][heads[s]].stamp < runs[best][heads[best]].stamp)) {
+        best = s;
+      }
+    }
+    if (best == runs.size()) {
+      return;
+    }
+    emit(runs[best][heads[best]++]);
+  }
+}
 
 }  // namespace aheft::sim
 

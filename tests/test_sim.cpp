@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -182,7 +184,8 @@ TEST(Simulator, StepExecutesExactlyOneEvent) {
 }
 
 TEST(ShardedSimulator, SingleShardMatchesSerialLoop) {
-  // The compat fence: shards=1 must execute the exact serial loop.
+  // One shard runs the one epoch rule like any other count: its first
+  // epoch drains the lone loop to completion, which is the serial loop.
   Simulator serial;
   ShardedSimulator sharded(1);
   std::vector<int> serial_fired;
@@ -202,7 +205,7 @@ TEST(ShardedSimulator, SingleShardMatchesSerialLoop) {
   EXPECT_EQ(serial_fired, sharded_fired);
   EXPECT_DOUBLE_EQ(serial_end, sharded_end);
   EXPECT_EQ(serial.executed_events(), sharded.executed_events());
-  EXPECT_EQ(sharded.epochs(), 0u);  // epoch machinery bypassed
+  EXPECT_EQ(sharded.epochs(), 1u);
 }
 
 TEST(ShardedSimulator, ShardsDrainSameTimeEventsInOneEpoch) {
@@ -218,199 +221,78 @@ TEST(ShardedSimulator, ShardsDrainSameTimeEventsInOneEpoch) {
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(fired[s], (std::vector<int>{1, 2})) << "shard " << s;
   }
-  // One epoch per distinct timestamp: all shards' t=1 events ran in the
-  // first epoch, all t=2 events in the second.
+  // Every shard ties at the frontier, so each epoch stops at it: all
+  // shards' t=1 events ran in the first epoch, all t=2 events in the
+  // second.
   EXPECT_EQ(sharded.epochs(), 2u);
   EXPECT_EQ(sharded.executed_events(), 6u);
 }
 
-TEST(ShardedSimulator, CrossShardPostsApplyAtBarriersDeterministically) {
-  // Shards 0 and 1 each post to shard 2 from events at t=1; both runs
-  // must deliver in (time, origin, sequence) order regardless of which
-  // worker drains which shard first.
-  const auto run_once = [](ThreadPool* pool) {
-    ShardedSimulator sharded(3);
-    std::vector<int> delivered;
-    for (std::size_t s : {std::size_t{0}, std::size_t{1}}) {
-      sharded.shard(s).schedule_at(1.0, [&sharded, &delivered, s] {
-        // Two messages per origin: sequence order within an origin must
-        // hold as well as origin order across shards.
-        sharded.post(2, 5.0, [&delivered, s] {
-          delivered.push_back(static_cast<int>(s) * 10);
-        });
-        sharded.post(2, 5.0, [&delivered, s] {
-          delivered.push_back(static_cast<int>(s) * 10 + 1);
-        });
-      });
-    }
-    sharded.run(pool);
-    return delivered;
-  };
-  ThreadPool pool(3);
-  const std::vector<int> inline_order = run_once(nullptr);
-  EXPECT_EQ(inline_order, (std::vector<int>{0, 1, 10, 11}));
-  for (int repeat = 0; repeat < 10; ++repeat) {
-    EXPECT_EQ(run_once(&pool), inline_order) << "repeat " << repeat;
-  }
-}
-
-TEST(ShardedSimulator, LateCrossShardPostClampsToTargetClock) {
-  // Shard 1's clock reaches t=9 in the epoch where shard 0 posts a
-  // message timestamped t=2 (conservative delivery: the message cannot
-  // rewind the target, it lands at the target's clock instead).
+TEST(ShardedSimulator, EpochDrainsToTheSecondFrontier) {
+  // Shard 0 is dense (t=1..4), shard 1 wakes at t=100: the first epoch
+  // drains every shard to the second-smallest next-event time, t=100
+  // inclusive, so one epoch runs everything.
   ShardedSimulator sharded(2);
-  Time delivered_at = -1.0;
-  sharded.shard(1).schedule_at(9.0, [] {});
-  sharded.shard(0).schedule_at(9.0, [&sharded, &delivered_at] {
-    sharded.post(1, 2.0, [&sharded, &delivered_at] {
-      delivered_at = sharded.shard(1).now();
-    });
-  });
-  sharded.run(nullptr);
-  EXPECT_DOUBLE_EQ(delivered_at, 9.0);
-  EXPECT_EQ(sharded.staged_messages(), 1u);
-  EXPECT_GE(sharded.staging_high_water(), 1u);
-}
-
-TEST(ShardedSimulator, FixedEpochWidthCoalescesBarriers) {
-  // Events at t=1..4 on both shards: width 0 takes one barrier per
-  // distinct timestamp, a width of 1.5 folds neighbouring timestamps
-  // into shared epochs without changing any shard's execution order.
-  const auto run_once = [](Time width) {
-    ShardedSimulator sharded(2, width);
-    std::vector<std::vector<int>> fired(2);
-    for (std::size_t s = 0; s < 2; ++s) {
-      auto* out = &fired[s];
-      for (int t = 1; t <= 4; ++t) {
-        sharded.shard(s).schedule_at(static_cast<Time>(t),
-                                     [out, t] { out->push_back(t); });
-      }
-    }
-    sharded.run(nullptr);
-    return std::pair{sharded.epochs(), fired};
-  };
-  const auto [narrow_epochs, narrow_fired] = run_once(0.0);
-  const auto [wide_epochs, wide_fired] = run_once(1.5);
-  EXPECT_EQ(narrow_epochs, 4u);
-  EXPECT_LT(wide_epochs, narrow_epochs);
-  EXPECT_EQ(narrow_fired, wide_fired);
-}
-
-TEST(ShardedSimulator, AdaptiveWidthLooksAheadToTheSecondFrontier) {
-  // Shard 0 is dense (t=1..4), shard 1 wakes at t=100. Width 0 pays a
-  // barrier per timestamp; the adaptive lookahead sees the second
-  // frontier at t=100 and drains everything up to it in one epoch.
-  const auto run_once = [](const EpochConfig& epoch) {
-    ShardedSimulator sharded(2, epoch);
-    std::vector<int> fired;
-    for (int t = 1; t <= 4; ++t) {
-      sharded.shard(0).schedule_at(static_cast<Time>(t),
-                                   [&fired, t] { fired.push_back(t); });
-    }
-    sharded.shard(1).schedule_at(100.0, [&fired] { fired.push_back(100); });
-    sharded.run(nullptr);
-    return std::pair{sharded.epochs(), fired};
-  };
-  const auto [fixed_epochs, fixed_fired] = run_once(EpochConfig{});
-  const auto [adaptive_epochs, adaptive_fired] =
-      run_once(EpochConfig{.width = 0.0, .adaptive = true});
-  EXPECT_EQ(fixed_epochs, 5u);
-  EXPECT_EQ(adaptive_epochs, 1u);  // lookahead reaches t=100 inclusive
-  EXPECT_EQ(fixed_fired, adaptive_fired);
-}
-
-TEST(ShardedSimulator, AdaptiveMaxWidthClampsTheLookahead) {
-  // Same shape, but the lookahead is capped at 10: the first epoch stops
-  // at t=1+10 and a second epoch handles the t=100 frontier.
-  ShardedSimulator sharded(
-      2, EpochConfig{.width = 0.0, .adaptive = true, .max_width = 10.0});
-  int fired = 0;
+  std::vector<int> fired;
   for (int t = 1; t <= 4; ++t) {
-    sharded.shard(0).schedule_at(static_cast<Time>(t), [&fired] { ++fired; });
+    sharded.shard(0).schedule_at(static_cast<Time>(t),
+                                 [&fired, t] { fired.push_back(t); });
   }
-  sharded.shard(1).schedule_at(100.0, [&fired] { ++fired; });
-  sharded.run(nullptr);
-  EXPECT_EQ(fired, 5);
-  EXPECT_EQ(sharded.epochs(), 2u);
+  sharded.shard(1).schedule_at(100.0, [&fired] { fired.push_back(100); });
+  EXPECT_DOUBLE_EQ(sharded.run(nullptr), 100.0);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 100}));
+  EXPECT_EQ(sharded.epochs(), 1u);
 }
 
-TEST(ShardedSimulator, AdaptiveSingleActiveShardDrainsToMaxWidth) {
-  // Only one shard has pending events, so nothing another shard could
-  // observe constrains the epoch: the lookahead is max_width outright
-  // (infinite by default — the whole backlog drains in one epoch).
-  ShardedSimulator sharded(2, EpochConfig{.width = 0.0, .adaptive = true});
+TEST(ShardedSimulator, SingleActiveShardDrainsToCompletion) {
+  // Only one shard has pending events, so nothing constrains the epoch:
+  // the whole backlog drains in one epoch.
+  ShardedSimulator sharded(2);
   int fired = 0;
   for (const Time t : {1.0, 50.0, 900.0}) {
     sharded.shard(0).schedule_at(t, [&fired] { ++fired; });
   }
-  sharded.run(nullptr);
+  EXPECT_DOUBLE_EQ(sharded.run(nullptr), 900.0);
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(sharded.epochs(), 1u);
 }
 
-TEST(ShardedSimulator, EpochConfigRejectsBadWidths) {
-  EXPECT_THROW(ShardedSimulator(2, EpochConfig{.width = -1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(ShardedSimulator(2, EpochConfig{.width = kTimeInfinity}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ShardedSimulator(2, EpochConfig{.width = 0.0, .adaptive = true,
-                                      .max_width = -2.0}),
-      std::invalid_argument);
+TEST(ShardedSimulator, EventsCannotReachAnotherShardDuringRun) {
+  // Shards exchange nothing during a run: an event on shard 0 that tries
+  // to schedule on shard 1 fails the confinement check.
+  ShardedSimulator sharded(2);
+  sharded.shard(0).schedule_at(1.0, [&sharded] {
+    sharded.shard(1).schedule_at(2.0, [] {});
+  });
+  EXPECT_THROW(sharded.run(nullptr), std::invalid_argument);
 }
 
 TEST(ShardedSimulator, BarrierHookRunsOncePerEpoch) {
   ShardedSimulator sharded(2);
   int barriers = 0;
   sharded.set_barrier_hook([&barriers] { ++barriers; });
-  for (int t = 1; t <= 3; ++t) {
-    sharded.shard(0).schedule_at(static_cast<Time>(t), [] {});
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (int t = 1; t <= 3; ++t) {
+      sharded.shard(s).schedule_at(static_cast<Time>(t), [] {});
+    }
   }
   sharded.run(nullptr);
   EXPECT_EQ(barriers, static_cast<int>(sharded.epochs()));
   EXPECT_EQ(barriers, 3);
 
-  // The single-shard serial fast path has no barriers, so the hook must
-  // never fire there.
+  // One shard drains in a single epoch, so its hook fires once.
   ShardedSimulator serial(1);
   int serial_barriers = 0;
   serial.set_barrier_hook([&serial_barriers] { ++serial_barriers; });
   serial.shard(0).schedule_at(1.0, [] {});
+  serial.shard(0).schedule_at(2.0, [] {});
   serial.run(nullptr);
-  EXPECT_EQ(serial_barriers, 0);
+  EXPECT_EQ(serial_barriers, 1);
 }
 
-TEST(ShardedSimulator, StagingHighWaterIsBoundedByOutstandingPosts) {
-  // One event stages five messages before its barrier: the high-water
-  // mark records exactly that bound and never exceeds the staged total.
-  ShardedSimulator sharded(2);
-  int delivered = 0;
-  sharded.shard(0).schedule_at(1.0, [&sharded, &delivered] {
-    for (int i = 0; i < 5; ++i) {
-      sharded.post(1, 2.0, [&delivered] { ++delivered; });
-    }
-  });
-  sharded.run(nullptr);
-  EXPECT_EQ(delivered, 5);
-  EXPECT_EQ(sharded.staged_messages(), 5u);
-  EXPECT_EQ(sharded.staging_high_water(), 5u);
-  EXPECT_LE(sharded.staging_high_water(), sharded.staged_messages());
-}
-
-TEST(ShardedSimulator, PostBeforeRunSchedulesDirectly) {
-  ShardedSimulator sharded(2);
-  std::vector<int> fired;
-  sharded.post(0, 1.0, [&fired] { fired.push_back(0); });
-  sharded.post(1, 1.0, [&fired] { fired.push_back(1); });
-  sharded.run(nullptr);
-  EXPECT_EQ(fired.size(), 2u);
-  EXPECT_EQ(sharded.staged_messages(), 0u);  // nothing needed staging
-}
-
-TEST(ShardedSimulator, RejectsZeroShardsAndBadTargets) {
+TEST(ShardedSimulator, RejectsZeroShardsAndBadIndices) {
   EXPECT_THROW(ShardedSimulator(0), std::invalid_argument);
   ShardedSimulator sharded(2);
-  EXPECT_THROW(sharded.post(2, 1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(sharded.shard(2)), std::invalid_argument);
 }
 
@@ -443,6 +325,82 @@ TEST(Trace, GanttNamesRowsByResource) {
   EXPECT_NE(gantt.find("r1"), std::string::npos);
   EXPECT_NE(gantt.find("a[0.0,2.0)"), std::string::npos);
   EXPECT_NE(gantt.find("b[2.0,3.0)"), std::string::npos);
+}
+
+/// Hand-built stamped run: record i of the run has stamp `stamps[i]`,
+/// seq i, and names its shard in the interval's resource field.
+std::vector<StampedTraceRecord> stamped_run(std::uint32_t shard,
+                                            const std::vector<Time>& stamps) {
+  std::vector<StampedTraceRecord> run;
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    TraceInterval interval;
+    interval.resource = shard;
+    run.push_back(StampedTraceRecord{stamps[i], i, interval});
+  }
+  return run;
+}
+
+/// (stamp, shard, seq) of every record in merged order.
+std::vector<std::tuple<Time, std::uint32_t, std::uint64_t>> merged_order(
+    const std::vector<std::vector<StampedTraceRecord>>& runs) {
+  std::vector<std::tuple<Time, std::uint32_t, std::uint64_t>> out;
+  merge_stamped_runs(runs, [&out](const StampedTraceRecord& record) {
+    out.emplace_back(record.stamp, record.interval.resource, record.seq);
+  });
+  return out;
+}
+
+TEST(MergeStampedRuns, EqualStampsGoInShardThenSeqOrder) {
+  const auto merged = merged_order(
+      {stamped_run(0, {1.0, 2.0, 2.0}), stamped_run(1, {2.0, 2.0})});
+  using Key = std::tuple<Time, std::uint32_t, std::uint64_t>;
+  EXPECT_EQ(merged, (std::vector<Key>{{1.0, 0, 0},
+                                      {2.0, 0, 1},
+                                      {2.0, 0, 2},
+                                      {2.0, 1, 0},
+                                      {2.0, 1, 1}}));
+}
+
+TEST(MergeStampedRuns, LaterShardWithTheSmallestStampGoesFirst) {
+  const auto merged = merged_order(
+      {stamped_run(0, {3.0, 5.0}), stamped_run(1, {4.0}),
+       stamped_run(2, {1.0, 5.0})});
+  using Key = std::tuple<Time, std::uint32_t, std::uint64_t>;
+  EXPECT_EQ(merged, (std::vector<Key>{{1.0, 2, 0},
+                                      {3.0, 0, 0},
+                                      {4.0, 1, 0},
+                                      {5.0, 0, 1},
+                                      {5.0, 2, 1}}));
+}
+
+TEST(MergeStampedRuns, SkipsEmptyRunsAndPassesASingleRunThrough) {
+  using Key = std::tuple<Time, std::uint32_t, std::uint64_t>;
+  EXPECT_EQ(merged_order({stamped_run(0, {}), stamped_run(1, {2.0, 7.0}),
+                          stamped_run(2, {})}),
+            (std::vector<Key>{{2.0, 1, 0}, {7.0, 1, 1}}));
+  EXPECT_EQ(merged_order({stamped_run(0, {1.0, 1.0, 4.0})}),
+            (std::vector<Key>{{1.0, 0, 0}, {1.0, 0, 1}, {4.0, 0, 2}}));
+  EXPECT_TRUE(merged_order({}).empty());
+  EXPECT_TRUE(merged_order({stamped_run(0, {})}).empty());
+}
+
+TEST(Trace, StampedSinkKeepsEachRecordOnceInItsPendingRun) {
+  Time clock = 3.0;
+  StampedTraceSink sink([&clock] { return clock; });
+  sink.record_compute(1, 2, 0.0, 3.0);
+  clock = 5.0;
+  sink.record_transfer(1, 4, 2, 3.0, 5.0);
+  EXPECT_THROW(sink.record_compute(0, 0, 5.0, 4.0), std::invalid_argument);
+  EXPECT_TRUE(sink.intervals().empty());
+  const std::vector<StampedTraceRecord> pending = sink.take_pending();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].stamp, 3.0);
+  EXPECT_EQ(pending[0].seq, 0u);
+  EXPECT_EQ(pending[0].interval.kind, IntervalKind::kCompute);
+  EXPECT_EQ(pending[1].stamp, 5.0);
+  EXPECT_EQ(pending[1].seq, 1u);
+  EXPECT_EQ(pending[1].interval.consumer, 4u);
+  EXPECT_TRUE(sink.take_pending().empty());
 }
 
 TEST(TimeHelpers, ToleranceComparisons) {

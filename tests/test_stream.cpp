@@ -812,15 +812,13 @@ struct ShardedCase {
                                   ThreadPool* workers,
                                   sim::TraceRecorder* trace = nullptr,
                                   grid::PerformanceHistoryRepository* history =
-                                      nullptr,
-                                  sim::EpochConfig epoch = {}) const {
+                                      nullptr) const {
     SessionEnvironment env;
     env.pool = &pool;
     env.shards = shards;
     env.shard_workers = workers;
     env.trace = trace;
     env.history = history;
-    env.epoch = epoch;
     const auto driver = make_strategy_driver(kind);
     StreamConfig config;
     config.workers = workers;
@@ -904,8 +902,8 @@ TEST(ShardedStream, FixedShardCountIsBitDeterministicRunToRun) {
   }
 }
 
-/// The compat fence: shards=1 (even with a worker pool supplied) must be
-/// bit-identical to the default serial configuration.
+/// shards=1 (even with a worker pool supplied) must be bit-identical to
+/// the default serial configuration.
 TEST(ShardedStream, SingleShardMatchesSerialBitIdentically) {
   const ShardedCase c;
   ThreadPool workers(3);
@@ -944,9 +942,9 @@ TEST(ShardedStream, MergedSinksAreBitDeterministicRunToRun) {
   }
 }
 
-/// The compat fence extends to sinks: shards=1 with recorders attached
-/// must be byte-identical to the plain serial session, recorders
-/// included (the serial fast path hands the shared sinks out directly).
+/// The same holds with sinks: shards=1 with recorders attached must be
+/// byte-identical to the plain serial session, recorders included (a
+/// one-shard session hands the shared sinks out directly).
 TEST(ShardedStream, SingleShardWithSinksMatchesSerialByteForByte) {
   const ShardedCase c;
   sim::TraceRecorder serial_trace;
@@ -965,26 +963,23 @@ TEST(ShardedStream, SingleShardWithSinksMatchesSerialByteForByte) {
   expect_histories_identical(serial_history, sharded_history);
 }
 
-/// Adaptive epoch width changes barrier frequency, never observable
-/// output: outcomes and merged sinks must match the fixed-width run
-/// byte for byte.
-TEST(ShardedStream, AdaptiveEpochWidthMatchesFixedWidthByteForByte) {
+/// Worker scheduling never reaches the merged sinks: a pool run equals
+/// the same run drained inline, shard by shard, byte for byte.
+TEST(ShardedStream, MergedSinksMatchTheInlineDrainByteForByte) {
   const ShardedCase c;
-  sim::TraceRecorder fixed_trace;
-  grid::PerformanceHistoryRepository fixed_history;
-  ThreadPool workers_a(3);
-  const StreamOutcome fixed =
-      c.run(StrategyKind::kAdaptiveAheft, 2, &workers_a, &fixed_trace,
-            &fixed_history, sim::EpochConfig{});
-  sim::TraceRecorder adaptive_trace;
-  grid::PerformanceHistoryRepository adaptive_history;
-  ThreadPool workers_b(3);
-  const StreamOutcome adaptive = c.run(
-      StrategyKind::kAdaptiveAheft, 2, &workers_b, &adaptive_trace,
-      &adaptive_history, sim::EpochConfig{.width = 0.0, .adaptive = true});
-  expect_outcomes_identical(fixed, adaptive);
-  expect_traces_identical(fixed_trace, adaptive_trace);
-  expect_histories_identical(fixed_history, adaptive_history);
+  sim::TraceRecorder inline_trace;
+  grid::PerformanceHistoryRepository inline_history;
+  const StreamOutcome drained_inline =
+      c.run(StrategyKind::kAdaptiveAheft, 2, nullptr, &inline_trace,
+            &inline_history);
+  sim::TraceRecorder pool_trace;
+  grid::PerformanceHistoryRepository pool_history;
+  ThreadPool workers(3);
+  const StreamOutcome pooled = c.run(StrategyKind::kAdaptiveAheft, 2,
+                                     &workers, &pool_trace, &pool_history);
+  expect_outcomes_identical(drained_inline, pooled);
+  expect_traces_identical(inline_trace, pool_trace);
+  expect_histories_identical(inline_history, pool_history);
 }
 
 /// A sharded stream must finish every workflow and keep the instances on

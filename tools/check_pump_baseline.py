@@ -6,13 +6,14 @@ Usage: check_pump_baseline.py BASELINE.json CURRENT.json [FACTOR]
 Rows are matched by their full label set; a row regresses when its
 micros_per_event exceeds FACTOR (default 3.0) times the baseline's.
 Rows without a micros_per_event metric (e.g. the sparse-stream epoch
-rows) and rows absent from the baseline (new axes) are ignored, so
-extending the bench never trips the gate — only slowing down existing
-configurations does.
+row) and rows absent from the baseline (new axes) are ignored, so
+extending the bench never trips the gate. A baseline row with
+micros_per_event that the current run lacks is an error: a label
+change must never shrink the gate silently.
 
-Exit status: 0 clean, 1 on any regression, 2 when nothing matched
-(wrong file pair or a label-schema change that must be reflected by
-regenerating the baseline).
+Exit status: 0 clean, 1 on any regression or missing row, 2 when
+nothing matched (wrong file pair or a label-schema change that must be
+reflected by regenerating the baseline).
 """
 import json
 import sys
@@ -35,13 +36,14 @@ def main(argv):
 
     matched = 0
     regressions = []
-    for key, metrics in current.items():
-        reference = baseline.get(key)
-        if reference is None:
-            continue
-        now = metrics.get("micros_per_event")
+    missing = []
+    for key, reference in baseline.items():
         then = reference.get("micros_per_event")
-        if now is None or then is None:
+        if then is None:
+            continue
+        now = current.get(key, {}).get("micros_per_event")
+        if now is None:
+            missing.append(dict(key))
             continue
         matched += 1
         if now > factor * then:
@@ -55,9 +57,11 @@ def main(argv):
     for labels, then, now in regressions:
         print(f"REGRESSION {labels}: {then:.3f} -> {now:.3f} us/event "
               f"(bound {factor:.1f}x)")
+    for labels in missing:
+        print(f"MISSING {labels}: baseline row absent from the current run")
     print(f"checked {matched} rows against baseline: "
-          f"{len(regressions)} regression(s)")
-    return 1 if regressions else 0
+          f"{len(regressions)} regression(s), {len(missing)} missing")
+    return 1 if regressions or missing else 0
 
 
 if __name__ == "__main__":
