@@ -18,10 +18,14 @@
 // arm (trace recorder + performance history fed through the per-shard
 // stamped sinks, with a completion hook recording every job — sharded
 // AHEFT's write path). Rows report events, wall seconds, events/sec and
-// the barrier count (epochs). On a machine with >= 8 cores and an axis
-// containing shards=1 and shards=8, self-checks fail when 8 shards
-// deliver less than kMinSpeedup x the serial throughput at the largest
-// workflow count — once with sinks off and once with the history arm on.
+// the barrier count (epochs), each the best of kWideRuns runs. With
+// shards=1 on the axis, self-checks fail when the serial per-event cost
+// at 4k workflows exceeds kMaxWideRatio x the 256-workflow cost — once
+// with sinks off and once with sinks on; a per-event participant scan
+// or ordered-map walk over the session's workflows grows it 4-10x. On a
+// machine with >= 8 cores and an axis containing shards=1 and shards=8,
+// self-checks fail when 8 shards deliver less than kMinSpeedup x the
+// serial throughput at the largest workflow count — again per sinks arm.
 //
 // Phase 3 (sparse stream): each shard's workflows are staggered into a
 // disjoint time window. An epoch drains every shard to the
@@ -107,7 +111,8 @@ bool captures_equal(const SinkCapture& a, const SinkCapture& b) {
 ScalingPoint run_point(std::size_t workflows, std::size_t jobs) {
   grid::ResourcePool pool;
   for (std::size_t w = 0; w < workflows; ++w) {
-    pool.add(grid::Resource{.name = "m" + std::to_string(w)});
+    pool.add(grid::Resource{
+        .name = std::string("m").append(std::to_string(w))});
   }
 
   std::vector<dag::Dag> dags;
@@ -115,10 +120,10 @@ ScalingPoint run_point(std::size_t workflows, std::size_t jobs) {
   dags.reserve(workflows);
   models.reserve(workflows);
   for (std::size_t w = 0; w < workflows; ++w) {
-    dags.emplace_back("chain" + std::to_string(w));
+    dags.emplace_back(std::string("chain").append(std::to_string(w)));
     dag::Dag& dag = dags.back();
     for (std::size_t i = 0; i < jobs; ++i) {
-      dag.add_job("j" + std::to_string(i));
+      dag.add_job(std::string("j").append(std::to_string(i)));
       if (i > 0) {
         dag.add_edge(static_cast<dag::JobId>(i - 1),
                      static_cast<dag::JobId>(i), 0.0);
@@ -193,12 +198,13 @@ ScalingPoint run_wide_point(std::size_t workflows, std::size_t jobs,
                             SinkCapture* capture) {
   grid::ResourcePool pool;
   for (std::size_t w = 0; w < workflows; ++w) {
-    pool.add(grid::Resource{.name = "m" + std::to_string(w)});
+    pool.add(grid::Resource{
+        .name = std::string("m").append(std::to_string(w))});
   }
 
   dag::Dag chain("chain");
   for (std::size_t i = 0; i < jobs; ++i) {
-    chain.add_job("j" + std::to_string(i));
+    chain.add_job(std::string("j").append(std::to_string(i)));
     if (i > 0) {
       chain.add_edge(static_cast<dag::JobId>(i - 1),
                      static_cast<dag::JobId>(i), 0.0);
@@ -283,14 +289,16 @@ ScalingPoint run_wide_point(std::size_t workflows, std::size_t jobs,
   return point;
 }
 
-/// Best of two runs: absorbs one-off allocator/cache noise without
-/// hiding real asymptotic growth.
+/// Best of `runs` runs: absorbs allocator/cache noise and other tenants'
+/// bursts on a shared host without hiding real asymptotic growth.
 template <typename RunFn>
-ScalingPoint best_of_two(const RunFn& run) {
+ScalingPoint best_of(std::size_t runs, const RunFn& run) {
   ScalingPoint best = run();
-  const ScalingPoint second = run();
-  if (second.seconds < best.seconds) {
-    best = second;
+  for (std::size_t i = 1; i < runs; ++i) {
+    const ScalingPoint next = run();
+    if (next.seconds < best.seconds) {
+      best = next;
+    }
   }
   return best;
 }
@@ -308,14 +316,18 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> workflow_counts = {4, 16, 64};
   constexpr double kMaxRatio = 3.0;
   // Sharded phase axes: stream widths from the ROADMAP's
-  // thousands-of-streams target, shard counts from the CLI.
-  const std::vector<std::size_t> wide_counts =
-      smoke ? std::vector<std::size_t>{256, 1024}
-            : std::vector<std::size_t>{256, 1024, 4096};
+  // thousands-of-streams target (smoke keeps 4k workflows, so the
+  // wide-scaling check sees a 16x width step), shard counts from the CLI.
+  const std::vector<std::size_t> wide_counts = {256, 1024, 4096};
   const std::size_t wide_jobs = smoke ? 4 : 16;
   const std::vector<std::size_t> shard_counts =
       bench::parse_shards(args, {1, 8});
   constexpr double kMinSpeedup = 2.0;
+  // Spread of this ratio over --smoke Release runs on a shared 4-vCPU
+  // host: 0.6-2.1x with dense-id lookups (24 runs), 3.8-9.8x with a
+  // participant scan per call (15 runs). The bound splits the gap.
+  constexpr double kMaxWideRatio = 3.0;
+  constexpr std::size_t kWideRuns = 5;
 
   bench::print_header(
       "Pump scaling: per-machine-event work vs workflow count", options,
@@ -326,7 +338,7 @@ int main(int argc, char** argv) {
   std::vector<ScalingPoint> points;
   for (const std::size_t w : workflow_counts) {
     const ScalingPoint best =
-        best_of_two([&] { return run_point(w, total_jobs / w); });
+        best_of(2, [&] { return run_point(w, total_jobs / w); });
     points.push_back(best);
     report.add_row(
         {{"workflows", std::to_string(w)}},
@@ -353,7 +365,7 @@ int main(int argc, char** argv) {
   for (const std::size_t w : wide_counts) {
     for (const std::size_t shards : shard_counts) {
       for (const bool sinks : {false, true}) {
-        const ScalingPoint best = best_of_two([&] {
+        const ScalingPoint best = best_of(kWideRuns, [&] {
           return run_wide_point(w, wide_jobs, shards, &workers, sinks, 0.0,
                                 nullptr);
         });
@@ -421,6 +433,45 @@ int main(int argc, char** argv) {
             << points.back().workflows / points.front().workflows
             << "x) -> " << (flat ? "PASS" : "FAIL") << "\n";
 
+  // Wide flat-scaling self-check over phase 2's serial rows, sinks off
+  // and sinks on: the session, ledger and history resolve every lookup
+  // by dense id, so the per-event cost at the widest stream must stay
+  // near the narrowest one's. A participant scan per acquire/commit
+  // (the cost before dense slots) grows it with the workflow count.
+  bool wide_flat = true;
+  const bool axis_has_serial =
+      std::find(shard_counts.begin(), shard_counts.end(), std::size_t{1}) !=
+      shard_counts.end();
+  for (const bool sinks : {false, true}) {
+    const char* arm = sinks ? "sinks on" : "sinks off";
+    if (!axis_has_serial) {
+      std::cout << "wide-scaling self-check (" << arm
+                << "): SKIP (needs --shards covering 1)\n";
+      continue;
+    }
+    double narrow = 0.0;
+    double widest = 0.0;
+    for (const ScalingPoint& p : wide_points) {
+      if (p.shards != 1 || p.sinks != sinks) {
+        continue;
+      }
+      if (p.workflows == wide_counts.front()) {
+        narrow = p.micros_per_event();
+      } else if (p.workflows == wide_counts.back()) {
+        widest = p.micros_per_event();
+      }
+    }
+    const double growth = narrow > 0.0 ? widest / narrow : 0.0;
+    const bool ok = growth <= kMaxWideRatio;
+    wide_flat = wide_flat && ok;
+    std::cout << "wide-scaling self-check (" << arm << "): us/event at "
+              << wide_counts.back() << " workflows is "
+              << format_double(growth, 2) << "x the " << wide_counts.front()
+              << "-workflow cost on one shard (bound "
+              << format_double(kMaxWideRatio, 1) << "x) -> "
+              << (ok ? "PASS" : "FAIL") << "\n";
+  }
+
   // Shard speedup self-checks at the largest workflow count, sinks off
   // and sinks on (the history arm): enforced only
   // where they can physically hold — the axis must compare 1 and 8 shards
@@ -480,5 +531,5 @@ int main(int argc, char** argv) {
             << " to the inline drain -> " << (sparse_ok ? "PASS" : "FAIL")
             << "\n";
 
-  return flat && sharded_ok && sparse_ok ? 0 : 1;
+  return flat && wide_flat && sharded_ok && sparse_ok ? 0 : 1;
 }

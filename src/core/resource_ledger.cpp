@@ -20,16 +20,82 @@ std::string to_string(ReservationState state) {
   return "unknown";
 }
 
-ResourceLedger::Timeline* ResourceLedger::timeline(
-    grid::ResourceId resource) {
-  const auto it = timelines_.find(resource);
-  return it == timelines_.end() ? nullptr : &it->second;
+namespace {
+
+/// Committed windows order by (start, entry id).
+bool window_before(const CommittedWindow& window,
+                   const std::pair<sim::Time, std::uint64_t>& key) {
+  return std::make_pair(window.start, window.entry) < key;
 }
 
-const ResourceLedger::Timeline* ResourceLedger::timeline(
+/// Lower bound of `key` in a vector of (key, value) pairs sorted by key.
+template <typename Key, typename Value>
+auto key_bound(std::vector<std::pair<Key, Value>>& pairs, Key key) {
+  return std::lower_bound(
+      pairs.begin(), pairs.end(), key,
+      [](const std::pair<Key, Value>& pair, Key k) { return pair.first < k; });
+}
+
+/// The value under `key` in a sorted (key, value) vector, inserted as
+/// `fresh` when absent.
+template <typename Key, typename Value>
+Value& value_at(std::vector<std::pair<Key, Value>>& pairs, Key key,
+                Value fresh) {
+  auto it = key_bound(pairs, key);
+  if (it == pairs.end() || it->first != key) {
+    it = pairs.insert(it, {key, fresh});
+  }
+  return it->second;
+}
+
+/// Removes `key` from a sorted (key, value) vector, returning its value.
+template <typename Key, typename Value>
+std::optional<Value> take(std::vector<std::pair<Key, Value>>& pairs,
+                          Key key) {
+  const auto it = key_bound(pairs, key);
+  if (it == pairs.end() || it->first != key) {
+    return std::nullopt;
+  }
+  const Value value = it->second;
+  pairs.erase(it);
+  return value;
+}
+
+}  // namespace
+
+ResourceLedger::Timeline* ResourceLedger::timeline(
+    grid::ResourceId resource) {
+  return resource < timelines_.size() ? &timelines_[resource] : nullptr;
+}
+
+const ResourceLedger::Timeline& ResourceLedger::timeline(
     grid::ResourceId resource) const {
-  const auto it = timelines_.find(resource);
-  return it == timelines_.end() ? nullptr : &it->second;
+  static const Timeline kEmpty;
+  return resource < timelines_.size() ? timelines_[resource] : kEmpty;
+}
+
+ResourceLedger::ParticipantState& ResourceLedger::participant_state(
+    std::size_t participant) {
+  if (participant >= participants_.size()) {
+    participants_.resize(participant + 1);
+  }
+  return participants_[participant];
+}
+
+void ResourceLedger::note_dequeued(ParticipantState& owner,
+                                   grid::ResourceId resource) {
+  const auto it = key_bound(owner.queued_on, resource);
+  AHEFT_ASSERT(it != owner.queued_on.end() && it->first == resource,
+               "dequeue of an entry the participant never queued");
+  if (--it->second == 0) {
+    owner.queued_on.erase(it);
+  }
+}
+
+void ResourceLedger::carry(ParticipantState& owner, std::uint64_t tag,
+                           sim::Time first_ready) {
+  sim::Time& carried = value_at(owner.carried_first_ready, tag, first_ready);
+  carried = std::min(carried, first_ready);
 }
 
 ReservationEntry& ResourceLedger::upsert(std::size_t participant,
@@ -39,6 +105,11 @@ ReservationEntry& ResourceLedger::upsert(std::size_t participant,
                                          sim::Time active_since,
                                          double planned_span) {
   AHEFT_REQUIRE(duration >= 0.0, "reservation duration must be >= 0");
+  AHEFT_REQUIRE(resource != grid::kInvalidResource,
+                "reservation needs a valid resource");
+  if (resource >= timelines_.size()) {
+    timelines_.resize(static_cast<std::size_t>(resource) + 1);
+  }
   Timeline& line = timelines_[resource];
   ReservationEntry* entry = nullptr;
   for (ReservationEntry& candidate : line.queue) {
@@ -56,11 +127,11 @@ ReservationEntry& ResourceLedger::upsert(std::size_t participant,
     fresh.first_ready = ready;
     // Work withdrawn by a reschedule and re-requested resumes its wait
     // clock instead of restarting it.
-    if (const auto carried = carried_first_ready_.find({participant, tag});
-        carried != carried_first_ready_.end()) {
-      fresh.first_ready = std::min(fresh.first_ready, carried->second);
-      carried_first_ready_.erase(carried);
+    ParticipantState& owner = participant_state(participant);
+    if (const auto carried = take(owner.carried_first_ready, tag)) {
+      fresh.first_ready = std::min(fresh.first_ready, *carried);
     }
+    ++value_at(owner.queued_on, resource, std::size_t{0});
     line.queue.push_back(fresh);
     entry = &line.queue.back();
   }
@@ -75,11 +146,7 @@ ReservationEntry& ResourceLedger::upsert(std::size_t participant,
 const ReservationEntry* ResourceLedger::find(std::size_t participant,
                                              grid::ResourceId resource,
                                              std::uint64_t tag) const {
-  const Timeline* line = timeline(resource);
-  if (line == nullptr) {
-    return nullptr;
-  }
-  for (const ReservationEntry& entry : line->queue) {
+  for (const ReservationEntry& entry : timeline(resource).queue) {
     if (entry.participant == participant && entry.tag == tag) {
       return &entry;
     }
@@ -128,33 +195,39 @@ ReservationEntry ResourceLedger::commit(std::size_t participant,
   // non-empty neighbor on each side can conflict (fully-truncated windows
   // are zero-width and skipped).
   if (end > start) {
-    const auto next = line->committed.lower_bound({start, 0});
+    const auto next =
+        std::lower_bound(line->committed.begin(), line->committed.end(),
+                         std::make_pair(start, std::uint64_t{0}),
+                         window_before);
     for (auto before = next; before != line->committed.begin();) {
       --before;
-      if (before->second.end <= before->second.start) {
+      if (before->end <= before->start) {
         continue;  // truncated to nothing
       }
-      AHEFT_ASSERT(sim::time_le(before->second.end, start),
+      AHEFT_ASSERT(sim::time_le(before->end, start),
                    "overlapping committed reservations on one resource");
       break;
     }
     for (auto after = next;
-         after != line->committed.end() && after->second.start < end;
-         ++after) {
-      AHEFT_ASSERT(after->second.end <= after->second.start,
+         after != line->committed.end() && after->start < end; ++after) {
+      AHEFT_ASSERT(after->end <= after->start,
                    "overlapping committed reservations on one resource");
     }
   }
 
   ReservationEntry committed = *it;
   committed.state = ReservationState::kCommitted;
-  line->committed.emplace(
-      std::make_pair(start, committed.id),
+  line->committed.insert(
+      std::lower_bound(line->committed.begin(), line->committed.end(),
+                       std::make_pair(start, committed.id), window_before),
       CommittedWindow{committed.id, participant, tag, start, end,
                       committed.first_ready});
-  auto& horizon = line->committed_until_by[participant];
+  sim::Time& horizon =
+      value_at(line->committed_until_by, participant, sim::kTimeZero);
   horizon = std::max(horizon, end);
-  carried_first_ready_.erase({participant, tag});
+  ParticipantState& owner = participants_[participant];
+  (void)take(owner.carried_first_ready, tag);
+  note_dequeued(owner, resource);
   line->queue.erase(it);
   return committed;
 }
@@ -162,28 +235,31 @@ ReservationEntry ResourceLedger::commit(std::size_t participant,
 std::vector<grid::ResourceId> ResourceLedger::withdraw_all(
     std::size_t participant) {
   std::vector<grid::ResourceId> touched;
-  for (auto& [resource, line] : timelines_) {
+  if (participant >= participants_.size()) {
+    return touched;
+  }
+  ParticipantState& owner = participants_[participant];
+  touched.reserve(owner.queued_on.size());
+  for (const auto& [resource, count] : owner.queued_on) {
+    std::vector<ReservationEntry>& queue = timelines_[resource].queue;
     const auto stale = std::remove_if(
-        line.queue.begin(), line.queue.end(),
-        [this, participant](const ReservationEntry& entry) {
+        queue.begin(), queue.end(),
+        [&owner, participant](const ReservationEntry& entry) {
           if (entry.participant != participant) {
             return false;
           }
           // Keep the wait baseline: the reschedule may re-request the
           // same work (same tag) and must not zero the contention wait
           // already endured.
-          const auto [carried, inserted] = carried_first_ready_.try_emplace(
-              {participant, entry.tag}, entry.first_ready);
-          if (!inserted) {
-            carried->second = std::min(carried->second, entry.first_ready);
-          }
+          carry(owner, entry.tag, entry.first_ready);
           return true;
         });
-    if (stale != line.queue.end()) {
-      line.queue.erase(stale, line.queue.end());
-      touched.push_back(resource);
-    }
+    AHEFT_ASSERT(static_cast<std::size_t>(queue.end() - stale) == count,
+                 "queued-entry count out of step with the resource queue");
+    queue.erase(stale, queue.end());
+    touched.push_back(resource);
   }
+  owner.queued_on.clear();
   return touched;
 }
 
@@ -201,11 +277,9 @@ bool ResourceLedger::withdraw(std::size_t participant,
   if (it == line->queue.end()) {
     return false;
   }
-  const auto [carried, inserted] = carried_first_ready_.try_emplace(
-      {participant, tag}, it->first_ready);
-  if (!inserted) {
-    carried->second = std::min(carried->second, it->first_ready);
-  }
+  ParticipantState& owner = participants_[participant];
+  carry(owner, tag, it->first_ready);
+  note_dequeued(owner, resource);
   line->queue.erase(it);
   return true;
 }
@@ -219,17 +293,13 @@ void ResourceLedger::truncate_commit(std::size_t participant,
     return;
   }
   bool truncated = false;
-  for (auto& [key, window] : line->committed) {
+  for (CommittedWindow& window : line->committed) {
     if (window.participant == participant && window.tag == tag &&
         window.end > at) {
       window.end = std::max(window.start, at);
       truncated = true;
       if (carry_baseline) {
-        const auto [carried, inserted] = carried_first_ready_.try_emplace(
-            {participant, tag}, window.first_ready);
-        if (!inserted) {
-          carried->second = std::min(carried->second, window.first_ready);
-        }
+        carry(participant_state(participant), tag, window.first_ready);
       }
     }
   }
@@ -240,43 +310,35 @@ void ResourceLedger::truncate_commit(std::size_t participant,
   // from the surviving windows (truncations are rare — one per restarted
   // job — so the scan is off the hot path).
   sim::Time horizon = sim::kTimeZero;
-  for (const auto& [key, window] : line->committed) {
+  for (const CommittedWindow& window : line->committed) {
     // Fully truncated (empty) windows are elided everywhere else; a
     // revoked job that never ran must not leave a phantom floor either.
     if (window.participant == participant && window.end > window.start) {
       horizon = std::max(horizon, window.end);
     }
   }
-  line->committed_until_by[participant] = horizon;
+  value_at(line->committed_until_by, participant, sim::kTimeZero) = horizon;
 }
 
 const std::vector<ReservationEntry>& ResourceLedger::queue(
     grid::ResourceId resource) const {
-  static const std::vector<ReservationEntry> kEmpty;
-  const Timeline* line = timeline(resource);
-  return line == nullptr ? kEmpty : line->queue;
+  return timeline(resource).queue;
 }
 
 sim::Time ResourceLedger::committed_until(grid::ResourceId resource) const {
-  const Timeline* line = timeline(resource);
   sim::Time until = sim::kTimeZero;
-  if (line != nullptr) {
-    for (const auto& [participant, end] : line->committed_until_by) {
-      until = std::max(until, end);
-    }
+  for (const auto& [owner, end] : timeline(resource).committed_until_by) {
+    until = std::max(until, end);
   }
   return until;
 }
 
 sim::Time ResourceLedger::committed_until_excluding(
     grid::ResourceId resource, std::size_t participant) const {
-  const Timeline* line = timeline(resource);
   sim::Time until = sim::kTimeZero;
-  if (line != nullptr) {
-    for (const auto& [owner, end] : line->committed_until_by) {
-      if (owner != participant) {
-        until = std::max(until, end);
-      }
+  for (const auto& [owner, end] : timeline(resource).committed_until_by) {
+    if (owner != participant) {
+      until = std::max(until, end);
     }
   }
   return until;
@@ -284,14 +346,12 @@ sim::Time ResourceLedger::committed_until_excluding(
 
 std::vector<CommittedWindow> ResourceLedger::committed_windows(
     grid::ResourceId resource) const {
+  const Timeline& line = timeline(resource);
   std::vector<CommittedWindow> windows;
-  const Timeline* line = timeline(resource);
-  if (line != nullptr) {
-    windows.reserve(line->committed.size());
-    for (const auto& [key, window] : line->committed) {
-      if (window.end > window.start) {
-        windows.push_back(window);
-      }
+  windows.reserve(line.committed.size());
+  for (const CommittedWindow& window : line.committed) {
+    if (window.end > window.start) {
+      windows.push_back(window);
     }
   }
   return windows;
@@ -300,11 +360,13 @@ std::vector<CommittedWindow> ResourceLedger::committed_windows(
 AvailabilityView ResourceLedger::snapshot_view(std::size_t owner,
                                                sim::Time now) const {
   AvailabilityView view(now);
-  for (const auto& [resource, line] : timelines_) {
+  for (grid::ResourceId resource = 0; resource < timelines_.size();
+       ++resource) {
+    const Timeline& line = timelines_[resource];
     // Committed windows: occupation that is still (partly) ahead of the
     // snapshot instant. Fully-elapsed and fully-truncated windows cannot
     // constrain a plan whose starts are >= now.
-    for (const auto& [key, window] : line.committed) {
+    for (const CommittedWindow& window : line.committed) {
       if (window.participant != owner && window.end > now &&
           window.end > window.start) {
         view.add_busy(resource, window.start, window.end);
@@ -334,17 +396,14 @@ std::optional<sim::Time> ResourceLedger::backfill_start(
   if (sim::time_le(policy_grant, base)) {
     return std::nullopt;  // not deferred: nothing to gain
   }
-  const Timeline* line = timeline(request.resource);
-  if (line == nullptr) {
-    return std::nullopt;
-  }
+  const Timeline& line = timeline(request.resource);
 
   // Blockers: committed windows plus held claims, as (start, end) spans.
   // Both are reservations earlier in the timeline that a backfilled job
   // must provably not touch.
   std::vector<std::pair<sim::Time, sim::Time>> blockers;
-  blockers.reserve(line->committed.size() + line->queue.size());
-  for (const auto& [key, window] : line->committed) {
+  blockers.reserve(line.committed.size() + line.queue.size());
+  for (const CommittedWindow& window : line.committed) {
     if (window.end > base && window.end > window.start) {
       blockers.emplace_back(window.start, window.end);
     }
@@ -354,7 +413,7 @@ std::optional<sim::Time> ResourceLedger::backfill_start(
   // because of it. Held claims block like windows instead (they have a
   // granted start of their own).
   sim::Time fence = sim::kTimeInfinity;
-  for (const ReservationEntry& other : line->queue) {
+  for (const ReservationEntry& other : line.queue) {
     if (other.id == request.id) {
       continue;
     }
@@ -388,7 +447,7 @@ std::optional<sim::Time> ResourceLedger::backfill_start(
 
 std::size_t ResourceLedger::queued_count() const {
   std::size_t count = 0;
-  for (const auto& [resource, line] : timelines_) {
+  for (const Timeline& line : timelines_) {
     count += line.queue.size();
   }
   return count;

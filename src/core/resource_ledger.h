@@ -34,13 +34,22 @@
 // The ledger is deliberately policy-free: it stores and orders entries,
 // answers floor/hole queries, and leaves who-goes-first to the session's
 // ContentionPolicy, which reads the queue through ContentionQuery.
+//
+// Storage is dense, because every key is already a dense id: timelines
+// sit in a vector indexed by ResourceId (iterated in ascending id
+// order), each timeline's committed windows in a vector sorted by
+// (start, entry id), and per-participant state (the resources holding
+// its queued entries, its carried wait baselines) in a vector indexed by
+// the session's participant slot. Every operation costs work in the
+// one resource's own entries, or in the one participant's own
+// resources, never in the session's workflow count.
 #ifndef AHEFT_CORE_RESOURCE_LEDGER_H_
 #define AHEFT_CORE_RESOURCE_LEDGER_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/availability_view.h"
@@ -134,7 +143,8 @@ class ResourceLedger {
 
   /// Withdraws every queued entry of `participant`, carrying each entry's
   /// first_ready so a later re-registration under the same tag resumes
-  /// the wait clock. Returns the resources that lost entries.
+  /// the wait clock. Returns the resources that lost entries, in
+  /// ascending id order; visits only those resources.
   std::vector<grid::ResourceId> withdraw_all(std::size_t participant);
 
   /// Withdraws the single queued entry keyed (participant, resource,
@@ -205,23 +215,46 @@ class ResourceLedger {
  private:
   struct Timeline {
     std::vector<ReservationEntry> queue;  ///< registration order
-    /// Committed windows keyed (start, entry id) for ordered hole scans.
-    std::map<std::pair<sim::Time, std::uint64_t>, CommittedWindow> committed;
-    /// Latest committed end per participant (incrementally maintained;
-    /// recomputed from the windows after a truncation).
-    std::map<std::size_t, sim::Time> committed_until_by;
+    /// Committed windows sorted by (start, entry id) for ordered hole
+    /// scans. Truncation only moves a window's end, so the order holds.
+    std::vector<CommittedWindow> committed;
+    /// Latest committed end per participant as (participant, end) pairs
+    /// sorted by participant (incrementally maintained; recomputed from
+    /// the windows after a truncation).
+    std::vector<std::pair<std::size_t, sim::Time>> committed_until_by;
   };
 
-  [[nodiscard]] Timeline* timeline(grid::ResourceId resource);
-  [[nodiscard]] const Timeline* timeline(grid::ResourceId resource) const;
+  /// What the ledger tracks per participant, across resources.
+  struct ParticipantState {
+    /// (resource, queued entry count) for every resource holding queued
+    /// entries of the participant, sorted by resource: withdraw_all
+    /// visits only these, in ascending id order.
+    std::vector<std::pair<grid::ResourceId, std::size_t>> queued_on;
+    /// first_ready of withdrawn entries as (tag, first_ready) pairs
+    /// sorted by tag: a re-registration for the same work resumes the
+    /// wait clock, so reschedules cannot erase contention wait already
+    /// endured. Keyed without the resource — a reschedule may move the
+    /// work elsewhere.
+    std::vector<std::pair<std::uint64_t, sim::Time>> carried_first_ready;
+  };
 
-  std::map<grid::ResourceId, Timeline> timelines_;
-  /// first_ready of withdrawn entries by (participant, tag): a
-  /// re-registration for the same work resumes the wait clock, so
-  /// reschedules cannot erase contention wait already endured. Keyed
-  /// without the resource — a reschedule may move the work elsewhere.
-  std::map<std::pair<std::size_t, std::uint64_t>, sim::Time>
-      carried_first_ready_;
+  /// The resource's timeline; null (mutable) or an empty timeline
+  /// (const) when nothing was ever registered on it.
+  [[nodiscard]] Timeline* timeline(grid::ResourceId resource);
+  [[nodiscard]] const Timeline& timeline(grid::ResourceId resource) const;
+  /// The participant's state, created on first use.
+  ParticipantState& participant_state(std::size_t participant);
+  /// Counts one fewer queued entry of `owner` on `resource`.
+  static void note_dequeued(ParticipantState& owner,
+                            grid::ResourceId resource);
+  /// Carries `first_ready` for (owner, tag), keeping the earliest.
+  static void carry(ParticipantState& owner, std::uint64_t tag,
+                    sim::Time first_ready);
+
+  /// One timeline per ResourceId, grown on first registration.
+  std::vector<Timeline> timelines_;
+  /// Indexed by the dense participant index.
+  std::vector<ParticipantState> participants_;
   std::uint64_t next_id_ = 1;
 };
 

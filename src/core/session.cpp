@@ -180,25 +180,32 @@ void SimulationSession::add_participant(SessionParticipant* participant,
   AHEFT_REQUIRE(priority > 0.0,
                 "participant priority / weight must be positive");
   ShardState& shard = state();
-  for (const ParticipantRecord& record : shard.participants) {
-    if (record.participant == participant) {
-      return;
-    }
+  if (record_on(shard, participant) != nullptr) {
+    return;
   }
+  participant->session_slot_ = shard.participants.size();
   shard.participants.push_back(
       ParticipantRecord{participant, priority, -1.0, {}});
 }
 
+const SimulationSession::ParticipantRecord* SimulationSession::record_on(
+    const ShardState& shard, const SessionParticipant* participant) {
+  if (participant == nullptr ||
+      participant->session_slot_ >= shard.participants.size()) {
+    return nullptr;
+  }
+  const ParticipantRecord& record =
+      shard.participants[participant->session_slot_];
+  return record.participant == participant ? &record : nullptr;
+}
+
 std::size_t SimulationSession::index_of(
     const SessionParticipant* participant) const {
-  const ShardState& shard = state();
-  for (std::size_t i = 0; i < shard.participants.size(); ++i) {
-    if (shard.participants[i].participant == participant) {
-      return i;
-    }
+  if (record_on(state(), participant) == nullptr) {
+    throw std::invalid_argument(
+        "participant is not registered with this session shard");
   }
-  throw std::invalid_argument(
-      "participant is not registered with this session shard");
+  return participant->session_slot_;
 }
 
 sim::Time SimulationSession::grant_for(
@@ -448,16 +455,12 @@ ContentionStats SimulationSession::contention_stats(
     const SessionParticipant* participant) const {
   // During the run a participant always asks from its home shard; after
   // the run (no binding → shard 0) fall through to the other shards.
-  for (const ParticipantRecord& record : state().participants) {
-    if (record.participant == participant) {
-      return record.stats;
-    }
+  if (const ParticipantRecord* record = record_on(state(), participant)) {
+    return record->stats;
   }
   for (const auto& shard : states_) {
-    for (const ParticipantRecord& record : shard->participants) {
-      if (record.participant == participant) {
-        return record.stats;
-      }
+    if (const ParticipantRecord* record = record_on(*shard, participant)) {
+      return record->stats;
     }
   }
   return {};

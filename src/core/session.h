@@ -144,6 +144,14 @@ class SessionParticipant {
   /// revoked; the default declines (the participant cannot restart).
   /// Delivered in a fresh simulator event, never re-entrantly.
   virtual bool revoke_committed(grid::ResourceId resource, std::uint64_t tag);
+
+ private:
+  friend class SimulationSession;
+  /// Dense slot in the participant table of the session shard that last
+  /// registered this participant. A participant belongs to one session
+  /// shard at a time: registering it elsewhere moves the slot, and the
+  /// earlier registration stops resolving.
+  std::size_t session_slot_ = static_cast<std::size_t>(-1);
 };
 
 /// Cross-workflow wait bookkeeping of one participant: how long its
@@ -227,7 +235,9 @@ class SimulationSession {
   /// joins the calling thread's shard and must only ever acquire that
   /// shard's resources. It must stay alive for as long as the simulator
   /// runs; registering the same participant twice on one shard is a
-  /// no-op (the first priority wins).
+  /// no-op (the first priority wins). Registration stores the
+  /// participant's dense slot on the participant itself, so every call
+  /// below resolves `self` in O(1).
   void add_participant(SessionParticipant* participant,
                        double priority = 1.0);
 
@@ -367,10 +377,16 @@ class SimulationSession {
   [[nodiscard]] ShardState& state_for(grid::ResourceId resource);
   [[nodiscard]] const ShardState& state_for(grid::ResourceId resource) const;
 
-  /// Registration index of `participant` on the calling shard; throws
-  /// when unregistered.
+  /// Registration index of `participant` on the calling shard: the slot
+  /// stored at registration, verified against the shard's table in O(1).
+  /// Throws std::invalid_argument when unregistered or registered with
+  /// another session or shard.
   [[nodiscard]] std::size_t index_of(
       const SessionParticipant* participant) const;
+  /// `participant`'s record on `shard`, or null when it is not registered
+  /// there.
+  [[nodiscard]] static const ParticipantRecord* record_on(
+      const ShardState& shard, const SessionParticipant* participant);
 
   [[nodiscard]] sim::Time grant_for(const ShardState& state,
                                     const ReservationEntry& entry,

@@ -1,5 +1,8 @@
 #include "grid/history.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "support/assert.h"
 
 namespace aheft::grid {
@@ -10,11 +13,57 @@ PerformanceHistoryRepository::PerformanceHistoryRepository(double smoothing)
                 "smoothing must be in (0, 1]");
 }
 
+namespace {
+
+/// Row order: operation name.
+template <typename Keyed>
+bool operation_before(const Keyed& keyed, const std::string& operation) {
+  return keyed.operation < operation;
+}
+
+}  // namespace
+
+const PerformanceHistoryRepository::Entry* PerformanceHistoryRepository::find(
+    const std::string& operation, ResourceId resource) const {
+  if (resource >= rows_.size()) {
+    return nullptr;
+  }
+  const std::vector<Keyed>& row = rows_[resource];
+  const auto it = std::lower_bound(row.begin(), row.end(), operation,
+                                   operation_before<Keyed>);
+  return it != row.end() && it->operation == operation ? &it->entry
+                                                       : nullptr;
+}
+
+PerformanceHistoryRepository::Entry& PerformanceHistoryRepository::entry_for(
+    const std::string& operation, ResourceId resource) {
+  AHEFT_REQUIRE(resource != kInvalidResource,
+                "history needs a valid resource");
+  if (resource >= rows_.size()) {
+    rows_.resize(static_cast<std::size_t>(resource) + 1);
+  }
+  std::vector<Keyed>& row = rows_[resource];
+  auto it = std::lower_bound(row.begin(), row.end(), operation,
+                             operation_before<Keyed>);
+  if (it == row.end() || it->operation != operation) {
+    it = row.insert(it, Keyed{operation, {}});
+  }
+  return it->entry;
+}
+
+bool PerformanceHistoryRepository::row_empty(ResourceId resource) const {
+  return resource >= rows_.size() || rows_[resource].empty();
+}
+
+void PerformanceHistoryRepository::clear_row(ResourceId resource) {
+  rows_[resource].clear();
+}
+
 void PerformanceHistoryRepository::record(const std::string& operation,
                                           ResourceId resource,
                                           double actual_duration) {
   AHEFT_REQUIRE(actual_duration >= 0.0, "duration must be non-negative");
-  Entry& entry = entries_[{operation, resource}];
+  Entry& entry = entry_for(operation, resource);
   if (entry.count == 0) {
     entry.smoothed = actual_duration;
   } else {
@@ -27,32 +76,39 @@ void PerformanceHistoryRepository::record(const std::string& operation,
 
 std::optional<double> PerformanceHistoryRepository::estimate(
     const std::string& operation, ResourceId resource) const {
-  const auto it = entries_.find({operation, resource});
-  if (it == entries_.end()) {
+  const Entry* entry = find(operation, resource);
+  if (entry == nullptr) {
     return std::nullopt;
   }
-  return it->second.smoothed;
+  return entry->smoothed;
 }
 
 std::size_t PerformanceHistoryRepository::observations(
     const std::string& operation, ResourceId resource) const {
-  const auto it = entries_.find({operation, resource});
-  return it == entries_.end() ? 0 : it->second.count;
+  const Entry* entry = find(operation, resource);
+  return entry == nullptr ? 0 : entry->count;
 }
 
 std::vector<PerformanceHistoryRepository::Observation>
 PerformanceHistoryRepository::snapshot() const {
   std::vector<Observation> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    out.push_back(Observation{key.first, key.second, entry.smoothed,
-                              entry.count});
+  for (ResourceId resource = 0; resource < rows_.size(); ++resource) {
+    for (const Keyed& keyed : rows_[resource]) {
+      out.push_back(Observation{keyed.operation, resource,
+                                keyed.entry.smoothed, keyed.entry.count});
+    }
   }
+  // Key order is (operation, resource), whatever the storage layout.
+  std::sort(out.begin(), out.end(),
+            [](const Observation& a, const Observation& b) {
+              return std::tie(a.operation, a.resource) <
+                     std::tie(b.operation, b.resource);
+            });
   return out;
 }
 
 void PerformanceHistoryRepository::clear() {
-  entries_.clear();
+  rows_.clear();
   total_ = 0;
 }
 
@@ -65,7 +121,12 @@ HistoryDelta::HistoryDelta(const PerformanceHistoryRepository& base,
 void HistoryDelta::record(const std::string& operation, ResourceId resource,
                           double actual_duration) {
   AHEFT_REQUIRE(actual_duration >= 0.0, "duration must be non-negative");
-  Overlay& overlay = overlay_[{operation, resource}];
+  // The overlay lives in the inherited table; total_observations() stays
+  // the count of records the delta absorbed as a repository, which is 0.
+  if (row_empty(resource)) {
+    touched_.push_back(resource);
+  }
+  Entry& overlay = entry_for(operation, resource);
   if (overlay.count == 0) {
     // First delta-local record for this key: seed from the base entry so
     // the EWMA continues exactly where the barrier replay will leave it.
@@ -88,18 +149,16 @@ void HistoryDelta::record(const std::string& operation, ResourceId resource,
 
 std::optional<double> HistoryDelta::estimate(const std::string& operation,
                                              ResourceId resource) const {
-  const auto it = overlay_.find({operation, resource});
-  if (it != overlay_.end()) {
-    return it->second.smoothed;
+  if (const Entry* overlay = find(operation, resource)) {
+    return overlay->smoothed;
   }
   return base_->estimate(operation, resource);
 }
 
 std::size_t HistoryDelta::observations(const std::string& operation,
                                        ResourceId resource) const {
-  const auto it = overlay_.find({operation, resource});
-  if (it != overlay_.end()) {
-    return it->second.count;
+  if (const Entry* overlay = find(operation, resource)) {
+    return overlay->count;
   }
   return base_->observations(operation, resource);
 }
@@ -107,7 +166,10 @@ std::size_t HistoryDelta::observations(const std::string& operation,
 std::vector<PendingObservation> HistoryDelta::take_pending() {
   std::vector<PendingObservation> out;
   out.swap(pending_);
-  overlay_.clear();
+  for (const ResourceId resource : touched_) {
+    clear_row(resource);
+  }
+  touched_.clear();
   return out;
 }
 

@@ -3,19 +3,22 @@
 // Stores observed run times keyed by (operation, resource) and serves
 // exponentially smoothed estimates. Scientific workflows repeat a handful
 // of operations many times (§4.3), so per-operation history converges
-// quickly.
+// quickly. Entries are stored per resource: a table indexed by
+// ResourceId whose rows hold that machine's operations sorted by name, so
+// a record or lookup searches one machine's operations only.
 //
 // `HistoryDelta` is the sharded-core overlay: each shard records into a
 // private delta (written only by the shard's drain thread), reads fall
 // through to the shared base repository for keys the shard never touched,
 // and the stamped pending observations are replayed into the base at tick
-// barriers in deterministic (stamp, origin shard, origin seq) order.
+// barriers in deterministic (stamp, origin shard, origin seq) order. The
+// overlay is the delta's own inherited table: draining it clears only
+// the rows written since the last barrier, which keep their storage.
 #ifndef AHEFT_GRID_HISTORY_H_
 #define AHEFT_GRID_HISTORY_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,19 +65,38 @@ class PerformanceHistoryRepository {
     std::size_t count = 0;
   };
 
-  /// Every key's smoothed estimate and count in key order — a
-  /// determinism-comparable fingerprint for twin-run checks.
+  /// Every key's smoothed estimate and count in (operation, resource)
+  /// order, whatever the storage layout — a determinism-comparable
+  /// fingerprint for twin-run checks. For a HistoryDelta: its overlay.
   [[nodiscard]] std::vector<Observation> snapshot() const;
 
   void clear();
 
- private:
+ protected:
   struct Entry {
     double smoothed = 0.0;
     std::size_t count = 0;
   };
+  /// The entry for the key, or null when the pair was never recorded.
+  [[nodiscard]] const Entry* find(const std::string& operation,
+                                  ResourceId resource) const;
+  /// The entry for the key, created empty (count 0) on first use.
+  Entry& entry_for(const std::string& operation, ResourceId resource);
+  /// Whether no operation has an entry on `resource`.
+  [[nodiscard]] bool row_empty(ResourceId resource) const;
+  /// Drops every entry on `resource`, keeping the row's storage.
+  void clear_row(ResourceId resource);
+
+ private:
+  struct Keyed {
+    std::string operation;
+    Entry entry;
+  };
   double smoothing_;
-  std::map<std::pair<std::string, ResourceId>, Entry> entries_;
+  /// One row per ResourceId: the machine's operations sorted by name. A
+  /// record pays a binary search over one machine's operations, and a
+  /// row cleared at a barrier keeps its storage for the next epoch.
+  std::vector<std::vector<Keyed>> rows_;
   std::size_t total_ = 0;
 };
 
@@ -116,14 +138,11 @@ class HistoryDelta final : public PerformanceHistoryRepository {
   [[nodiscard]] std::vector<PendingObservation> take_pending();
 
  private:
-  struct Overlay {
-    double smoothed = 0.0;
-    std::size_t count = 0;
-  };
   const PerformanceHistoryRepository* base_;
   std::function<double()> clock_;
   std::uint64_t seq_ = 0;
-  std::map<std::pair<std::string, ResourceId>, Overlay> overlay_;
+  /// Resources whose overlay rows hold entries since the last drain.
+  std::vector<ResourceId> touched_;
   std::vector<PendingObservation> pending_;
 };
 

@@ -58,15 +58,19 @@ std::string TraceRecorder::gantt(
         row << "  ";
       }
       const auto& slot = slots[i];
-      const std::string job_name = slot.job < job_names.size()
-                                       ? job_names[slot.job]
-                                       : "j" + std::to_string(slot.job);
+      // Names append to a std::string("j") temporary: GCC 12 at -O3
+      // reports a false -Wrestrict on `"j" + std::to_string(...)`.
+      const std::string job_name =
+          slot.job < job_names.size()
+              ? job_names[slot.job]
+              : std::string("j").append(std::to_string(slot.job));
       row << job_name << "[" << format_double(slot.start, 1) << ","
           << format_double(slot.end, 1) << ")";
     }
-    const std::string resource_name = resource < resource_names.size()
-                                          ? resource_names[resource]
-                                          : "r" + std::to_string(resource);
+    const std::string resource_name =
+        resource < resource_names.size()
+            ? resource_names[resource]
+            : std::string("r").append(std::to_string(resource));
     table.add_row({resource_name, row.str()});
   }
   return table.to_string();

@@ -50,7 +50,21 @@ class LoadTimeline final : public grid::LoadProfile {
   }
 
  private:
+  /// One resource's segments, in segments_ order.
+  struct ResourceSegments {
+    std::vector<LoadSegment> segments;
+    /// Whether the starts are nondecreasing (always true after sort()),
+    /// so factor() may stop at the first segment starting after t.
+    bool start_sorted = true;
+  };
+
+  void index(const LoadSegment& segment);
+
   std::vector<LoadSegment> segments_;
+  /// Indexed by ResourceId: factor() scans only its resource's segments
+  /// and multiplies them in segments_ order, so products are
+  /// bit-identical to a scan of every segment.
+  std::vector<ResourceSegments> by_resource_;
 };
 
 }  // namespace aheft::traces

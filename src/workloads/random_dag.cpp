@@ -18,7 +18,10 @@ Workload generate_random_workload(const RandomDagParams& params,
   const std::size_t v = params.jobs;
   dag::Dag graph("random-v" + std::to_string(v));
   for (std::size_t i = 0; i < v; ++i) {
-    graph.add_job("n" + std::to_string(i + 1), "op" + std::to_string(i % 7));
+    // Not `"n" + std::to_string(...)`: GCC 12 at -O3 reports a false
+    // -Wrestrict on it.
+    graph.add_job(std::string("n").append(std::to_string(i + 1)),
+                  std::string("op").append(std::to_string(i % 7)));
   }
 
   const auto max_out = std::max<std::size_t>(

@@ -8,8 +8,10 @@ SampleScenario sample_scenario(sim::Time r4_arrival) {
   dag::Dag graph("fig4-sample");
   std::array<dag::JobId, 10> n{};
   for (int i = 0; i < 10; ++i) {
-    n[static_cast<std::size_t>(i)] =
-        graph.add_job("n" + std::to_string(i + 1), "sample");
+    // Not `"n" + std::to_string(...)`: GCC 12 at -O3 reports a false
+    // -Wrestrict on it.
+    n[static_cast<std::size_t>(i)] = graph.add_job(
+        std::string("n").append(std::to_string(i + 1)), "sample");
   }
   // Edge weights are communication costs directly (link: latency 0,
   // bandwidth 1).

@@ -2,6 +2,10 @@
 // history repository, events.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dag/dag.h"
 #include "grid/events.h"
 #include "support/assert.h"
@@ -151,6 +155,83 @@ TEST(History, DistinguishesOperationAndResource) {
   EXPECT_DOUBLE_EQ(*history.estimate("a", 0), 10.0);
   EXPECT_DOUBLE_EQ(*history.estimate("a", 1), 20.0);
   EXPECT_DOUBLE_EQ(*history.estimate("b", 0), 30.0);
+}
+
+TEST(History, SnapshotIsInOperationThenResourceOrder) {
+  PerformanceHistoryRepository history(0.5);
+  // Scrambled across three resources, with names whose string order
+  // (j1 < j10 < j2) differs from their numeric order.
+  history.record("j2", 2, 1.0);
+  history.record("j10", 0, 2.0);
+  history.record("j1", 1, 3.0);
+  history.record("j2", 0, 4.0);
+  history.record("j10", 2, 5.0);
+  history.record("j1", 2, 6.0);
+  history.record("j2", 2, 7.0);
+  history.record("j1", 0, 8.0);
+  const std::vector<PerformanceHistoryRepository::Observation> snapshot =
+      history.snapshot();
+  const std::vector<std::pair<std::string, ResourceId>> expected = {
+      {"j1", 0}, {"j1", 1}, {"j1", 2}, {"j10", 0},
+      {"j10", 2}, {"j2", 0}, {"j2", 2}};
+  ASSERT_EQ(snapshot.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(snapshot[i].operation, expected[i].first);
+    EXPECT_EQ(snapshot[i].resource, expected[i].second);
+  }
+  // ("j2", 2) saw 1 then 7: count 2, EWMA 0.5 * 7 + 0.5 * 1.
+  EXPECT_EQ(snapshot.back().count, 2u);
+  EXPECT_DOUBLE_EQ(snapshot.back().smoothed, 4.0);
+}
+
+TEST(History, DeltaSeedsFromBaseAndFallsThroughAfterDrain) {
+  PerformanceHistoryRepository base(0.5);
+  base.record("op", 3, 100.0);
+  double clock = 7.0;
+  HistoryDelta delta(base, [&clock] { return clock; });
+  // Untouched keys read the base.
+  EXPECT_DOUBLE_EQ(*delta.estimate("op", 3), 100.0);
+  EXPECT_FALSE(delta.estimate("op", 1).has_value());
+  // The first delta-local record continues the base EWMA and count.
+  delta.record("op", 3, 50.0);
+  EXPECT_DOUBLE_EQ(*delta.estimate("op", 3), 75.0);
+  EXPECT_EQ(delta.observations("op", 3), 2u);
+  // A key the base never saw starts from the observation itself.
+  delta.record("op", 1, 10.0);
+  EXPECT_DOUBLE_EQ(*delta.estimate("op", 1), 10.0);
+  // The base is untouched until the pending records are replayed.
+  EXPECT_DOUBLE_EQ(*base.estimate("op", 3), 100.0);
+  EXPECT_EQ(base.total_observations(), 1u);
+
+  const std::vector<PendingObservation> pending = delta.take_pending();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].resource, 3u);
+  EXPECT_EQ(pending[0].seq, 0u);
+  EXPECT_DOUBLE_EQ(pending[0].stamp, 7.0);
+  EXPECT_EQ(pending[1].operation, "op");
+  EXPECT_EQ(pending[1].resource, 1u);
+  // The drained overlay is reset: reads fall through to the base again,
+  // which has not absorbed the records yet.
+  EXPECT_DOUBLE_EQ(*delta.estimate("op", 3), 100.0);
+  EXPECT_EQ(delta.observations("op", 3), 1u);
+  EXPECT_FALSE(delta.estimate("op", 1).has_value());
+  EXPECT_TRUE(delta.take_pending().empty());
+  // Replaying into the base is what the reset overlay now serves.
+  for (const PendingObservation& observation : pending) {
+    base.record(observation.operation, observation.resource,
+                observation.duration);
+  }
+  EXPECT_DOUBLE_EQ(*delta.estimate("op", 3), 75.0);
+  EXPECT_DOUBLE_EQ(*delta.estimate("op", 1), 10.0);
+  // A fresh epoch seeds from the updated base.
+  clock = 9.0;
+  delta.record("op", 3, 25.0);
+  EXPECT_DOUBLE_EQ(*delta.estimate("op", 3), 50.0);
+  EXPECT_EQ(delta.observations("op", 3), 3u);
+  const std::vector<PendingObservation> next = delta.take_pending();
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].seq, 2u);
+  EXPECT_DOUBLE_EQ(next[0].stamp, 9.0);
 }
 
 TEST(Predictor, HistoryBlendingPrefersObservations) {

@@ -8,6 +8,7 @@
 
 #include "core/contention_policy.h"
 #include "core/dynamic_scheduler.h"
+#include "core/execution_engine.h"
 #include "core/resource_ledger.h"
 #include "core/strategy.h"
 #include "core/workflow_stream.h"
@@ -47,7 +48,7 @@ struct CollisionCase {
 
   CollisionCase() {
     for (int i = 0; i < 6; ++i) {
-      long_dag.add_job("l" + std::to_string(i));
+      long_dag.add_job(std::string("l").append(std::to_string(i)));
       if (i > 0) {
         long_dag.add_edge(i - 1, i, 0.0);
       }
@@ -427,7 +428,7 @@ struct WideDynamicCase {
 
   WideDynamicCase() {
     for (int i = 0; i < 6; ++i) {
-      wide_dag.add_job("w" + std::to_string(i));
+      wide_dag.add_job(std::string("w").append(std::to_string(i)));
     }
     wide_dag.finalize();
     short_dag.add_job("s0");
@@ -596,6 +597,57 @@ TEST(SessionLedger, WithdrawPreservesWaitBaselines) {
   EXPECT_DOUBLE_EQ(stats.total_wait, 20.0);  // from t=0, not t=5
   EXPECT_DOUBLE_EQ(stats.max_wait, 20.0);
   EXPECT_EQ(stats.grants, 1u);
+}
+
+// ------------------------------------------------ participant slots --
+
+TEST(SessionRegistration, UnregisteredOrForeignParticipantsThrow) {
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "only"});
+  SimulationSession home(backfill_env(pool, false));
+  SimulationSession other(backfill_env(pool, false));
+  Probe stranger;
+  EXPECT_THROW((void)home.acquire(&stranger, 0, 0.0, 1.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(home.commit(&stranger, 0, 1, 0.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)home.acquire(nullptr, 0, 0.0, 1.0, 1),
+               std::invalid_argument);
+  // `mine` holds slot 0 of `home`; `theirs` holds slot 0 of `other`. The
+  // slot number alone must not let `mine` act in `other`.
+  Probe mine;
+  Probe theirs;
+  home.add_participant(&mine);
+  other.add_participant(&theirs);
+  EXPECT_THROW((void)other.acquire(&mine, 0, 0.0, 1.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(other.commit(&mine, 0, 1, 0.0, 1.0), std::invalid_argument);
+  EXPECT_TRUE(other.ledger().queue(0).empty());
+  // Each still acts in its own session.
+  EXPECT_DOUBLE_EQ(home.acquire(&mine, 0, 0.0, 1.0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(other.acquire(&theirs, 0, 0.0, 1.0, 1), 0.0);
+  home.commit(&mine, 0, 1, 0.0, 1.0);
+  EXPECT_EQ(home.contention_stats(&mine).grants, 1u);
+  EXPECT_EQ(home.contention_stats(&theirs).grants, 0u);
+}
+
+TEST(SessionRegistration, RegisteringTwiceKeepsTheFirstPriority) {
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "only"});
+  SimulationSession session(backfill_env(pool, false));
+  Probe probe;
+  Probe next;
+  session.add_participant(&probe, 3.0);
+  session.add_participant(&probe, 7.0);
+  session.add_participant(&next);
+  (void)session.acquire(&probe, 0, 0.0, 1.0, 1);
+  (void)session.acquire(&next, 0, 0.0, 1.0, 1);
+  const std::vector<ReservationEntry>& queue = session.ledger().queue(0);
+  ASSERT_EQ(queue.size(), 2u);
+  EXPECT_DOUBLE_EQ(queue[0].priority, 3.0);
+  // The duplicate registration took no slot: `next` is slot 1.
+  EXPECT_EQ(queue[0].participant, 0u);
+  EXPECT_EQ(queue[1].participant, 1u);
 }
 
 // ------------------------------------------------------ arrival ordering --
@@ -780,14 +832,15 @@ struct ShardedCase {
 
   ShardedCase() {
     for (int i = 0; i < 3; ++i) {
-      dag.add_job("j" + std::to_string(i));
+      dag.add_job(std::string("j").append(std::to_string(i)));
       if (i > 0) {
         dag.add_edge(i - 1, i, 1.0);
       }
     }
     dag.finalize();
     for (int m = 0; m < 4; ++m) {
-      pool.add(grid::Resource{.name = "m" + std::to_string(m)});
+      pool.add(grid::Resource{
+        .name = std::string("m").append(std::to_string(m))});
     }
     for (dag::JobId i = 0; i < 3; ++i) {
       for (grid::ResourceId r = 0; r < 4; ++r) {
@@ -799,7 +852,7 @@ struct ShardedCase {
   [[nodiscard]] std::vector<WorkflowInstance> instances() const {
     std::vector<WorkflowInstance> result(6);
     for (std::size_t i = 0; i < result.size(); ++i) {
-      result[i].name = "wf" + std::to_string(i);
+      result[i].name = std::string("wf").append(std::to_string(i));
       result[i].dag = &dag;
       result[i].estimates = &model;
       result[i].actual = &model;
@@ -833,7 +886,7 @@ void expect_outcomes_identical(const StreamOutcome& a,
                                const StreamOutcome& b) {
   ASSERT_EQ(a.workflows.size(), b.workflows.size());
   for (std::size_t i = 0; i < a.workflows.size(); ++i) {
-    SCOPED_TRACE("workflow " + std::to_string(i));
+    SCOPED_TRACE(std::string("workflow ").append(std::to_string(i)));
     EXPECT_EQ(a.workflows[i].finish, b.workflows[i].finish);
     EXPECT_EQ(a.workflows[i].makespan, b.workflows[i].makespan);
     EXPECT_EQ(a.workflows[i].slowdown, b.workflows[i].slowdown);
@@ -857,7 +910,7 @@ void expect_traces_identical(const sim::TraceRecorder& a,
                              const sim::TraceRecorder& b) {
   ASSERT_EQ(a.intervals().size(), b.intervals().size());
   for (std::size_t i = 0; i < a.intervals().size(); ++i) {
-    SCOPED_TRACE("interval " + std::to_string(i));
+    SCOPED_TRACE(std::string("interval ").append(std::to_string(i)));
     EXPECT_EQ(a.intervals()[i].kind, b.intervals()[i].kind);
     EXPECT_EQ(a.intervals()[i].job, b.intervals()[i].job);
     EXPECT_EQ(a.intervals()[i].consumer, b.intervals()[i].consumer);
@@ -878,7 +931,7 @@ void expect_histories_identical(
   const auto sb = b.snapshot();
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) {
-    SCOPED_TRACE("key " + std::to_string(i));
+    SCOPED_TRACE(std::string("key ").append(std::to_string(i)));
     EXPECT_EQ(sa[i].operation, sb[i].operation);
     EXPECT_EQ(sa[i].resource, sb[i].resource);
     EXPECT_EQ(sa[i].smoothed, sb[i].smoothed);
@@ -921,7 +974,7 @@ TEST(ShardedStream, SingleShardMatchesSerialBitIdentically) {
 TEST(ShardedStream, MergedSinksAreBitDeterministicRunToRun) {
   const ShardedCase c;
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SCOPED_TRACE(std::string("shards=").append(std::to_string(shards)));
     sim::TraceRecorder trace_a;
     grid::PerformanceHistoryRepository history_a;
     ThreadPool workers_a(3);
@@ -1068,6 +1121,40 @@ TEST(ShardedSession, SerialSessionsHandOutTheSharedSinksDirectly) {
   SimulationSession session(env);
   EXPECT_EQ(session.trace(), &trace);
   EXPECT_EQ(session.history(), &history);
+}
+
+TEST(ShardedSession, ContentionStatsFindEveryParticipantAfterTheRun) {
+  const ShardedCase c;
+  SessionEnvironment env;
+  env.pool = &c.pool;
+  env.shards = 2;
+  SimulationSession session(env);
+  // Two chains on machine 0 (shard 0) and two on machine 3 (shard 1):
+  // each registers on its machine's shard, and one of each pair waits.
+  std::vector<std::unique_ptr<ExecutionEngine>> engines;
+  for (const grid::ResourceId machine : {0U, 0U, 3U, 3U}) {
+    const auto binding = session.bind_shard(session.shard_of(machine));
+    engines.push_back(
+        std::make_unique<ExecutionEngine>(session, c.dag, c.model));
+    Schedule plan(c.dag.job_count());
+    for (dag::JobId job = 0; job < c.dag.job_count(); ++job) {
+      const auto start = static_cast<sim::Time>(job);
+      plan.assign(Assignment{job, machine, start, start + 1.0});
+    }
+    engines.back()->submit(plan);
+  }
+  session.run();
+  double total_wait = 0.0;
+  for (const auto& engine : engines) {
+    ASSERT_TRUE(engine->finished());
+    // After run() no shard is bound; the lookup still reaches shard 1.
+    const ContentionStats stats = session.contention_stats(engine.get());
+    EXPECT_EQ(stats.grants, c.dag.job_count());
+    total_wait += stats.total_wait;
+  }
+  EXPECT_GT(total_wait, 0.0);
+  Probe stranger;
+  EXPECT_EQ(session.contention_stats(&stranger).grants, 0u);
 }
 
 TEST(ShardedSession, ShardCountClampsToUniverse) {

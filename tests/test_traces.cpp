@@ -14,6 +14,7 @@
 #include "exp/case.h"
 #include "exp/sweeps.h"
 #include "grid/machine_model.h"
+#include "support/rng.h"
 #include "traces/compiler.h"
 #include "traces/load_timeline.h"
 #include "traces/scenario_source.h"
@@ -141,6 +142,50 @@ TEST(LoadTimeline, ComposesOverlappingSegments) {
   EXPECT_DOUBLE_EQ(timeline.factor(0, 10.0), 3.0);  // [start, end)
   EXPECT_DOUBLE_EQ(timeline.factor(0, 20.0), 1.0);
   EXPECT_DOUBLE_EQ(timeline.factor(2, 5.0), 1.0);
+}
+
+/// factor() as a scan of every segment in storage order: the reference
+/// the per-resource index must reproduce bit for bit.
+double factor_by_full_scan(const LoadTimeline& timeline,
+                           grid::ResourceId resource, sim::Time t) {
+  double product = 1.0;
+  for (const LoadSegment& segment : timeline.segments()) {
+    if (segment.resource == resource && segment.start <= t &&
+        t < segment.end) {
+      product *= segment.multiplier;
+    }
+  }
+  return product;
+}
+
+TEST(LoadTimeline, FactorMatchesFullScanBeforeAndAfterSort) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    RngStream rng(seed);
+    LoadTimeline timeline;
+    // Random overlapping segments on five resources, added unsorted.
+    for (int i = 0; i < 40; ++i) {
+      const sim::Time start = rng.uniform(0.0, 100.0);
+      timeline.add(static_cast<grid::ResourceId>(rng.index(5)), start,
+                   start + rng.uniform(0.5, 40.0), rng.uniform(0.2, 3.0));
+    }
+    for (const bool sorted : {false, true}) {
+      if (sorted) {
+        timeline.sort();
+      }
+      for (int probe = 0; probe < 200; ++probe) {
+        const auto resource = static_cast<grid::ResourceId>(rng.index(6));
+        // Probe segment endpoints too: [start, end) edges must agree.
+        const std::vector<LoadSegment>& segments = timeline.segments();
+        const LoadSegment& near = segments[rng.index(segments.size())];
+        const sim::Time t = probe % 3 == 0   ? near.start
+                            : probe % 3 == 1 ? near.end
+                                             : rng.uniform(0.0, 150.0);
+        EXPECT_EQ(timeline.factor(resource, t),
+                  factor_by_full_scan(timeline, resource, t));
+      }
+    }
+  }
 }
 
 TEST(LoadTimeline, ValidatesSegments) {
