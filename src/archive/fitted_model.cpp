@@ -26,11 +26,6 @@ std::size_t hour_of_day(double phase, double t) noexcept {
 
 }  // namespace
 
-double ArchiveFit::runtime_cdf(double x) const noexcept {
-  return runtime_is_log_normal ? runtime_log_normal.cdf(x)
-                               : runtime_weibull.cdf(x);
-}
-
 double ArchiveFit::runtime_from_normal(double z) const noexcept {
   if (runtime_is_log_normal) {
     return runtime_log_normal.quantile_from_normal(z);

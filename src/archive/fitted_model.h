@@ -91,8 +91,6 @@ struct ArchiveFit {
   static constexpr std::size_t kProcsCdfSteps = 512;
   static constexpr std::size_t kGapQuantileSteps = 257;
 
-  /// The chosen runtime CDF at x.
-  [[nodiscard]] double runtime_cdf(double x) const noexcept;
   /// Intra-bag gap at uniform deviate u, linearly interpolated between
   /// adjacent entries of intra_gap_quantiles (which must be non-empty).
   [[nodiscard]] double intra_gap_from_uniform(double u) const noexcept;

@@ -12,22 +12,9 @@
 
 namespace aheft::core {
 
-std::string to_string(DynamicHeuristic heuristic) {
-  switch (heuristic) {
-    case DynamicHeuristic::kMinMin:
-      return "min-min";
-    case DynamicHeuristic::kMaxMin:
-      return "max-min";
-    case DynamicHeuristic::kSufferage:
-      return "sufferage";
-  }
-  return "unknown";
-}
-
 DynamicExecution::DynamicExecution(SimulationSession& session,
                                    const dag::Dag& dag,
                                    const grid::CostProvider& actual,
-                                   DynamicHeuristic heuristic,
                                    double priority, bool contention_aware)
     : session_(&session),
       dag_(&dag),
@@ -35,12 +22,9 @@ DynamicExecution::DynamicExecution(SimulationSession& session,
       pool_(&session.pool()),
       load_(session.load()),
       trace_(session.trace()),
-      heuristic_(heuristic),
       contention_aware_(contention_aware),
       schedule_(dag.job_count()),
       finished_(dag.job_count(), false),
-      location_(dag.job_count(), grid::kInvalidResource),
-      aft_(dag.job_count(), sim::kTimeZero),
       pending_preds_(dag.job_count(), 0) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
   if (session.resilience().active()) {
@@ -151,10 +135,11 @@ sim::Time DynamicExecution::inputs_ready(dag::JobId job,
   for (const std::uint32_t e : dag_->in_edges(job)) {
     const dag::Edge& edge = dag_->edges()[e];
     AHEFT_ASSERT(finished_[edge.from], "ready job with unfinished pred");
+    const Assignment& producer = schedule_.assignment(edge.from);
     const sim::Time arrival =
-        location_[edge.from] == resource
-            ? aft_[edge.from]
-            : now + actual_->comm_cost(edge, location_[edge.from], resource);
+        producer.resource == resource
+            ? producer.finish
+            : now + actual_->comm_cost(edge, producer.resource, resource);
     ready = std::max(ready, arrival);
   }
   return ready;
@@ -168,9 +153,6 @@ sim::Time DynamicExecution::machine_free(grid::ResourceId resource) const {
 sim::Time DynamicExecution::machine_free_before(grid::ResourceId resource,
                                                 std::uint64_t seq) const {
   sim::Time free = pool_->resource(resource).arrival;
-  if (const auto it = avail_.find(resource); it != avail_.end()) {
-    free = std::max(free, it->second);
-  }
   // Held dispatch decisions claim their granted window for every LATER
   // decision, exactly as an instant advance booking would have stacked —
   // but never for earlier ones, so two held claims cannot gate each
@@ -186,7 +168,7 @@ sim::Time DynamicExecution::machine_free_before(grid::ResourceId resource,
 sim::Time DynamicExecution::completion_time(dag::JobId job,
                                             grid::ResourceId resource,
                                             sim::Time now) const {
-  // Peek (not acquire): decision heuristics price every candidate
+  // Peek (not acquire): the decision prices every candidate
   // resource, so the query must not register requests. The probe must
   // mirror assign()'s acquire exactly — same ready (inputs included) and
   // duration — or a policy deferral could push the realized start past
@@ -205,21 +187,21 @@ void DynamicExecution::dispatch() {
     return;
   }
   const sim::Time now = session_->simulator().now();
+  // May be empty: the last machine can depart as a producer finishes or
+  // while a stuck round is deferred. Every ready job is then stuck below.
   const std::vector<grid::ResourceId> visible = pool_->available_at(now);
-  AHEFT_ASSERT(!visible.empty(), "no resource available for dispatch");
   ++batches_;
 
   bool stuck = false;
   while (!ready_.empty() && !failed_) {
-    // For each ready job, its best and second-best completion times.
+    // Min-Min: each ready job's earliest completion over the machines,
+    // and of those the earliest goes first.
     dag::JobId chosen = dag::kInvalidJob;
     grid::ResourceId chosen_resource = grid::kInvalidResource;
-    double chosen_key = 0.0;
-    bool first = true;
+    sim::Time chosen_finish = sim::kTimeInfinity;
 
     for (const dag::JobId job : ready_) {
       sim::Time best = sim::kTimeInfinity;
-      sim::Time second = sim::kTimeInfinity;
       grid::ResourceId best_r = grid::kInvalidResource;
       for (const grid::ResourceId r : visible) {
         const sim::Time ct = completion_time(job, r, now);
@@ -230,11 +212,8 @@ void DynamicExecution::dispatch() {
           continue;
         }
         if (ct < best) {
-          second = best;
           best = ct;
           best_r = r;
-        } else if (ct < second) {
-          second = ct;
         }
       }
       if (best_r == grid::kInvalidResource) {
@@ -250,23 +229,10 @@ void DynamicExecution::dispatch() {
         stuck = true;
         continue;
       }
-      double key = 0.0;
-      switch (heuristic_) {
-        case DynamicHeuristic::kMinMin:
-          key = -best;  // prefer the smallest completion time
-          break;
-        case DynamicHeuristic::kMaxMin:
-          key = best;  // prefer the largest minimum completion time
-          break;
-        case DynamicHeuristic::kSufferage:
-          key = (second == sim::kTimeInfinity) ? 0.0 : second - best;
-          break;
-      }
-      if (first || key > chosen_key) {
-        first = false;
+      if (chosen == dag::kInvalidJob || best < chosen_finish) {
         chosen = job;
         chosen_resource = best_r;
-        chosen_key = key;
+        chosen_finish = best;
       }
     }
 
@@ -355,11 +321,11 @@ void DynamicExecution::record_input_transfers(dag::JobId job,
   // decision is taken, so the records are stamped at decision time.
   for (const std::uint32_t e : dag_->in_edges(job)) {
     const dag::Edge& edge = dag_->edges()[e];
-    if (location_[edge.from] != resource) {
+    const grid::ResourceId from = schedule_.assignment(edge.from).resource;
+    if (from != resource) {
       trace_->record_transfer(
           edge.from, job, resource, decided_at,
-          decided_at +
-              actual_->comm_cost(edge, location_[edge.from], resource));
+          decided_at + actual_->comm_cost(edge, from, resource));
     }
   }
 }
@@ -468,8 +434,6 @@ void DynamicExecution::start_assignment(dag::JobId job,
   }
   session_->commit(this, resource, /*tag=*/job, start, finish);
   schedule_.assign(Assignment{job, resource, start, finish});
-  auto& booked = avail_[resource];
-  booked = std::max(booked, finish);
   session_->simulator().schedule_at(
       finish, [this, job, resource, start, finish] {
         complete(job, resource, start, finish);
@@ -480,8 +444,6 @@ void DynamicExecution::complete(dag::JobId job, grid::ResourceId resource,
                                 sim::Time start, sim::Time finish) {
   finished_[job] = true;
   ++finished_count_;
-  location_[job] = resource;
-  aft_[job] = finish;
   makespan_ = std::max(makespan_, finish);
   if (trace_ != nullptr) {
     trace_->record_compute(job, resource, start, finish);

@@ -1,4 +1,4 @@
-// Dynamic (just-in-time) scheduling baselines.
+// Dynamic (just-in-time) scheduling baseline.
 //
 // The paper's dynamic comparator schedules each job only when it becomes
 // ready, with the Min-Min heuristic, on top of an event-driven simulation
@@ -6,8 +6,6 @@
 // strategies (§4.1 assumption 2): a producer's output file stays at the
 // producer until the executor decides which resource runs the consumer;
 // the transfer then starts at decision time.
-//
-// Max-Min and Sufferage are provided as additional baselines (extension).
 //
 // DynamicExecution is the session form: it runs inside a shared
 // SimulationSession, realizes load-scaled run times from the session's
@@ -41,11 +39,7 @@
 
 namespace aheft::core {
 
-enum class DynamicHeuristic { kMinMin, kMaxMin, kSufferage };
-
-[[nodiscard]] std::string to_string(DynamicHeuristic heuristic);
-
-/// Event-driven just-in-time execution of one DAG inside a shared
+/// Event-driven just-in-time Min-Min execution of one DAG inside a shared
 /// session. Decisions are made with nominal costs over the resources
 /// visible at decision time; realized run times are stretched by the
 /// session's load profile, and machine reservations respect (and are
@@ -71,9 +65,8 @@ class DynamicExecution : public SessionParticipant {
   /// per-decision dispatch already arbitrates live through the ledger
   /// and is unaffected.
   DynamicExecution(SimulationSession& session, const dag::Dag& dag,
-                   const grid::CostProvider& actual,
-                   DynamicHeuristic heuristic = DynamicHeuristic::kMinMin,
-                   double priority = 1.0, bool contention_aware = false);
+                   const grid::CostProvider& actual, double priority = 1.0,
+                   bool contention_aware = false);
 
   /// Receives the run's outcome: `evaluations` counts the decision
   /// rounds, `schedule` is the realized placement (partial on failure).
@@ -129,16 +122,16 @@ class DynamicExecution : public SessionParticipant {
   [[nodiscard]] sim::Time inputs_ready(dag::JobId job,
                                        grid::ResourceId resource,
                                        sim::Time now) const;
-  /// Time `resource` is free for this workflow's own reasons: its
-  /// committed bookings, its held dispatch claims, and the machine's
-  /// arrival. Cross-workflow availability is layered on top by
-  /// completion_time()'s session peek.
+  /// Time `resource` is free for this workflow's own reasons that the
+  /// ledger does not know: its held dispatch claims and the machine's
+  /// arrival. The session's acquire and peek add the workflow's
+  /// committed bookings and the cross-workflow grant on top.
   [[nodiscard]] sim::Time machine_free(grid::ResourceId resource) const;
   /// machine_free seen by decision number `seq`: only held claims of
   /// strictly earlier decisions gate it (its own claim never does).
   [[nodiscard]] sim::Time machine_free_before(grid::ResourceId resource,
                                               std::uint64_t seq) const;
-  /// Nominal completion time used by the decision heuristics.
+  /// Nominal completion time used by the Min-Min decision.
   [[nodiscard]] sim::Time completion_time(dag::JobId job,
                                           grid::ResourceId resource,
                                           sim::Time now) const;
@@ -177,7 +170,6 @@ class DynamicExecution : public SessionParticipant {
   const grid::ResourcePool* pool_;
   const grid::LoadProfile* load_;
   sim::TraceRecorder* trace_;
-  DynamicHeuristic heuristic_;
   bool contention_aware_ = false;
   /// The session's resilience config when active; null keeps the
   /// historical hard-abort paths bit-identical.
@@ -189,13 +181,12 @@ class DynamicExecution : public SessionParticipant {
   std::string failure_reason_;
   sim::Time deferred_until_ = -1.0;  ///< pending pool-change retry (dedup)
 
+  /// Every started job's placement and finish time; a finished
+  /// producer's machine and output time are read from here.
   Schedule schedule_;
   std::vector<bool> finished_;
-  std::vector<grid::ResourceId> location_;
-  std::vector<sim::Time> aft_;
   std::vector<std::uint32_t> pending_preds_;
   std::vector<dag::JobId> ready_;
-  std::map<grid::ResourceId, sim::Time> avail_;
   std::map<dag::JobId, HeldDispatch> held_;
   std::uint64_t next_decision_seq_ = 0;
   std::size_t finished_count_ = 0;

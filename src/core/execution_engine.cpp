@@ -80,7 +80,7 @@ sim::Time ExecutionEngine::ensure_transfer(std::size_t edge_index,
   return arrival;
 }
 
-void ExecutionEngine::submit(const Schedule& schedule) {
+void ExecutionEngine::submit(Schedule schedule) {
   AHEFT_REQUIRE(schedule.job_count() == dag_->job_count(),
                 "schedule sized for a different DAG");
   AHEFT_REQUIRE(schedule.complete(), "submitted schedule must be complete");
@@ -126,7 +126,7 @@ void ExecutionEngine::submit(const Schedule& schedule) {
   if (!has_schedule_) {
     initial_plan_makespan_ = schedule.makespan();
   }
-  schedule_ = schedule;
+  schedule_ = std::move(schedule);
   has_schedule_ = true;
 
   // Retransmit outputs of finished producers toward consumers that moved
@@ -156,35 +156,25 @@ void ExecutionEngine::submit(const Schedule& schedule) {
 
 void ExecutionEngine::rebuild_queues() {
   queues_.clear();
-  queue_pos_.clear();
-  resource_free_.clear();
-  pending_pump_.clear();
   // A reschedule may have moved the queue heads: drop the pending
   // acquisitions so stale requests cannot gate competing workflows; the
   // post-rebuild pumps re-register the live ones.
   session_->withdraw_all(this);
   for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    const JobRecord& state = record_.record(i);
-    const Assignment& a = schedule_.assignment(i);
-    if (state.phase == JobPhase::kPending) {
-      queues_[a.resource].push_back(i);
-    } else if (state.phase == JobPhase::kRunning) {
-      // The machine stays busy until the running job's projected finish.
-      auto& free_at = resource_free_[state.resource];
-      free_at = std::max(free_at, state.aft);
+    if (phase(i) == JobPhase::kPending) {
+      queues_[schedule_.assignment(i).resource].jobs.push_back(i);
     }
   }
-  for (auto& [resource, queue] : queues_) {
-    std::sort(queue.begin(), queue.end(),
-              [this](dag::JobId a, dag::JobId b) {
-                const Assignment& aa = schedule_.assignment(a);
-                const Assignment& ab = schedule_.assignment(b);
-                if (aa.start != ab.start) {
-                  return aa.start < ab.start;
-                }
-                return a < b;
-              });
-    queue_pos_[resource] = 0;
+  for (auto& entry : queues_) {
+    std::vector<dag::JobId>& jobs = entry.second.jobs;
+    std::sort(jobs.begin(), jobs.end(), [this](dag::JobId a, dag::JobId b) {
+      const Assignment& aa = schedule_.assignment(a);
+      const Assignment& ab = schedule_.assignment(b);
+      if (aa.start != ab.start) {
+        return aa.start < ab.start;
+      }
+      return a < b;
+    });
   }
 }
 
@@ -196,12 +186,12 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
   if (queue_it == queues_.end()) {
     return;
   }
-  const std::vector<dag::JobId>& queue = queue_it->second;
-  std::size_t& pos = queue_pos_[resource];
+  ResourceQueue& queue = queue_it->second;
+  std::size_t& pos = queue.pos;
   const sim::Time now = simulator_->now();
 
-  while (pos < queue.size()) {
-    const dag::JobId job = queue[pos];
+  while (pos < queue.jobs.size()) {
+    const dag::JobId job = queue.jobs[pos];
     const JobPhase state = phase(job);
     if (state == JobPhase::kFinished ||
         schedule_.assignment(job).resource != resource) {
@@ -226,16 +216,13 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
       ready = std::max(ready, it->second);
     }
 
-    // (b) machine free, (c) machine present.
-    const grid::Resource& machine = pool_->resource(resource);
-    sim::Time start = std::max({ready, machine.arrival, now});
-    if (const auto free_it = resource_free_.find(resource);
-        free_it != resource_free_.end()) {
-      start = std::max(start, free_it->second);
-    }
-    // (d) the session's contention policy grants the machine slot
-    //     (arbitrating against the other workflows' bookings and pending
-    //     requests; under FCFS the grant is just their bookings).
+    // (b) machine present, (c) machine free of this workflow's own running
+    //     work and (d) granted by the session's contention policy. The
+    //     session applies (c) from the ledger and arbitrates (d) against
+    //     the other workflows' bookings and pending requests; under FCFS
+    //     the grant is just their bookings.
+    sim::Time start =
+        std::max({ready, pool_->resource(resource).arrival, now});
     double request = actual_->compute_cost(job, resource);
     if (resilience_ != nullptr) {
       request = requeue_occupancy(job, resource);
@@ -243,14 +230,16 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
     start = session_->acquire(this, resource, start, request, /*tag=*/job);
 
     if (start > now) {
-      // Try again when the gating time is reached (deduplicated).
-      auto& pending = pending_pump_[resource];
-      if (pending == 0 || pending > start) {
+      // Try again when the gating time is reached (deduplicated). A retry
+      // armed before a rebuild still fires and clears the new mark.
+      if (queue.pending_pump == 0 || queue.pending_pump > start) {
         simulator_->schedule_at(start, [this, resource] {
-          pending_pump_[resource] = 0;
+          if (const auto it = queues_.find(resource); it != queues_.end()) {
+            it->second.pending_pump = 0;
+          }
           pump(resource);
         });
-        pending = start;
+        queue.pending_pump = start;
       }
       return;
     }
@@ -355,8 +344,6 @@ bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
     state.completion =
         simulator_->schedule_at(aft, [this, job] { hit_departure(job); });
   }
-  auto& free_at = resource_free_[resource];
-  free_at = std::max(free_at, aft);
   session_->commit(this, resource, /*tag=*/job, now, aft);
   return true;
 }
@@ -471,10 +458,6 @@ bool ExecutionEngine::revoke_committed(grid::ResourceId resource,
   if (trace_ != nullptr) {
     trace_->record_compute(job, resource, run.ast, now);
   }
-  if (const auto it = resource_free_.find(resource);
-      it != resource_free_.end() && it->second > now) {
-    it->second = now;  // the machine frees under the evicted job
-  }
   ++counters_.revoked_jobs;
   reset_job(job);
   requeue_job(job, now);
@@ -503,7 +486,7 @@ void ExecutionEngine::requeue_job(dag::JobId job, sim::Time now) {
   for (const std::uint32_t e : dag_->in_edges(job)) {
     ensure_transfer(e, target, now);
   }
-  queues_[target].push_back(job);
+  queues_[target].jobs.push_back(job);
   pump(target);
 }
 
@@ -521,12 +504,8 @@ grid::ResourceId ExecutionEngine::choose_requeue_target(dag::JobId job,
       continue;  // already departed
     }
     const double occupancy = requeue_occupancy(job, machine.id);
-    sim::Time start = std::max(now, machine.arrival);
-    if (const auto it = resource_free_.find(machine.id);
-        it != resource_free_.end()) {
-      start = std::max(start, it->second);
-    }
-    start = session_->peek(this, machine.id, start, occupancy);
+    const sim::Time start = session_->peek(
+        this, machine.id, std::max(now, machine.arrival), occupancy);
     const sim::Time finish = start + occupancy;
     if (sim::time_le(finish, machine.departure)) {
       if (finish < best_finish) {
@@ -543,22 +522,15 @@ grid::ResourceId ExecutionEngine::choose_requeue_target(dag::JobId job,
 
 void ExecutionEngine::reassign(dag::JobId job, grid::ResourceId target,
                                sim::Time now) {
-  const grid::Resource& machine = pool_->resource(target);
-  Schedule next(dag_->job_count());
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    if (i != job) {
-      next.assign(schedule_.assignment(i));
-    }
-  }
+  schedule_.unassign(job);
   // Plan the remainder after the target's planned work; the pump applies
   // the real gating (inputs, machine free, contention grant) at start.
-  sim::Time start = std::max(now, machine.arrival);
-  for (const Assignment& slot : next.timeline(target)) {
+  sim::Time start = std::max(now, pool_->resource(target).arrival);
+  for (const Assignment& slot : schedule_.timeline(target)) {
     start = std::max(start, slot.finish);
   }
-  next.assign(
+  schedule_.assign(
       Assignment{job, target, start, start + requeue_occupancy(job, target)});
-  schedule_ = std::move(next);
 }
 
 void ExecutionEngine::fail_workflow(const std::string& reason) {
@@ -584,8 +556,6 @@ void ExecutionEngine::fail_workflow(const std::string& reason) {
     reset_job(i);
   }
   queues_.clear();
-  queue_pos_.clear();
-  pending_pump_.clear();
   session_->withdraw_all(this);
   makespan_ = std::max(makespan_, now);
   if (failure_hook_) {

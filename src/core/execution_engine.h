@@ -61,8 +61,9 @@ class ExecutionEngine : public SessionParticipant {
 
   /// Installs `schedule` (complete over all jobs) at the current simulation
   /// time. The first call starts execution; later calls replace the
-  /// remaining work.
-  void submit(const Schedule& schedule);
+  /// remaining work. Taken by value: callers that are done with their plan
+  /// move it in.
+  void submit(Schedule schedule);
 
   [[nodiscard]] bool finished() const {
     return record_.finished_count() == dag_->job_count();
@@ -131,6 +132,15 @@ class ExecutionEngine : public SessionParticipant {
   bool revoke_committed(grid::ResourceId resource, std::uint64_t tag) override;
 
  private:
+  /// One machine's share of the schedule: the pending jobs queued on it
+  /// in planned start order (requeued jobs appended), the scan position,
+  /// and the time of the armed retry pump (0 when none).
+  struct ResourceQueue {
+    std::vector<dag::JobId> jobs;
+    std::size_t pos = 0;
+    sim::Time pending_pump = 0;
+  };
+
   /// A job's running-segment accounting; its phase, resource, start and
   /// (projected) finish live in the shared record_.
   struct JobState {
@@ -180,7 +190,7 @@ class ExecutionEngine : public SessionParticipant {
   /// is left at all.
   [[nodiscard]] grid::ResourceId choose_requeue_target(dag::JobId job,
                                                        sim::Time now) const;
-  /// Rewrites `job`'s schedule slot onto `target` after that timeline's
+  /// Moves `job`'s schedule slot onto `target` after that timeline's
   /// planned work (the other slots are untouched).
   void reassign(dag::JobId job, grid::ResourceId target, sim::Time now);
   /// Terminal failure: truncates running work, drains the queues, and
@@ -219,10 +229,9 @@ class ExecutionEngine : public SessionParticipant {
   /// Checkpoint read cost owed when each job next starts (a prior image
   /// exists); cleared once paid.
   std::vector<double> restart_debt_;
-  std::map<grid::ResourceId, std::vector<dag::JobId>> queues_;
-  std::map<grid::ResourceId, std::size_t> queue_pos_;
-  std::map<grid::ResourceId, sim::Time> resource_free_;
-  std::map<grid::ResourceId, sim::Time> pending_pump_;
+  /// The machines this engine queues work on. When its own running work
+  /// frees a machine is the ledger's to know: acquire and peek apply it.
+  std::map<grid::ResourceId, ResourceQueue> queues_;
   RunCounters counters_;
   bool failed_ = false;
   std::string failure_reason_;

@@ -76,7 +76,7 @@ void AdaptivePlanner::evaluate(const std::string& reason, bool forced) {
     request.availability = &*view;
   }
 
-  const Schedule candidate = aheft_schedule(request);
+  Schedule candidate = aheft_schedule(request);
   const sim::Time candidate_makespan = candidate.makespan();
 
   // The incumbent the candidate must beat. Contention-blind: the last
@@ -111,7 +111,7 @@ void AdaptivePlanner::evaluate(const std::string& reason, bool forced) {
     AHEFT_LOG_DEBUG("t=" << clock << " adopting reschedule: "
                          << predicted_makespan_ << " -> "
                          << candidate_makespan << " (" << reason << ")");
-    engine_->submit(candidate);
+    engine_->submit(std::move(candidate));
     predicted_makespan_ = candidate_makespan;
     ++result_.adoptions;
   }
@@ -189,14 +189,14 @@ void AdaptivePlanner::start() {
   if (config_.contention_aware) {
     view.emplace(session_->availability_view(engine_.get()));
   }
-  const Schedule initial = heft_schedule(
+  Schedule initial = heft_schedule(
       dag_, estimates_, pool_, config_.scheduler, release_,
       view ? &*view : nullptr,
       /*allow_infeasible=*/session_->resilience().departure_action !=
           resilience::DepartureAction::kError);
   predicted_makespan_ = initial.makespan();
   result_.initial_makespan = predicted_makespan_;
-  engine_->submit(initial);
+  engine_->submit(std::move(initial));
 
   // Subscribe to every later resource-pool change (arrivals, departures).
   if (config_.react_to_pool_changes) {

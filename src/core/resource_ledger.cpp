@@ -29,11 +29,11 @@ bool window_before(const CommittedWindow& window,
 }
 
 /// Lower bound of `key` in a vector of (key, value) pairs sorted by key.
-template <typename Key, typename Value>
-auto key_bound(std::vector<std::pair<Key, Value>>& pairs, Key key) {
+template <typename Pairs, typename Key>
+auto key_bound(Pairs& pairs, Key key) {
   return std::lower_bound(
       pairs.begin(), pairs.end(), key,
-      [](const std::pair<Key, Value>& pair, Key k) { return pair.first < k; });
+      [](const auto& pair, Key k) { return pair.first < k; });
 }
 
 /// The value under `key` in a sorted (key, value) vector, inserted as
@@ -331,6 +331,14 @@ sim::Time ResourceLedger::committed_until(grid::ResourceId resource) const {
     until = std::max(until, end);
   }
   return until;
+}
+
+sim::Time ResourceLedger::committed_until_of(grid::ResourceId resource,
+                                              std::size_t participant) const {
+  const auto& horizons = timeline(resource).committed_until_by;
+  const auto it = key_bound(horizons, participant);
+  return it != horizons.end() && it->first == participant ? it->second
+                                                          : sim::kTimeZero;
 }
 
 sim::Time ResourceLedger::committed_until_excluding(

@@ -1,15 +1,18 @@
 // ResourceLedger: the session-owned reservation timeline of every machine.
 //
-// Before this ledger existed the contention surface was split across three
-// parallel structures: each ExecutionEngine kept per-resource job queues,
-// the session kept a per-resource pending-request list, and the committed
-// picture lived implicitly in every participant's busy_until() — so one
-// acquire scanned every registered workflow, and a machine event cost work
-// proportional to the whole session, not to the machine's own queue.
-// Advance-reservation grid schedulers centralize exactly this bookkeeping
-// (Moise et al., "Advance Reservation of Resources for Task Execution in
-// Grid Environments"): one per-resource ledger that arbitration,
-// backfilling, and adaptation all read.
+// Ownership contract: the ledger is the only record of machine time. Every
+// request, hold and occupation window of every participant lives here and
+// nowhere else — in particular, no participant keeps its own copy of how
+// long its committed work keeps a machine busy. The session reads that
+// horizon (committed_until_of) into every acquire and peek, the
+// contention policies read everyone else's (committed_until_excluding),
+// and planners read the foreign picture (snapshot_view). Participants
+// change the ledger only through the session, so policy hooks and
+// wakeups see every change. Advance-reservation grid schedulers
+// centralize exactly this bookkeeping (Moise et al., "Advance Reservation
+// of Resources for Task Execution in Grid Environments"): one
+// per-resource ledger that arbitration, backfilling, and adaptation all
+// read.
 //
 // The ledger tracks one timeline per resource. Every demand for machine
 // time is an entry moving through a small lifecycle:
@@ -174,6 +177,12 @@ class ResourceLedger {
   /// Latest committed end on `resource` over every participant;
   /// kTimeZero when none.
   [[nodiscard]] sim::Time committed_until(grid::ResourceId resource) const;
+
+  /// Latest committed end of `participant`'s own windows on `resource`;
+  /// kTimeZero when it has none. The session raises the participant's
+  /// requests to this horizon, so no participant keeps a copy of it.
+  [[nodiscard]] sim::Time committed_until_of(grid::ResourceId resource,
+                                             std::size_t participant) const;
 
   /// Latest committed end on `resource` over every participant except
   /// `participant` — the FCFS floor every policy builds on. Cost is

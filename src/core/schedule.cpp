@@ -48,6 +48,20 @@ void Schedule::assign(const Assignment& assignment) {
   ++assigned_;
 }
 
+void Schedule::unassign(dag::JobId job) {
+  const Assignment& slot = assignment(job);
+  const auto line = by_resource_.find(slot.resource);
+  std::vector<Assignment>& slots = line->second;
+  slots.erase(std::find_if(
+      slots.begin(), slots.end(),
+      [job](const Assignment& a) { return a.job == job; }));
+  if (slots.empty()) {
+    by_resource_.erase(line);  // a resource without slots has no timeline
+  }
+  by_job_[job].reset();
+  --assigned_;
+}
+
 bool Schedule::assigned(dag::JobId job) const {
   AHEFT_REQUIRE(job < by_job_.size(), "job id out of range");
   return by_job_[job].has_value();

@@ -38,6 +38,10 @@ class Schedule {
   /// not overlap existing slots on the same resource.
   void assign(const Assignment& assignment);
 
+  /// Removes `job`'s slot from the job index and from its resource's
+  /// timeline (the other slots keep their order); throws if unassigned.
+  void unassign(dag::JobId job);
+
   [[nodiscard]] std::size_t job_count() const { return by_job_.size(); }
   [[nodiscard]] std::size_t assigned_count() const { return assigned_; }
   [[nodiscard]] bool complete() const { return assigned_ == by_job_.size(); }

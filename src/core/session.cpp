@@ -237,6 +237,9 @@ sim::Time SimulationSession::acquire(const SessionParticipant* self,
   AHEFT_REQUIRE(duration >= 0.0, "acquisition duration must be >= 0");
   ShardState& shard = state_for(resource);
   const std::size_t index = index_of(self);
+  // The machine is busy with the caller's own committed work until its
+  // ledger horizon, whatever the caller passed.
+  ready = std::max(ready, shard.ledger.committed_until_of(resource, index));
   ParticipantRecord& record = shard.participants[index];
   if (record.active_since < 0.0) {
     record.active_since = ready;
@@ -340,6 +343,7 @@ sim::Time SimulationSession::peek(const SessionParticipant* self,
                                   double duration) const {
   const ShardState& shard = state_for(resource);
   const std::size_t index = index_of(self);
+  ready = std::max(ready, shard.ledger.committed_until_of(resource, index));
   const ParticipantRecord& record = shard.participants[index];
   ReservationEntry probe;
   // A probe prices a hypothetical NEW registration: give it the newest

@@ -115,8 +115,11 @@ struct SessionEnvironment {
 
 /// One workflow execution sharing the session's machines. All of a
 /// participant's machine state lives in the session's ResourceLedger
-/// (routed through acquire/commit), so the interface is only the
-/// callbacks the session pushes back: wakeups and the fair-share scale.
+/// (routed through acquire/commit). That includes how long its own
+/// committed work keeps each machine busy: acquire and peek read it from
+/// the ledger, so a participant keeps no copy. The interface is only the
+/// callbacks the session pushes back: wakeups, the fair-share scale and
+/// revocation.
 class SessionParticipant {
  public:
   virtual ~SessionParticipant() = default;
@@ -244,19 +247,22 @@ class SimulationSession {
   /// Registers (or refreshes) a pending ledger entry for `self`'s work
   /// `tag` on `resource` and returns the start time the contention policy
   /// grants: `ready` is the earliest start feasible for the participant
-  /// itself, `duration` the projected run length, `tag` identifies the
-  /// work behind the request (engines pass the job id) so a request
-  /// withdrawn by a reschedule and re-registered for the same work keeps
-  /// its wait baseline. A grant at or before `ready` means "start now"; a
-  /// later grant tells the caller when to retry — the entry stays queued
-  /// so competing grants see it.
+  /// itself (inputs, machine arrival), which the session raises to the
+  /// end of the participant's own committed work on `resource`
+  /// (ResourceLedger::committed_until_of); `duration` is the projected
+  /// run length, and `tag` identifies the work behind the request
+  /// (engines pass the job id) so a request withdrawn by a reschedule and
+  /// re-registered for the same work keeps its wait baseline. A grant at
+  /// or before `ready` means "start now"; a later grant tells the caller
+  /// when to retry — the entry stays queued so competing grants see it.
   [[nodiscard]] sim::Time acquire(const SessionParticipant* self,
                                   grid::ResourceId resource, sim::Time ready,
                                   double duration, std::uint64_t tag = 0);
 
   /// What acquire would currently grant, without registering an entry or
-  /// touching any state. Decision heuristics use this to price candidate
-  /// placements under the active policy.
+  /// touching any state; `ready` is raised to the caller's committed
+  /// horizon the same way. Decision heuristics use this to price
+  /// candidate placements under the active policy.
   [[nodiscard]] sim::Time peek(const SessionParticipant* self,
                                grid::ResourceId resource, sim::Time ready,
                                double duration) const;

@@ -85,14 +85,13 @@ class PlannerDriver final : public StrategyDriver {
 class DynamicDriver final : public StrategyDriver {
  public:
   explicit DynamicDriver(const StrategyConfig& config)
-      : heuristic_(config.heuristic),
-        contention_aware_(config.planner.contention_aware) {}
+      : contention_aware_(config.planner.contention_aware) {}
 
   [[nodiscard]] StrategyKind kind() const override {
     return StrategyKind::kDynamic;
   }
   [[nodiscard]] std::string name() const override {
-    return to_string(heuristic_) + " (dynamic)";
+    return "min-min (dynamic)";
   }
 
   void launch(SimulationSession& session, const dag::Dag& dag,
@@ -100,8 +99,7 @@ class DynamicDriver final : public StrategyDriver {
               const grid::CostProvider& actual,
               const LaunchOptions& options, Completion done) override {
     auto owned = std::make_unique<DynamicExecution>(
-        session, dag, actual, heuristic_, options.priority,
-        contention_aware_);
+        session, dag, actual, options.priority, contention_aware_);
     DynamicExecution* execution = owned.get();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -111,7 +109,6 @@ class DynamicDriver final : public StrategyDriver {
   }
 
  private:
-  DynamicHeuristic heuristic_;
   bool contention_aware_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<DynamicExecution>> launches_;

@@ -43,14 +43,13 @@ enum class StrategyKind { kStaticHeft, kAdaptiveAheft, kDynamic };
 [[nodiscard]] std::vector<std::string> strategy_names();
 
 /// Per-strategy knobs. The planner config drives HEFT (reaction flags
-/// forced off) and AHEFT; the heuristic drives the dynamic baseline.
+/// forced off) and AHEFT; the dynamic baseline is always Min-Min.
 /// PlannerConfig::contention_aware applies to every strategy: the
 /// planners fit their (re)plans into the session ledger's availability
 /// snapshot, and the dynamic baseline's release-time greedy-EFT estimate
 /// prices the same snapshot.
 struct StrategyConfig {
   PlannerConfig planner;
-  DynamicHeuristic heuristic = DynamicHeuristic::kMinMin;
 };
 
 /// Per-launch knobs of one workflow execution inside a session.

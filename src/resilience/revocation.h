@@ -52,7 +52,6 @@ class RevocationManager {
   /// Records a landed revocation of (participant, tag).
   void record(std::size_t participant, std::uint64_t tag) {
     ++counts_[{participant, tag}];
-    ++total_;
   }
 
   /// Latches `resource` for one in-flight preemption; returns false when
@@ -67,18 +66,10 @@ class RevocationManager {
     preempting_.erase(resource);
   }
 
-  [[nodiscard]] std::size_t total_revocations() const { return total_; }
-  [[nodiscard]] std::size_t revocations_of(std::size_t participant,
-                                           std::uint64_t tag) const {
-    const auto it = counts_.find({participant, tag});
-    return it == counts_.end() ? 0 : it->second;
-  }
-
  private:
   ResilienceConfig config_;
   std::map<std::pair<std::size_t, std::uint64_t>, std::size_t> counts_;
   std::set<grid::ResourceId> preempting_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace aheft::resilience

@@ -43,13 +43,6 @@ double OnlineStats::variance() const noexcept {
 
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double OnlineStats::sem() const noexcept {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  return stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 double improvement_rate(double base_mean, double variant_mean) {
   if (base_mean == 0.0) {
     return 0.0;

@@ -24,8 +24,6 @@ class OnlineStats {
   [[nodiscard]] double mean() const noexcept { return mean_; }
   [[nodiscard]] double variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
-  /// Standard error of the mean (stddev / sqrt(n)).
-  [[nodiscard]] double sem() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
   [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(count_); }

@@ -1,4 +1,4 @@
-// Dynamic just-in-time baseline tests (Min-Min / Max-Min / Sufferage).
+// Dynamic just-in-time Min-Min baseline tests.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -18,24 +18,18 @@ namespace {
 /// private session over `pool`.
 StrategyOutcome run_just_in_time(
     const dag::Dag& graph, const grid::CostProvider& model,
-    const grid::ResourcePool& pool,
-    DynamicHeuristic heuristic = DynamicHeuristic::kMinMin,
-    sim::TraceRecorder* trace = nullptr,
+    const grid::ResourcePool& pool, sim::TraceRecorder* trace = nullptr,
     const grid::LoadProfile* load = nullptr) {
   SessionEnvironment env = test::solo_environment(pool, trace);
   env.load = load;
-  StrategyConfig config;
-  config.heuristic = heuristic;
-  return run_strategy(StrategyKind::kDynamic, graph, model, model, env,
-                      config);
+  return run_strategy(StrategyKind::kDynamic, graph, model, model, env);
 }
 
 TEST(Dynamic, RunsSampleDagToCompletion) {
   const auto scenario = workloads::sample_scenario();
   sim::TraceRecorder trace;
   const StrategyOutcome result = run_just_in_time(
-      scenario.dag, scenario.model, scenario.pool,
-      DynamicHeuristic::kMinMin, &trace);
+      scenario.dag, scenario.model, scenario.pool, &trace);
   EXPECT_GT(result.makespan, 0.0);
   EXPECT_GE(result.evaluations, 1u);
   EXPECT_TRUE(result.schedule.complete());
@@ -84,22 +78,6 @@ TEST(Dynamic, MinMinPrefersShortJobFirstOnContention) {
   EXPECT_DOUBLE_EQ(result.schedule.assignment(1).start, 0.0);
   EXPECT_DOUBLE_EQ(result.schedule.assignment(0).start, 2.0);
   EXPECT_DOUBLE_EQ(result.makespan, 12.0);
-}
-
-TEST(Dynamic, MaxMinPrefersLongJobFirstOnContention) {
-  dag::Dag graph;
-  graph.add_job("long");
-  graph.add_job("short");
-  graph.finalize();
-  grid::ResourcePool pool;
-  pool.add(grid::Resource{});
-  grid::MachineModel model(2, 1);
-  model.set_compute_cost(0, 0, 10.0);
-  model.set_compute_cost(1, 0, 2.0);
-  const StrategyOutcome result =
-      run_just_in_time(graph, model, pool, DynamicHeuristic::kMaxMin);
-  EXPECT_DOUBLE_EQ(result.schedule.assignment(0).start, 0.0);
-  EXPECT_DOUBLE_EQ(result.schedule.assignment(1).start, 10.0);
 }
 
 TEST(Dynamic, UsesResourcesThatArriveMidRun) {
@@ -180,8 +158,8 @@ TEST(Dynamic, LoadProfileStretchesRealizedRunTimes) {
 
   traces::LoadTimeline load;
   load.add(0, 0.0, sim::kTimeInfinity, 2.0);
-  const StrategyOutcome stretched = run_just_in_time(
-      graph, model, pool, DynamicHeuristic::kMinMin, nullptr, &load);
+  const StrategyOutcome stretched =
+      run_just_in_time(graph, model, pool, nullptr, &load);
   EXPECT_DOUBLE_EQ(stretched.makespan, 30.0);
   EXPECT_NE(stretched.makespan, nominal.makespan);
 }
@@ -202,8 +180,8 @@ TEST(Dynamic, LoadSegmentSampledAtRealizedStart) {
 
   traces::LoadTimeline load;
   load.add(0, 10.0, sim::kTimeInfinity, 2.0);
-  const StrategyOutcome result = run_just_in_time(
-      graph, model, pool, DynamicHeuristic::kMinMin, nullptr, &load);
+  const StrategyOutcome result =
+      run_just_in_time(graph, model, pool, nullptr, &load);
   EXPECT_DOUBLE_EQ(result.makespan, 20.0);
 }
 
@@ -232,6 +210,23 @@ TEST(Dynamic, ReportsWhenNoMachineCanFinishBeforeDeparting) {
   pool.add(grid::Resource{.name = "doomed", .departure = 5.0});
   grid::MachineModel model(1, 1);
   model.set_compute_cost(0, 0, 10.0);
+  EXPECT_THROW(run_just_in_time(graph, model, pool), std::runtime_error);
+}
+
+TEST(Dynamic, ReportsWhenTheLastMachineLeavesAsAProducerFinishes) {
+  // a fits the machine's window exactly, so b becomes ready the instant
+  // the only machine departs: the same scenario error as above, not an
+  // internal invariant violation.
+  dag::Dag graph;
+  graph.add_job("a");
+  graph.add_job("b");
+  graph.add_edge(0, 1, 0.0);
+  graph.finalize();
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "leaving", .departure = 10.0});
+  grid::MachineModel model(2, 1);
+  model.set_compute_cost(0, 0, 10.0);
+  model.set_compute_cost(1, 0, 1.0);
   EXPECT_THROW(run_just_in_time(graph, model, pool), std::runtime_error);
 }
 
@@ -271,10 +266,72 @@ TEST(Dynamic, LoadStretchOutlivingTheMachineFailsTheRunMidDispatch) {
   EXPECT_FALSE(execution.finished());
 }
 
-TEST(Dynamic, HeuristicNames) {
-  EXPECT_EQ(to_string(DynamicHeuristic::kMinMin), "min-min");
-  EXPECT_EQ(to_string(DynamicHeuristic::kMaxMin), "max-min");
-  EXPECT_EQ(to_string(DynamicHeuristic::kSufferage), "sufferage");
+/// One just-in-time run of `graph` in a private session over `pool` with
+/// an active resilience config (graceful failure instead of aborts).
+StrategyOutcome run_resilient(const dag::Dag& graph,
+                              const grid::CostProvider& model,
+                              const grid::ResourcePool& pool) {
+  SessionEnvironment env;
+  env.pool = &pool;
+  env.resilience.departure_action = resilience::DepartureAction::kFail;
+  SimulationSession session(env);
+  DynamicExecution execution(session, graph, model);
+  std::optional<StrategyOutcome> result;
+  execution.launch(sim::kTimeZero,
+                   [&](StrategyOutcome r) { result = std::move(r); });
+  session.run();
+  EXPECT_TRUE(result.has_value());
+  return result.value_or(StrategyOutcome{});
+}
+
+TEST(DynamicDeferral, WaitsForTheNextPoolChangeAndRunsOnTheNewcomer) {
+  // At release the only machine leaves at 8, before the 10-unit job could
+  // finish there. The decision waits for the next pool change (the
+  // newcomer's arrival at 3) and places the job on the arriving machine.
+  dag::Dag graph;
+  graph.add_job("a");
+  graph.finalize();
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "leaving", .departure = 8.0});
+  pool.add(grid::Resource{.name = "newcomer", .arrival = 3.0});
+  grid::MachineModel model(1, 2);
+  model.set_compute_cost(0, 0, 10.0);
+  model.set_compute_cost(0, 1, 10.0);
+
+  const StrategyOutcome result = run_resilient(graph, model, pool);
+  EXPECT_FALSE(result.failed) << result.failure_reason;
+  EXPECT_EQ(result.evaluations, 2u);  // the stuck round, then the retry
+  ASSERT_TRUE(result.schedule.assigned(0));
+  EXPECT_EQ(result.schedule.assignment(0).resource, 1u);
+  EXPECT_DOUBLE_EQ(result.schedule.assignment(0).start, 3.0);
+  EXPECT_DOUBLE_EQ(result.makespan, 13.0);
+}
+
+TEST(DynamicDeferral, FailsWhenThePoolNeverChangesAgain) {
+  // The only machine leaves at 5, before the job could finish there, and
+  // nothing ever arrives: the deferred decision wakes at the departure,
+  // finds no machine at all and no later change, and fails the run
+  // gracefully.
+  dag::Dag graph;
+  graph.add_job("a");
+  graph.finalize();
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "doomed", .departure = 5.0});
+  grid::MachineModel model(1, 1);
+  model.set_compute_cost(0, 0, 10.0);
+
+  const StrategyOutcome result = run_resilient(graph, model, pool);
+  EXPECT_TRUE(result.failed);
+  EXPECT_EQ(result.failure_reason,
+            "no machine can finish job a before departing, and the pool "
+            "never changes again");
+  EXPECT_FALSE(result.schedule.assigned(0));
+  EXPECT_DOUBLE_EQ(result.makespan, 5.0);
+}
+
+TEST(Dynamic, DriverNameIsMinMin) {
+  EXPECT_EQ(make_strategy_driver(StrategyKind::kDynamic)->name(),
+            "min-min (dynamic)");
 }
 
 // ----- property sweep ------------------------------------------------------
@@ -283,15 +340,11 @@ class DynamicProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DynamicProperty, ProducesValidExecutions) {
   const test::RandomCase c = test::make_random_case(GetParam());
-  for (const auto heuristic :
-       {DynamicHeuristic::kMinMin, DynamicHeuristic::kMaxMin,
-        DynamicHeuristic::kSufferage}) {
-    sim::TraceRecorder trace;
-    const StrategyOutcome result =
-        run_just_in_time(c.workload.dag, c.model, c.pool, heuristic, &trace);
-    EXPECT_GT(result.makespan, 0.0);
-    test::expect_valid_trace(trace, c.workload.dag, c.model, c.pool);
-  }
+  sim::TraceRecorder trace;
+  const StrategyOutcome result =
+      run_just_in_time(c.workload.dag, c.model, c.pool, &trace);
+  EXPECT_GT(result.makespan, 0.0);
+  test::expect_valid_trace(trace, c.workload.dag, c.model, c.pool);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicProperty,

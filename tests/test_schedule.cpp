@@ -37,6 +37,42 @@ TEST(Schedule, TimelineSortedByStart) {
   EXPECT_TRUE(s.timeline(9).empty());
 }
 
+TEST(Schedule, UnassignRemovesTheSlotEverywhere) {
+  Schedule s(3);
+  s.assign(Assignment{0, 0, 0.0, 5.0});
+  s.assign(Assignment{1, 0, 5.0, 12.0});
+  s.assign(Assignment{2, 1, 0.0, 3.0});
+  ASSERT_TRUE(s.complete());
+
+  s.unassign(1);
+  EXPECT_FALSE(s.assigned(1));
+  EXPECT_THROW((void)s.assignment(1), std::invalid_argument);
+  EXPECT_EQ(s.assigned_count(), 2u);
+  EXPECT_FALSE(s.complete());
+  EXPECT_DOUBLE_EQ(s.makespan(), 5.0);
+  ASSERT_EQ(s.timeline(0).size(), 1u);
+  EXPECT_EQ(s.timeline(0)[0].job, 0u);
+  // The freed window is free again.
+  EXPECT_DOUBLE_EQ(s.earliest_slot(0, 5.0, 7.0, SlotPolicy::kInsertion, 0.0,
+                                   sim::kTimeInfinity),
+                   5.0);
+  EXPECT_THROW(s.unassign(1), std::invalid_argument);
+
+  // A resource whose last slot goes has no timeline left.
+  s.unassign(2);
+  EXPECT_TRUE(s.timeline(1).empty());
+  EXPECT_EQ(s.used_resources(), (std::vector<grid::ResourceId>{0}));
+
+  // Re-assigning restores the timeline, also on another resource.
+  s.assign(Assignment{1, 0, 5.0, 12.0});
+  s.assign(Assignment{2, 0, 12.0, 15.0});
+  ASSERT_EQ(s.timeline(0).size(), 3u);
+  EXPECT_EQ(s.timeline(0)[1].job, 1u);
+  EXPECT_EQ(s.timeline(0)[2].job, 2u);
+  EXPECT_TRUE(s.complete());
+  EXPECT_DOUBLE_EQ(s.makespan(), 15.0);
+}
+
 TEST(Schedule, RejectsDoubleAssignmentAndOverlap) {
   Schedule s(3);
   s.assign(Assignment{0, 0, 0.0, 5.0});

@@ -599,6 +599,43 @@ TEST(SessionLedger, WithdrawPreservesWaitBaselines) {
   EXPECT_EQ(stats.grants, 1u);
 }
 
+TEST(SessionLedger, RequestsBelowOwnCommittedWorkAreRaisedToItsEnd) {
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "only"});
+  pool.add(grid::Resource{.name = "other"});
+  Probe owner;
+  Probe competitor;
+  SimulationSession session(backfill_env(pool, false));
+  session.add_participant(&owner);
+  session.add_participant(&competitor);
+  ASSERT_DOUBLE_EQ(session.acquire(&owner, 0, 0.0, 10.0, 1), 0.0);
+  session.commit(&owner, 0, 1, 0.0, 10.0);
+  EXPECT_DOUBLE_EQ(session.ledger().committed_until_of(0, 0), 10.0);
+  EXPECT_DOUBLE_EQ(session.ledger().committed_until_of(0, 1), 0.0);
+
+  // The owner's machine is busy with its own job until 10, whatever ready
+  // time it asks with; the FCFS floor alone excludes its own windows.
+  EXPECT_DOUBLE_EQ(session.peek(&owner, 0, 2.0, 5.0), 10.0);
+  EXPECT_DOUBLE_EQ(session.acquire(&owner, 0, 2.0, 5.0, 2), 10.0);
+  ASSERT_EQ(session.ledger().queue(0).size(), 1u);
+  EXPECT_DOUBLE_EQ(session.ledger().queue(0)[0].ready, 10.0);
+  EXPECT_DOUBLE_EQ(session.ledger().queue(0)[0].first_ready, 10.0);
+  // A later ready time and another machine are left alone.
+  EXPECT_DOUBLE_EQ(session.peek(&owner, 0, 12.0, 5.0), 12.0);
+  EXPECT_DOUBLE_EQ(session.peek(&owner, 1, 2.0, 5.0), 2.0);
+  // The competitor sees the owner's window as the FCFS floor.
+  EXPECT_DOUBLE_EQ(session.peek(&competitor, 0, 2.0, 5.0), 10.0);
+
+  // Starting at the raised time is no wait.
+  session.commit(&owner, 0, 2, 10.0, 15.0);
+  EXPECT_DOUBLE_EQ(session.contention_stats(&owner).total_wait, 0.0);
+
+  // Truncating the last window shrinks the horizon to the cut.
+  session.truncate_commit(&owner, 0, 2, 12.0);
+  EXPECT_DOUBLE_EQ(session.ledger().committed_until_of(0, 0), 12.0);
+  EXPECT_DOUBLE_EQ(session.peek(&owner, 0, 2.0, 5.0), 12.0);
+}
+
 // ------------------------------------------------ participant slots --
 
 TEST(SessionRegistration, UnregisteredOrForeignParticipantsThrow) {
