@@ -323,8 +323,7 @@ int main(int argc, char** argv) {
       {{"machines", static_cast<double>(scenario.pool.universe_size())},
        {"arrivals", static_cast<double>(scenario.job_arrivals.size())},
        {"load_segments",
-        static_cast<double>(scenario.load.segments().size())},
-       {"events", static_cast<double>(scenario.events.size())}});
+        static_cast<double>(scenario.load.segments().size())}});
 
   // --------------------------------------------------------------- soak --
   std::cout << "\nfitted-stream soak (" << soak_jobs << " jobs):\n";

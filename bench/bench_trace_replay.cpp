@@ -1,13 +1,13 @@
 // EXP-T1 — HEFT vs AHEFT under trace-driven and bursty grid volatility.
 //
 // The paper evaluates AHEFT only on fixed-interval synthetic dynamics
-// (Table 2/5); this bench drives both strategies through the scenario-
-// source registry instead: an MMPP-style `bursty` environment (clustered
+// (Table 2/5); this bench drives both strategies through two other
+// scenario sources instead: an MMPP-style `bursty` environment (clustered
 // arrivals + load spikes) and a `trace` environment replayed from a
 // recorded file. It also proves record/replay fidelity: the first case's
 // environment is written to a grid trace and re-run through the trace
-// source, which must reproduce the identical AHEFT makespan and event
-// sequence.
+// source, which must reproduce the identical AHEFT makespan and
+// environment (resource windows, load segments and arrivals).
 //
 // Extra knobs: --trace-out=path keeps the recorded trace file around.
 #include <cstdio>
@@ -56,6 +56,28 @@ std::vector<exp::CaseSpec> build_specs(Scale scale, std::uint64_t master) {
   return specs;
 }
 
+/// Writes `scenario` to `path`, reads it back through the "trace" source
+/// and reports whether the two recordings match: every resource window
+/// (departures included), load segment and arrival record.
+bool replays_exactly(const traces::CompiledScenario& scenario,
+                     const std::string& path) {
+  const traces::GridTrace recorded =
+      traces::record_scenario(scenario, "bench-replay");
+  traces::write_trace_file(path, recorded);
+  traces::ScenarioRequest request;
+  request.trace_path = path;
+  return traces::record_scenario(traces::build_scenario("trace", request),
+                                 "bench-replay") == recorded;
+}
+
+std::size_t departures(const grid::ResourcePool& pool) {
+  std::size_t count = 0;
+  for (const grid::Resource& r : pool.all()) {
+    count += r.departure < sim::kTimeInfinity ? 1 : 0;
+  }
+  return count;
+}
+
 void report(const char* title, const exp::SweepOutcome& outcome) {
   const exp::GroupStats stats = exp::overall(outcome);
   const double heft = stats.heft.mean();
@@ -91,28 +113,34 @@ int main(int argc, char** argv) {
   exp::CaseSpec probe = bursty_specs.front();
   probe.scenario_source = "bursty";
   const exp::CaseEnvironment env = exp::build_case_environment(probe);
-  traces::write_trace_file(
-      trace_path, traces::record_scenario(env.scenario, "bench-replay"));
+  const bool same_environment = replays_exactly(env.scenario, trace_path);
+  // The sweep's environments never lose a machine (static HEFT could not
+  // finish), so a failure-burst variant proves departures replay too.
+  exp::CaseSpec failing = probe;
+  failing.bursty.failure_fraction = 0.5;
+  const exp::CaseEnvironment failing_env =
+      exp::build_case_environment(failing);
+  const std::string failing_path = trace_path + ".failures";
+  const bool same_failures =
+      replays_exactly(failing_env.scenario, failing_path);
+  std::remove(failing_path.c_str());
 
   exp::CaseSpec replay = probe;
   replay.scenario_source = "trace";
   replay.trace_path = trace_path;
   const exp::CaseResult live = exp::run_case(probe);
   const exp::CaseResult replayed = exp::run_case(replay);
-  // Compare the replayed event stream straight from the trace source —
-  // no need to rebuild the whole case environment for it.
-  traces::ScenarioRequest replay_request;
-  replay_request.trace_path = trace_path;
-  const bool faithful =
-      live.aheft_makespan == replayed.aheft_makespan &&
-      traces::build_scenario("trace", replay_request).events ==
-          env.scenario.events;
+  const bool faithful = live.aheft_makespan == replayed.aheft_makespan &&
+                        same_environment && same_failures;
   std::cout << "record/replay fidelity: "
-            << (faithful ? "identical makespan and event sequence"
-                         : "MISMATCH")
+            << (faithful ? "identical makespan and environment" : "MISMATCH")
             << " (aheft " << format_double(live.aheft_makespan, 3) << " vs "
             << format_double(replayed.aheft_makespan, 3) << ", "
-            << env.scenario.events.size() << " events)\n\n";
+            << env.scenario.pool.universe_size() << " resources, "
+            << env.scenario.load.segments().size()
+            << " load segments; failure-burst variant "
+            << (same_failures ? "identical" : "MISMATCH") << ", "
+            << departures(failing_env.scenario.pool) << " departures)\n\n";
 
   // --- bursty scenario -------------------------------------------------
   {

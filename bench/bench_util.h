@@ -2,7 +2,8 @@
 //
 // Every bench accepts:
 //   --scale=smoke|default|paper   (or $AHEFT_SCALE; default: default)
-//   --threads=N                   (0 = hardware concurrency)
+//   --threads=N                   (0 = hardware concurrency; at most
+//                                  kMaxThreads)
 //   --seed=N                      (master seed, default 42)
 //   --csv=path                    (optional per-case dump)
 //   --scenario-source=NAME        (grid environment backend; default keeps
@@ -11,8 +12,9 @@
 //   --trace=path                  (trace file for --scenario-source=trace)
 //   --archive=path                (SWF/GWA log for
 //                                  --scenario-source=archive|fitted)
-//   --help                        (lists the flags plus every registered
-//                                  scenario source and contention policy)
+//   --help                        (lists the flags plus every scenario
+//                                  source and registered contention
+//                                  policy)
 //   --contention-policy=NAME      (cross-workflow machine arbitration for
 //                                  stream benches: fcfs, priority,
 //                                  fair-share, or a custom registration)
@@ -33,11 +35,14 @@
 #ifndef AHEFT_BENCH_BENCH_UTIL_H_
 #define AHEFT_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -75,9 +80,9 @@ struct BenchOptions {
   std::string json;
 };
 
-/// Prints the shared flag reference plus the live backend registries —
-/// scenario sources with their descriptions and contention policies —
-/// so `--help` always reflects what is actually registered.
+/// Prints the shared flag reference plus the backends — scenario sources
+/// with their descriptions and the registered contention policies — so
+/// `--help` always reflects what the binary can run.
 inline void print_help(const char* program) {
   std::cout
       << "usage: " << program << " [options]\n\n"
@@ -107,13 +112,12 @@ inline void print_help(const char* program) {
     std::cout << ' ' << name;
   }
   std::cout << "\n\nscenario sources:\n";
-  const auto& sources = traces::ScenarioSourceRegistry::instance();
-  for (const std::string& name : sources.names()) {
+  for (const std::string& name : traces::scenario_source_names()) {
     std::cout << "  " << name;
     for (std::size_t pad = name.size(); pad < 12; ++pad) {
       std::cout << ' ';
     }
-    std::cout << sources.require(name).description() << "\n";
+    std::cout << traces::scenario_source(name).description() << "\n";
   }
   std::cout << "\ncontention policies:\n ";
   for (const std::string& name :
@@ -135,6 +139,43 @@ inline void print_help(const char* program) {
                "grammar.\n";
 }
 
+/// Upper bound on --threads. Each worker is an OS thread, so a typo such
+/// as --threads=100000 is refused instead of started.
+inline constexpr std::uint64_t kMaxThreads = 256;
+
+/// `text` as an unsigned decimal integer, or nullopt. Digits only: a
+/// sign, an empty value, trailing junk ("3abc") or a value past 64 bits
+/// is refused rather than half-parsed.
+inline std::optional<std::uint64_t> parse_digits(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Parses --<flag>=N, an integer in [0, ceiling]; returns `fallback` when
+/// the flag is absent and exits 2 with a message naming the flag on any
+/// other value.
+inline std::uint64_t parse_count(const ArgParser& args,
+                                 const std::string& flag,
+                                 std::uint64_t fallback,
+                                 std::uint64_t ceiling) {
+  if (!args.has(flag)) {
+    return fallback;
+  }
+  const std::string text = args.get(flag, "");
+  const std::optional<std::uint64_t> value = parse_digits(text);
+  if (!value || *value > ceiling) {
+    std::cerr << "bad --" << flag << " value '" << text
+              << "' (want an integer from 0 to " << ceiling << ")\n";
+    std::exit(2);
+  }
+  return *value;
+}
+
 inline BenchOptions parse_options(int argc, char** argv) {
   const ArgParser args(argc, argv);
   if (args.has("help")) {
@@ -143,9 +184,10 @@ inline BenchOptions parse_options(int argc, char** argv) {
   }
   BenchOptions options;
   options.scale = args.scale();
-  options.threads =
-      static_cast<std::size_t>(args.get_int("threads", 0));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  options.threads = static_cast<std::size_t>(
+      parse_count(args, "threads", 0, kMaxThreads));
+  options.seed = parse_count(args, "seed", 42,
+                             std::numeric_limits<std::uint64_t>::max());
   options.csv = args.get("csv", "");
   options.scenario_source = args.get("scenario-source", "");
   options.trace_path = args.get("trace", "");
@@ -194,24 +236,14 @@ inline std::vector<std::size_t> parse_size_axis(
   std::stringstream in(args.get(flag, ""));
   std::string token;
   while (std::getline(in, token, ',')) {
-    // All-digits only: std::stoul alone would wrap negatives to huge
-    // values and silently ignore trailing junk ("3abc").
-    try {
-      if (token.empty() ||
-          token.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("not a positive integer");
-      }
-      const unsigned long value = std::stoul(token);
-      if (value == 0) {
-        throw std::invalid_argument("zero");
-      }
-      values.push_back(static_cast<std::size_t>(value));
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> value = parse_digits(token);
+    if (!value || *value == 0) {
       std::cerr << "bad --" << flag << " token '" << token
                 << "' (want positive integers, e.g. --" << flag << "="
                 << example << ")\n";
       std::exit(2);
     }
+    values.push_back(static_cast<std::size_t>(*value));
   }
   if (values.empty()) {
     std::cerr << "--" << flag << " needs at least one positive integer\n";

@@ -2,7 +2,8 @@
 // grid with the "bursty" scenario source, run AHEFT on it, persist the
 // environment to a plain-text grid trace, then reload the file through
 // the "trace" scenario source and verify the replay reproduces the
-// identical makespan and grid-event sequence.
+// identical makespan and environment: every resource window (departures
+// included), load segment and arrival record.
 //
 // Usage: dynamic_trace_replay [--dag=path] [--seed=3] [--out=path]
 //                             [--source=bursty|synthetic]
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
             << workflow.job_count() << " jobs, " << workflow.edge_count()
             << " edges\n\n";
 
-  // --- 1. generate a volatile environment through the registry ---------
+  // --- 1. generate a volatile environment through a scenario source ----
   traces::ScenarioRequest request;
   request.dynamics.initial = 3;
   request.dynamics.interval = 20.0;
@@ -145,8 +146,6 @@ int main(int argc, char** argv) {
           });
       if (!spiked_before_doom && r.arrival == sim::kTimeZero) {
         scenario.pool.set_departure(r.id, doom_at);
-        scenario.events =
-            traces::derive_events(scenario.pool, scenario.load);
         std::cout << "machine '" << r.name
                   << "' will leave the grid at t=" << doom_at << "\n";
         doomed = true;
@@ -161,10 +160,10 @@ int main(int argc, char** argv) {
 
   std::cout << "scenario source '" << source << "': "
             << scenario.pool.universe_size() << " resources, "
-            << scenario.load.segments().size() << " load segments, "
-            << scenario.events.size() << " grid events\n";
-  for (const grid::GridEvent& event : scenario.events) {
-    std::cout << "  " << grid::describe(event) << "\n";
+            << scenario.load.segments().size() << " load segments\n";
+  for (const grid::Resource& r : scenario.pool.all()) {
+    std::cout << "  " << r.name << " present [" << r.arrival << ", "
+              << r.departure << ")\n";
   }
 
   // --- 2. run AHEFT on the live scenario -------------------------------
@@ -202,12 +201,14 @@ int main(int argc, char** argv) {
       run_once(workflow, replay, seed, nullptr);
 
   const bool same_makespan = replayed.makespan == result.makespan;
-  const bool same_events = replay.events == scenario.events;
+  const bool same_environment =
+      traces::record_scenario(replay, workflow.name()) == recorded;
   std::cout << "replayed makespan:  " << replayed.makespan
             << (same_makespan ? "  (identical)" : "  (MISMATCH!)") << "\n"
-            << "event sequence:     "
-            << (same_events ? "identical" : "MISMATCH") << " ("
-            << replay.events.size() << " events)\n\n";
+            << "environment:        "
+            << (same_environment ? "identical" : "MISMATCH") << " ("
+            << replay.pool.universe_size() << " resources, "
+            << replay.load.segments().size() << " load segments)\n\n";
 
   std::vector<std::string> jobs;
   std::vector<std::string> machines;
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "execution trace:\n" << exec_trace.gantt(jobs, machines);
 
-  if (!same_makespan || !same_events) {
+  if (!same_makespan || !same_environment) {
     std::cerr << "replay diverged from the recorded run\n";
     return 1;
   }

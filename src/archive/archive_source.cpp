@@ -12,7 +12,6 @@
 #include "archive/fitted_model.h"
 #include "archive/swf_reader.h"
 #include "support/assert.h"
-#include "traces/scenario_source.h"
 
 namespace aheft::archive {
 
@@ -256,7 +255,6 @@ class ArchiveReplaySource final : public traces::ScenarioSource {
     }
 
     scenario.load.sort();
-    scenario.events = derive_events(scenario.pool, scenario.load);
     return scenario;
   }
 };
@@ -338,16 +336,18 @@ class FittedSource final : public traces::ScenarioSource {
     }
 
     scenario.load.sort();
-    scenario.events = derive_events(scenario.pool, scenario.load);
     return scenario;
   }
 };
 
 }  // namespace
 
-void register_archive_sources(traces::ScenarioSourceRegistry& registry) {
-  registry.register_source(std::make_unique<ArchiveReplaySource>());
-  registry.register_source(std::make_unique<FittedSource>());
+std::unique_ptr<traces::ScenarioSource> make_archive_source() {
+  return std::make_unique<ArchiveReplaySource>();
+}
+
+std::unique_ptr<traces::ScenarioSource> make_fitted_source() {
+  return std::make_unique<FittedSource>();
 }
 
 }  // namespace aheft::archive

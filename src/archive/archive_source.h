@@ -10,22 +10,22 @@
 //            unbounded, seeded, statistically-faithful stream from them:
 //            heavy-tailed runtimes, diurnal arrivals, bag-of-task bursts.
 //
-// Both read ScenarioRequest::archive (traces::ArchiveParams). They are
-// registered with the global registry by the ScenarioSourceRegistry
-// constructor through register_archive_sources(), keeping the archive
-// machinery out of the traces layer proper.
+// Both read ScenarioRequest::archive (traces::ArchiveParams). The
+// traces layer's table of built-in sources holds one of each, which keeps
+// the archive machinery out of the traces layer proper.
 #ifndef AHEFT_ARCHIVE_ARCHIVE_SOURCE_H_
 #define AHEFT_ARCHIVE_ARCHIVE_SOURCE_H_
 
-namespace aheft::traces {
-class ScenarioSourceRegistry;
-}  // namespace aheft::traces
+#include <memory>
+
+#include "traces/scenario_source.h"
 
 namespace aheft::archive {
 
-/// Registers the `archive` and `fitted` backends with `registry`.
-/// Idempotent: re-registering replaces the previous instances.
-void register_archive_sources(traces::ScenarioSourceRegistry& registry);
+/// The `archive` replay backend.
+[[nodiscard]] std::unique_ptr<traces::ScenarioSource> make_archive_source();
+/// The `fitted` generator backend.
+[[nodiscard]] std::unique_ptr<traces::ScenarioSource> make_fitted_source();
 
 }  // namespace aheft::archive
 

@@ -56,28 +56,15 @@ sim::Time ExecutionEngine::ensure_transfer(std::size_t edge_index,
   if (const auto it = per_edge.find(target); it != per_edge.end()) {
     return it->second;  // already there or already in flight
   }
-  // Transfer start depends on the file-movement model; see TransferPolicy.
-  const double c = actual_->comm_cost(edge, producer.resource, target);
-  sim::Time start = when;
-  sim::Time arrival = when + c;
-  switch (transfer_policy_) {
-    case TransferPolicy::kRetransmitFromClock:
-      break;  // leaves now
-    case TransferPolicy::kEagerReplicate:
-      start = std::max(producer.aft, pool_->resource(target).arrival);
-      arrival = start + c;
-      break;
-    case TransferPolicy::kPrestagedArrivals:
-      arrival =
-          std::max(producer.aft + c, pool_->resource(target).arrival);
-      start = arrival - c;
-      break;
+  const TransferWindow window = transfer_window(
+      transfer_policy_, when, producer.aft, pool_->resource(target).arrival,
+      actual_->comm_cost(edge, producer.resource, target));
+  record_.record_arrival(edge_index, target, window.arrival);
+  if (trace_ != nullptr && window.arrival > window.start) {
+    trace_->record_transfer(edge.from, edge.to, target, window.start,
+                            window.arrival);
   }
-  record_.record_arrival(edge_index, target, arrival);
-  if (trace_ != nullptr && arrival > start) {
-    trace_->record_transfer(edge.from, edge.to, target, start, arrival);
-  }
-  return arrival;
+  return window.arrival;
 }
 
 void ExecutionEngine::submit(Schedule schedule) {

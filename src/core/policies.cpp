@@ -1,5 +1,7 @@
 #include "core/policies.h"
 
+#include <algorithm>
+
 namespace aheft::core {
 
 std::string to_string(SlotPolicy policy) {
@@ -32,6 +34,27 @@ std::string to_string(TransferPolicy policy) {
       return "prestaged-arrivals";
   }
   return "unknown";
+}
+
+TransferWindow transfer_window(TransferPolicy policy, sim::Time now,
+                               sim::Time produced, sim::Time target_arrival,
+                               double cost) {
+  switch (policy) {
+    case TransferPolicy::kRetransmitFromClock:
+      // "The file transmission can not be earlier than clock."
+      break;
+    case TransferPolicy::kEagerReplicate: {
+      // The copy left at max(AFT, target arrival).
+      const sim::Time start = std::max(produced, target_arrival);
+      return {start, start + cost};
+    }
+    case TransferPolicy::kPrestagedArrivals: {
+      // A joining resource syncs previously produced files on arrival.
+      const sim::Time arrival = std::max(produced + cost, target_arrival);
+      return {arrival - cost, arrival};
+    }
+  }
+  return {now, now + cost};
 }
 
 }  // namespace aheft::core

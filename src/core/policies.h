@@ -5,6 +5,8 @@
 
 #include <string>
 
+#include "sim/time.h"
+
 namespace aheft::core {
 
 /// How a job is placed on a resource's timeline.
@@ -43,6 +45,23 @@ enum class TransferPolicy {
   kEagerReplicate,
   kPrestagedArrivals
 };
+
+/// When a finished job's output that was never sent to a machine moves
+/// there: the copy leaves at `start` and lands at `arrival`.
+struct TransferWindow {
+  sim::Time start = sim::kTimeZero;
+  sim::Time arrival = sim::kTimeZero;
+};
+
+/// The one statement of each TransferPolicy: the window of a transfer
+/// asked for at `now`, of an output produced at `produced`, taking `cost`
+/// to a machine that joined the grid at `target_arrival`. The planner's
+/// Eq. 1 Case 2 and the executor both price such a move through here.
+[[nodiscard]] TransferWindow transfer_window(TransferPolicy policy,
+                                             sim::Time now,
+                                             sim::Time produced,
+                                             sim::Time target_arrival,
+                                             double cost);
 
 /// Scheduler configuration shared by HEFT and AHEFT.
 struct SchedulerConfig {

@@ -124,20 +124,10 @@ sim::Time input_available(const RescheduleRequest& request,
     return input.finish + c;
   }
   // Case 2: finished, but the output was never directed to `target`.
-  switch (request.config.transfer_policy) {
-    case TransferPolicy::kRetransmitFromClock:
-      // "The file transmission can not be earlier than clock."
-      return request.clock + c;
-    case TransferPolicy::kEagerReplicate:
-      // The copy left at max(AFT, target arrival).
-      return std::max(input.finish, request.pool->resource(target).arrival) +
-             c;
-    case TransferPolicy::kPrestagedArrivals:
-      // A joining resource syncs previously produced files on arrival.
-      return std::max(input.finish + c,
-                      request.pool->resource(target).arrival);
-  }
-  return request.clock + c;
+  return transfer_window(request.config.transfer_policy, request.clock,
+                         input.finish, request.pool->resource(target).arrival,
+                         c)
+      .arrival;
 }
 
 /// One greedy pass (the paper's Fig. 3 procedure) over a given job order.

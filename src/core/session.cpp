@@ -256,10 +256,6 @@ sim::Time SimulationSession::acquire(const SessionParticipant* self,
   return grant;
 }
 
-resilience::RevocationManager* SimulationSession::revocation() noexcept {
-  return state().revocation.get();
-}
-
 bool SimulationSession::may_revoke(const SessionParticipant* self,
                                    std::uint64_t tag) const {
   const ShardState& shard = state();

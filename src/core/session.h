@@ -301,9 +301,6 @@ class SimulationSession {
                        grid::ResourceId resource, std::uint64_t tag,
                        sim::Time at, bool carry_baseline = false);
 
-  /// The calling shard's revocation bookkeeping; null when the
-  /// environment's resilience config is inactive.
-  [[nodiscard]] resilience::RevocationManager* revocation() noexcept;
   /// Whether `self`'s work `tag` may absorb another revocation under the
   /// resilience per-job cap (true when resilience is inactive).
   [[nodiscard]] bool may_revoke(const SessionParticipant* self,

@@ -109,8 +109,7 @@ CaseEnvironment build_case_environment(const CaseSpec& spec) {
   request.stream.interarrival_mean = spec.stream_interarrival;
 
   const traces::ScenarioSource& source =
-      traces::ScenarioSourceRegistry::instance().require(
-          spec.scenario_source);
+      traces::scenario_source(spec.scenario_source);
 
   // Pass 1: plan on the environment's t = 0 pool alone to size the
   // arrival horizon (generator sources emit no dynamics at horizon 0;

@@ -35,8 +35,8 @@ struct CaseSpec {
   /// can finish well after the static plan would have.
   double horizon_factor = 1.0;
   core::SchedulerConfig scheduler;
-  /// Scenario-source registry key building the grid environment
-  /// ("synthetic", "trace", "bursty", or a custom registration).
+  /// Name of the built-in scenario source building the grid environment
+  /// (see traces::scenario_source_names()).
   std::string scenario_source = "synthetic";
   /// Trace file consumed by the "trace" source.
   std::string trace_path;

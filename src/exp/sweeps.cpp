@@ -205,7 +205,7 @@ void set_scenario_source(std::vector<CaseSpec>& specs,
   // Validate eagerly so a typo'd --scenario-source or a forgotten
   // --trace/--archive fails before the sweep starts, not on the first
   // case.
-  (void)traces::ScenarioSourceRegistry::instance().require(source);
+  (void)traces::scenario_source(source);
   if (source == "trace" && trace_path.empty()) {
     throw std::invalid_argument(
         "scenario source 'trace' needs a trace file (--trace=path)");

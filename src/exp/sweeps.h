@@ -53,7 +53,7 @@ enum class SweepAxis { kCcr, kBeta, kJobs, kPool, kInterval, kFraction };
 /// Applies a scenario-source axis to every spec: the benches'
 /// --scenario-source=NAME knob. `trace_path` feeds the "trace" source;
 /// `archive_path` feeds the "archive" and "fitted" sources (--archive).
-/// Throws std::invalid_argument when the source is not registered or
+/// Throws std::invalid_argument when there is no such source or
 /// when a file-driven source is missing its path.
 void set_scenario_source(std::vector<CaseSpec>& specs,
                          std::string_view source,

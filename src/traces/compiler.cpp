@@ -1,10 +1,8 @@
 #include "traces/compiler.h"
 
-#include <algorithm>
-
 namespace aheft::traces {
 
-CompiledScenario TraceCompiler::compile(const GridTrace& trace) const {
+CompiledScenario compile_trace(const GridTrace& trace) {
   CompiledScenario scenario;
   for (const ResourceRecord& record : trace.resources) {
     scenario.pool.add(grid::Resource{.name = record.name,
@@ -16,32 +14,8 @@ CompiledScenario TraceCompiler::compile(const GridTrace& trace) const {
                       record.multiplier);
   }
   scenario.load.sort();
-  scenario.events =
-      derive_events(scenario.pool, scenario.load, options_.event_horizon);
   scenario.job_arrivals = trace.jobs;
   return scenario;
-}
-
-std::vector<grid::GridEvent> derive_events(const grid::ResourcePool& pool,
-                                           const LoadTimeline& load,
-                                           sim::Time horizon) {
-  std::vector<grid::GridEvent> events =
-      grid::pool_change_events(pool, sim::kTimeZero, horizon);
-  for (const LoadSegment& segment : load.segments()) {
-    if (segment.start > horizon) {
-      continue;
-    }
-    events.push_back(grid::GridEvent{
-        segment.start,
-        grid::PerformanceVarianceEvent{dag::kInvalidJob, segment.resource,
-                                       1.0, segment.multiplier}});
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const grid::GridEvent& a, const grid::GridEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.payload.index() < b.payload.index();
-                   });
-  return events;
 }
 
 GridTrace record_scenario(const grid::ResourcePool& pool,

@@ -1,8 +1,8 @@
-// TraceCompiler: turns a parsed GridTrace into the inputs the rest of the
-// library consumes — a grid::ResourcePool availability timeline, a
-// LoadTimeline of effective cost scaling for the execution engine, and
-// the derived grid::GridEvent stream (ResourceAdded/Removed plus
-// load-driven PerformanceVariance notifications).
+// compile_trace() turns a parsed GridTrace into the inputs the rest of
+// the library consumes: a grid::ResourcePool availability timeline and a
+// LoadTimeline of effective cost scaling for the execution engine. The
+// planner reads pool changes straight from the pool and load-driven
+// variance from the engine, so a scenario carries nothing else.
 //
 // record_scenario() is the inverse: it snapshots a pool + load timeline
 // back into a writable trace, so any simulated environment — including
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "grid/events.h"
 #include "grid/resource_pool.h"
 #include "traces/load_timeline.h"
 #include "traces/trace_format.h"
@@ -25,43 +24,18 @@ namespace aheft::traces {
 struct CompiledScenario {
   grid::ResourcePool pool;
   LoadTimeline load;
-  /// Environment feed: pool changes and load-driven variance, sorted by
-  /// (time, kind, resource). Replays compare this sequence verbatim.
-  std::vector<grid::GridEvent> events;
   /// Workload arrival records carried through from the trace (empty for
   /// single-DAG scenarios, where every job is present at t = 0).
   std::vector<JobArrivalRecord> job_arrivals;
 };
 
-class TraceCompiler {
- public:
-  struct Options {
-    /// Events later than this are dropped from the compiled stream (the
-    /// pool itself keeps its full timeline).
-    sim::Time event_horizon = sim::kTimeInfinity;
-  };
-
-  TraceCompiler() = default;
-  explicit TraceCompiler(Options options) : options_(options) {}
-
-  /// Compiles a parsed trace. The parser already enforced the per-record
-  /// invariants, so this only has to assemble the runtime structures.
-  [[nodiscard]] CompiledScenario compile(const GridTrace& trace) const;
-
- private:
-  Options options_;
-};
-
-/// Derives the full event stream of a scenario: pool changes plus one
-/// PerformanceVarianceEvent per load-segment onset (job = kInvalidJob,
-/// estimated = 1, actual = segment multiplier).
-[[nodiscard]] std::vector<grid::GridEvent> derive_events(
-    const grid::ResourcePool& pool, const LoadTimeline& load,
-    sim::Time horizon = sim::kTimeInfinity);
+/// Compiles a parsed trace. The parser already enforced the per-record
+/// invariants, so this only has to assemble the runtime structures.
+[[nodiscard]] CompiledScenario compile_trace(const GridTrace& trace);
 
 /// Snapshots a live scenario into a writable trace (load segments are
-/// emitted in canonical order). compile(record_scenario(s)) reproduces
-/// the same pool windows, load timeline, and event stream.
+/// emitted in canonical order). compile_trace(record_scenario(s))
+/// reproduces the same pool windows, load timeline and arrivals.
 [[nodiscard]] GridTrace record_scenario(
     const grid::ResourcePool& pool, const LoadTimeline& load,
     std::string name, std::vector<JobArrivalRecord> jobs = {});

@@ -1,8 +1,10 @@
 #include "traces/scenario_source.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 
@@ -53,14 +55,13 @@ class SyntheticSource final : public ScenarioSource {
         request.stream.jobs > 0 ? request.stream.jobs - 1 : 0,
         request.stream.interarrival_mean);
     emit_job_arrivals(scenario, request.stream.jobs, gaps);
-    scenario.events = derive_events(scenario.pool, scenario.load);
     return scenario;
   }
 };
 
 // -------------------------------------------------------------- trace --
 
-/// Replays a recorded trace file (or inline text) through the compiler.
+/// Replays a recorded trace file (or inline text) through compile_trace().
 class TraceSource final : public ScenarioSource {
  public:
   [[nodiscard]] std::string name() const override { return "trace"; }
@@ -76,7 +77,7 @@ class TraceSource final : public ScenarioSource {
           "trace scenario source needs trace_path or trace_text");
     }
     if (!request.trace_text.empty()) {
-      return TraceCompiler().compile(read_trace_string(request.trace_text));
+      return compile_trace(read_trace_string(request.trace_text));
     }
     // Sweeps run hundreds of cases against the same file from worker
     // threads; parse each path once for the process lifetime. (A file
@@ -94,7 +95,7 @@ class TraceSource final : public ScenarioSource {
       }
       trace = &it->second;
     }
-    return TraceCompiler().compile(*trace);
+    return compile_trace(*trace);
   }
 
  private:
@@ -222,78 +223,50 @@ class BurstySource final : public ScenarioSource {
     }
 
     scenario.load.sort();
-    scenario.events = derive_events(scenario.pool, scenario.load);
     return scenario;
   }
 };
 
+using SourceTable = std::array<std::unique_ptr<const ScenarioSource>, 5>;
+
+/// The built-in backends, sorted by name. Built once, on first use, and
+/// never changed after, so lookups need no lock.
+const SourceTable& builtin_sources() {
+  static const SourceTable table{
+      archive::make_archive_source(), std::make_unique<BurstySource>(),
+      archive::make_fitted_source(), std::make_unique<SyntheticSource>(),
+      std::make_unique<TraceSource>()};
+  return table;
+}
+
 }  // namespace
 
-struct ScenarioSourceRegistry::Impl {
-  mutable std::mutex mutex;
-  std::map<std::string, std::unique_ptr<ScenarioSource>, std::less<>>
-      sources;
-};
-
-ScenarioSourceRegistry::ScenarioSourceRegistry()
-    : impl_(std::make_shared<Impl>()) {
-  register_source(std::make_unique<SyntheticSource>());
-  register_source(std::make_unique<TraceSource>());
-  register_source(std::make_unique<BurstySource>());
-  // The archive backends live in src/archive; explicit registration here
-  // (rather than static initializers in their own translation unit, which
-  // a static library would drop) guarantees they exist in every binary.
-  archive::register_archive_sources(*this);
-}
-
-ScenarioSourceRegistry& ScenarioSourceRegistry::instance() {
-  static ScenarioSourceRegistry registry;
-  return registry;
-}
-
-void ScenarioSourceRegistry::register_source(
-    std::unique_ptr<ScenarioSource> source) {
-  AHEFT_REQUIRE(source != nullptr, "cannot register a null scenario source");
-  AHEFT_REQUIRE(!source->name().empty(), "scenario source needs a name");
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->sources[source->name()] = std::move(source);
-}
-
-const ScenarioSource* ScenarioSourceRegistry::find(
-    std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  const auto it = impl_->sources.find(name);
-  return it == impl_->sources.end() ? nullptr : it->second.get();
-}
-
-const ScenarioSource& ScenarioSourceRegistry::require(
-    std::string_view name) const {
-  const ScenarioSource* source = find(name);
-  if (source == nullptr) {
-    std::ostringstream os;
-    os << "unknown scenario source '" << name << "' (known:";
-    for (const std::string& known : names()) {
-      os << ' ' << known;
+const ScenarioSource& scenario_source(std::string_view name) {
+  for (const auto& source : builtin_sources()) {
+    if (source->name() == name) {
+      return *source;
     }
-    os << ')';
-    throw std::invalid_argument(os.str());
   }
-  return *source;
+  std::ostringstream os;
+  os << "unknown scenario source '" << name << "' (known:";
+  for (const std::string& known : scenario_source_names()) {
+    os << ' ' << known;
+  }
+  os << ')';
+  throw std::invalid_argument(os.str());
 }
 
-std::vector<std::string> ScenarioSourceRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
+std::vector<std::string> scenario_source_names() {
   std::vector<std::string> out;
-  out.reserve(impl_->sources.size());
-  for (const auto& [name, source] : impl_->sources) {
-    out.push_back(name);
+  for (const auto& source : builtin_sources()) {
+    out.push_back(source->name());
   }
-  return out;  // std::map iteration is already sorted
+  return out;
 }
 
 CompiledScenario build_scenario(std::string_view source,
                                 const ScenarioRequest& request) {
-  return ScenarioSourceRegistry::instance().require(source).build(request);
+  return scenario_source(source).build(request);
 }
 
 }  // namespace aheft::traces

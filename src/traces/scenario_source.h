@@ -1,13 +1,12 @@
-// Pluggable scenario sources: named backends that turn a ScenarioRequest
-// into a CompiledScenario (pool + load + event stream).
+// Scenario sources: named backends that turn a ScenarioRequest into a
+// CompiledScenario (pool, load and workflow arrivals).
 //
-// Modeled on the codes-workload generator-method registry: simulations
-// select an environment by name, new backends register themselves
-// without the consumers changing. Built-ins:
+// Simulations select an environment by name from a fixed table of the
+// built-in backends:
 //
 //   synthetic  the paper's Table 2/5 resource dynamics — fixed-interval
 //              arrivals via workloads::build_dynamic_pool, no load
-//   trace      file- or text-driven replay through the TraceCompiler
+//   trace      file- or text-driven replay through compile_trace()
 //   bursty     MMPP-style on/off volatility: calm/burst phases with
 //              phase-dependent Poisson resource arrivals and load spikes
 //              on a random subset of machines during bursts
@@ -18,7 +17,6 @@
 #define AHEFT_TRACES_SCENARIO_SOURCE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,35 +124,15 @@ class ScenarioSource {
   [[nodiscard]] virtual bool horizon_sensitive() const { return true; }
 };
 
-/// Process-wide, thread-safe source registry.
-class ScenarioSourceRegistry {
- public:
-  /// The global registry, pre-populated with the built-in backends.
-  static ScenarioSourceRegistry& instance();
+/// The built-in backend called `name`; throws std::invalid_argument
+/// listing the known names when there is none. The reference stays
+/// valid for the process lifetime.
+[[nodiscard]] const ScenarioSource& scenario_source(std::string_view name);
 
-  /// Registers a backend; a source with the same name is replaced.
-  void register_source(std::unique_ptr<ScenarioSource> source);
+/// The built-in backends' names, sorted.
+[[nodiscard]] std::vector<std::string> scenario_source_names();
 
-  /// Looks a backend up; nullptr when unknown. The pointer stays valid
-  /// for the registry's lifetime.
-  [[nodiscard]] const ScenarioSource* find(std::string_view name) const;
-
-  /// Like find(), but throws std::invalid_argument listing the known
-  /// backends when the name is unknown.
-  [[nodiscard]] const ScenarioSource& require(std::string_view name) const;
-
-  [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
-
- private:
-  ScenarioSourceRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Convenience: resolves `source` in the global registry and builds the
-/// scenario; throws std::invalid_argument listing the known backends
-/// when the name is unknown.
+/// Resolves `source` with scenario_source() and builds the scenario.
 [[nodiscard]] CompiledScenario build_scenario(std::string_view source,
                                               const ScenarioRequest& request);
 

@@ -267,8 +267,7 @@ TEST(ArchiveSource, ReplaysTheFixture) {
   }
   // Replay is horizon-insensitive (fixed timeline, like `trace`).
   EXPECT_FALSE(
-      traces::ScenarioSourceRegistry::instance().require("archive")
-          .horizon_sensitive());
+      traces::scenario_source("archive").horizon_sensitive());
   // Identical requests compile identically (same parse, same buckets).
   const traces::CompiledScenario again =
       traces::build_scenario("archive", request);

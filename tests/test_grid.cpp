@@ -1,5 +1,5 @@
 // Unit tests for the grid substrate: pool, machine model, predictors,
-// history repository, events.
+// history repository.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dag/dag.h"
-#include "grid/events.h"
 #include "support/assert.h"
 #include "grid/history.h"
 #include "grid/machine_model.h"
@@ -249,17 +248,6 @@ TEST(Predictor, HistoryBlendingPrefersObservations) {
   // Both jobs share the operation, so one observation fixes both.
   EXPECT_DOUBLE_EQ(predictor.compute_cost(0, 0), 42.0);
   EXPECT_DOUBLE_EQ(predictor.compute_cost(1, 0), 42.0);
-}
-
-TEST(Events, DescribeRendersEachKind) {
-  GridEvent added{10.0, ResourceAddedEvent{3}};
-  EXPECT_NE(describe(added).find("r4 added"), std::string::npos);
-  GridEvent removed{11.0, ResourceRemovedEvent{0}};
-  EXPECT_NE(describe(removed).find("r1 removed"), std::string::npos);
-  GridEvent variance{12.0, PerformanceVarianceEvent{1, 2, 10.0, 14.0}};
-  const std::string text = describe(variance);
-  EXPECT_NE(text.find("n2"), std::string::npos);
-  EXPECT_NE(text.find("r3"), std::string::npos);
 }
 
 }  // namespace

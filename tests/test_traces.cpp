@@ -1,15 +1,14 @@
 // Trace subsystem tests: format round-trip, malformed-input rejection
-// with line numbers, compiler output, the scenario-source registry, load
-// scaling in the execution engine, and deterministic record/replay.
+// with line numbers, compile_trace() output, the built-in scenario
+// sources, load scaling in the execution engine, and deterministic
+// record/replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
-#include <variant>
 
-#include "core/strategy.h"
 #include "core/strategy.h"
 #include "exp/case.h"
 #include "exp/sweeps.h"
@@ -198,9 +197,8 @@ TEST(LoadTimeline, ValidatesSegments) {
 
 // ----------------------------------------------------------- compiler --
 
-TEST(TraceCompiler, BuildsPoolLoadAndEventStream) {
-  const CompiledScenario scenario =
-      TraceCompiler().compile(sample_trace());
+TEST(CompileTrace, BuildsPoolLoadAndArrivals) {
+  const CompiledScenario scenario = compile_trace(sample_trace());
   EXPECT_EQ(scenario.pool.universe_size(), 3u);
   EXPECT_EQ(scenario.pool.resource(1).departure, 512.0);
   EXPECT_EQ(scenario.pool.resource(2).name, "late");
@@ -208,61 +206,108 @@ TEST(TraceCompiler, BuildsPoolLoadAndEventStream) {
   EXPECT_EQ(scenario.pool.departures_at(512.0),
             (std::vector<grid::ResourceId>{1}));
   EXPECT_TRUE(scenario.pool.departures_at(100.0).empty());
+  // The pool's own change times are late's arrival and doomed's departure.
+  EXPECT_EQ(scenario.pool.change_times(sim::kTimeZero, sim::kTimeInfinity),
+            (std::vector<sim::Time>{0.1234567890123456789, 512.0}));
   EXPECT_DOUBLE_EQ(scenario.load.factor(0, 15.0), 2.5);
-  ASSERT_EQ(scenario.job_arrivals.size(), 2u);
-
-  // Events: late's arrival, doomed's removal, two load onsets — sorted.
-  ASSERT_EQ(scenario.events.size(), 4u);
-  for (std::size_t i = 1; i < scenario.events.size(); ++i) {
-    EXPECT_LE(scenario.events[i - 1].time, scenario.events[i].time);
-  }
-  EXPECT_TRUE(std::holds_alternative<grid::PerformanceVarianceEvent>(
-      scenario.events[1].payload));  // late arrives at ~0.123 after 1/3? no:
-  // order: t=0.123.. (late arrival), t=1/3 (load r2), t=10 (load r0),
-  // t=512 (doomed removed)
-  EXPECT_TRUE(std::holds_alternative<grid::ResourceAddedEvent>(
-      scenario.events[0].payload));
-  EXPECT_TRUE(std::holds_alternative<grid::ResourceRemovedEvent>(
-      scenario.events[3].payload));
-}
-
-TEST(TraceCompiler, RecordCompileRoundTrip) {
-  const CompiledScenario scenario =
-      TraceCompiler().compile(sample_trace());
-  const GridTrace recorded = record_scenario(scenario, "sample");
-  const CompiledScenario again = TraceCompiler().compile(recorded);
-  EXPECT_EQ(scenario.load, again.load);
-  EXPECT_EQ(scenario.events, again.events);
-  ASSERT_EQ(scenario.pool.universe_size(), again.pool.universe_size());
-  for (grid::ResourceId id = 0; id < scenario.pool.universe_size(); ++id) {
-    EXPECT_EQ(scenario.pool.resource(id).arrival,
-              again.pool.resource(id).arrival);
-    EXPECT_EQ(scenario.pool.resource(id).departure,
-              again.pool.resource(id).departure);
-    EXPECT_EQ(scenario.pool.resource(id).name,
-              again.pool.resource(id).name);
-  }
+  EXPECT_DOUBLE_EQ(scenario.load.factor(2, 1.0), 1.75);
+  EXPECT_EQ(scenario.job_arrivals, sample_trace().jobs);
 }
 
 // ----------------------------------------------------------- registry --
 
 TEST(ScenarioRegistry, ListsBuiltinSources) {
-  const std::vector<std::string> names =
-      ScenarioSourceRegistry::instance().names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "synthetic"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "trace"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "bursty"), names.end());
-  // The archive backends (src/archive) register through the same ctor.
-  EXPECT_NE(std::find(names.begin(), names.end(), "archive"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "fitted"), names.end());
-  for (const std::string& name : names) {
-    const ScenarioSource* source =
-        ScenarioSourceRegistry::instance().find(name);
-    ASSERT_NE(source, nullptr);
-    EXPECT_EQ(source->name(), name);
-    EXPECT_FALSE(source->description().empty());
+  // The archive backends live in src/archive but sit in the same table.
+  EXPECT_EQ(scenario_source_names(),
+            (std::vector<std::string>{"archive", "bursty", "fitted",
+                                      "synthetic", "trace"}));
+  for (const std::string& name : scenario_source_names()) {
+    const ScenarioSource& source = scenario_source(name);
+    EXPECT_EQ(source.name(), name);
+    EXPECT_FALSE(source.description().empty());
   }
 }
+
+/// One built-in source and a request it builds a non-trivial scenario
+/// from.
+struct SourceCase {
+  std::string source;
+  ScenarioRequest request;
+  /// Whether the scenario has a machine leaving, which the replay must
+  /// keep.
+  bool departs = false;
+};
+
+std::vector<SourceCase> source_cases() {
+  const std::string swf = std::string(AHEFT_TEST_DATA_DIR) +
+                          "/sample_clean.swf";
+  ScenarioRequest synthetic;
+  synthetic.dynamics = {4, 100.0, 0.5};
+  synthetic.horizon = 350.0;
+  synthetic.stream.jobs = 3;
+
+  ScenarioRequest bursty;
+  bursty.dynamics.initial = 8;
+  bursty.horizon = 6000.0;
+  bursty.seed = 21;
+  bursty.bursty.mean_calm = 250.0;
+  bursty.bursty.mean_burst = 120.0;
+  bursty.bursty.failure_fraction = 0.5;
+  bursty.bursty.repair_mean = 200.0;
+  bursty.stream.jobs = 4;
+
+  ScenarioRequest archive;
+  archive.archive.path = swf;
+  archive.horizon = 4000.0;
+
+  ScenarioRequest fitted = archive;
+  fitted.seed = 5;
+  fitted.stream.jobs = 12;
+
+  ScenarioRequest trace;
+  trace.trace_text = write_trace_string(sample_trace());
+
+  return {{"synthetic", synthetic, false},
+          {"bursty", bursty, true},
+          {"archive", archive, false},
+          {"fitted", fitted, false},
+          {"trace", trace, true}};
+}
+
+class SourceReplay : public testing::TestWithParam<SourceCase> {};
+
+// Build, record, write, read back through the "trace" source, record
+// again: the two recordings (every resource window with its departure,
+// load segment and arrival record) must be equal.
+TEST_P(SourceReplay, RecordedScenarioReplaysExactly) {
+  const SourceCase& param = GetParam();
+  const CompiledScenario built =
+      build_scenario(param.source, param.request);
+  const GridTrace recorded = record_scenario(built, "replay");
+  ASSERT_FALSE(recorded.resources.empty());
+  const bool departs =
+      std::any_of(recorded.resources.begin(), recorded.resources.end(),
+                  [](const ResourceRecord& r) {
+                    return r.departure < sim::kTimeInfinity;
+                  });
+  EXPECT_EQ(departs, param.departs);
+
+  const std::string path =
+      testing::TempDir() + "source_replay_" + param.source + ".trace";
+  write_trace_file(path, recorded);
+  ScenarioRequest replay_request;
+  replay_request.trace_path = path;
+  const CompiledScenario replay = build_scenario("trace", replay_request);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(record_scenario(replay, "replay"), recorded);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BuiltinSources, SourceReplay, testing::ValuesIn(source_cases()),
+    [](const testing::TestParamInfo<SourceCase>& info) {
+      return info.param.source;
+    });
 
 TEST(ScenarioRegistry, UnknownSourceThrowsListingKnownNames) {
   try {
@@ -290,7 +335,9 @@ TEST(ScenarioRegistry, SyntheticMatchesBuildDynamicPool) {
   }
   EXPECT_TRUE(scenario.load.empty());
   // 3 changes x 2 arrivals each.
-  EXPECT_EQ(scenario.events.size(), 6u);
+  EXPECT_EQ(scenario.pool.universe_size(), 10u);
+  EXPECT_EQ(scenario.pool.change_times(sim::kTimeZero, request.horizon),
+            (std::vector<sim::Time>{100.0, 200.0, 300.0}));
 }
 
 TEST(ScenarioRegistry, TraceSourceNeedsPathOrText) {
@@ -317,7 +364,6 @@ TEST(ScenarioRegistry, BurstyIsDeterministicPerSeedAndVariesAcrossSeeds) {
   const CompiledScenario a = build_scenario("bursty", request);
   const CompiledScenario b = build_scenario("bursty", request);
   EXPECT_EQ(record_scenario(a, "x"), record_scenario(b, "x"));
-  EXPECT_EQ(a.events, b.events);
 
   request.seed = 8;
   const CompiledScenario c = build_scenario("bursty", request);
@@ -413,18 +459,12 @@ TEST(ScenarioRegistry, FailureBurstsEmitCorrelatedDeparturesWithRepairs) {
   }
   EXPECT_GE(replacements, failed);
 
-  // The grid never empties, and the compiled event stream carries the
-  // removals for the planner to react to.
+  // The grid never empties, and the pool itself reports each group of
+  // removals at its onset, which is where the planner reads them.
   for (const auto& [when, count] : departures_at) {
     EXPECT_GE(scenario.pool.count_available_at(when), 1u);
+    EXPECT_EQ(scenario.pool.departures_at(when).size(), count);
   }
-  const bool has_removal_event = std::any_of(
-      scenario.events.begin(), scenario.events.end(),
-      [](const grid::GridEvent& event) {
-        return std::holds_alternative<grid::ResourceRemovedEvent>(
-            event.payload);
-      });
-  EXPECT_TRUE(has_removal_event);
 
   // Bit-identical replay and round trip still hold with failures on.
   EXPECT_EQ(record_scenario(scenario, "f"),
@@ -551,12 +591,12 @@ TEST(Replay, SameSpecSameSeedIsBitIdentical) {
   EXPECT_EQ(a.heft_makespan, b.heft_makespan);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.adoptions, b.adoptions);
-  EXPECT_EQ(exp::build_case_environment(spec).scenario.events,
-            exp::build_case_environment(spec).scenario.events);
+  EXPECT_EQ(record_scenario(exp::build_case_environment(spec).scenario, "x"),
+            record_scenario(exp::build_case_environment(spec).scenario, "x"));
 }
 
 /// Records `source`'s environment for a spec, replays it through the
-/// "trace" source, and expects the identical makespan and event log.
+/// "trace" source, and expects the identical makespan and environment.
 void expect_faithful_replay(const std::string& source) {
   const exp::CaseSpec spec = volatile_spec(source);
   const exp::CaseEnvironment env = exp::build_case_environment(spec);
@@ -571,7 +611,8 @@ void expect_faithful_replay(const std::string& source) {
   const exp::CaseEnvironment replay_env =
       exp::build_case_environment(replay);
 
-  EXPECT_EQ(env.scenario.events, replay_env.scenario.events);
+  EXPECT_EQ(record_scenario(env.scenario, "recorded"),
+            record_scenario(replay_env.scenario, "recorded"));
   EXPECT_EQ(env.scenario.load, replay_env.scenario.load);
 
   const exp::CaseResult live = exp::run_case(spec);
