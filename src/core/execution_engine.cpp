@@ -52,9 +52,8 @@ sim::Time ExecutionEngine::ensure_transfer(std::size_t edge_index,
   const JobRecord& producer = record_.record(edge.from);
   AHEFT_ASSERT(producer.phase == JobPhase::kFinished,
                "transfer initiated before producer finished");
-  const auto& per_edge = record_.arrivals(edge_index);
-  if (const auto it = per_edge.find(target); it != per_edge.end()) {
-    return it->second;  // already there or already in flight
+  if (const auto known = record_.arrival(edge_index, target)) {
+    return *known;  // already there or already in flight
   }
   const TransferWindow window = transfer_window(
       transfer_policy_, when, producer.aft, pool_->resource(target).arrival,
@@ -195,12 +194,11 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
       if (phase(edge.from) != JobPhase::kFinished) {
         return;  // producer pending/running: its completion re-pumps us
       }
-      const auto& arrivals = record_.arrivals(e);
-      const auto it = arrivals.find(resource);
-      AHEFT_ASSERT(it != arrivals.end(),
+      const std::optional<sim::Time> arrival = record_.arrival(e, resource);
+      AHEFT_ASSERT(arrival.has_value(),
                    "input of " + dag_->job(job).name +
                        " was never transferred to its resource");
-      ready = std::max(ready, it->second);
+      ready = std::max(ready, *arrival);
     }
 
     // (b) machine present, (c) machine free of this workflow's own running

@@ -89,8 +89,8 @@ ResolvedInput resolve_input(const RescheduleRequest& request,
   const dag::JobId producer = edge.from;
   if (request.snapshot != nullptr && request.snapshot->finished(producer)) {
     const FinishedInfo info = request.snapshot->finished_info(producer);
-    return ResolvedInput{&edge, &request.snapshot->arrivals(edge_index),
-                         info.resource, info.aft};
+    return ResolvedInput{&edge, edge_index, request.snapshot, info.resource,
+                         info.aft};
   }
   // Unfinished predecessor: it is pinned or already placed in S1 (rank
   // order guarantees predecessors are handled first).
@@ -98,7 +98,8 @@ ResolvedInput resolve_input(const RescheduleRequest& request,
                "predecessor " + dag.job(producer).name +
                    " not yet placed — rank order violated");
   const Assignment& placed = new_schedule.assignment(producer);
-  return ResolvedInput{&edge, nullptr, placed.resource, placed.finish};
+  return ResolvedInput{&edge, edge_index, nullptr, placed.resource,
+                       placed.finish};
 }
 
 /// Eq. 1 for a resolved input on `target`: the one place the kernel
@@ -109,9 +110,8 @@ sim::Time input_available(const RescheduleRequest& request,
   if (input.arrivals != nullptr) {
     // Case 1 / "otherwise with finished n_m": the output already sits on
     // (or is in flight to) `target` because of schedule S0.
-    if (const auto it = input.arrivals->find(target);
-        it != input.arrivals->end()) {
-      return it->second;
+    if (const auto known = input.arrivals->arrival(input.edge_index, target)) {
+      return *known;
     }
   } else if (input.from == target) {
     return input.finish;  // Case 3

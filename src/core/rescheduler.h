@@ -8,7 +8,6 @@
 #ifndef AHEFT_CORE_RESCHEDULER_H_
 #define AHEFT_CORE_RESCHEDULER_H_
 
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -81,9 +80,11 @@ struct RescheduleRequest {
 /// Eq. 1 still depends on the candidate resource.
 struct ResolvedInput {
   const dag::Edge* edge = nullptr;
-  /// The finished producer's arrivals (S0's transfers); null while the
-  /// producer is pinned running or placed in S1.
-  const std::map<grid::ResourceId, sim::Time>* arrivals = nullptr;
+  std::size_t edge_index = 0;
+  /// The snapshot holding the finished producer's arrivals (S0's
+  /// transfers); null while the producer is pinned running or placed in
+  /// S1.
+  const ExecutionSnapshot* arrivals = nullptr;
   grid::ResourceId from = grid::kInvalidResource;
   sim::Time finish = sim::kTimeZero;  ///< AFT, or SFT in S1
 };

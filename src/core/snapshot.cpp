@@ -1,5 +1,7 @@
 #include "core/snapshot.h"
 
+#include <algorithm>
+
 #include "support/assert.h"
 
 namespace aheft::core {
@@ -50,9 +52,45 @@ void ExecutionSnapshot::record_arrival(std::size_t edge_index,
                                        grid::ResourceId resource,
                                        sim::Time when) {
   AHEFT_REQUIRE(edge_index < arrivals_.size(), "edge index out of range");
-  const auto [it, inserted] = arrivals_[edge_index].emplace(resource, when);
-  if (!inserted && when < it->second) {
-    it->second = when;
+  AHEFT_REQUIRE(resource != grid::kInvalidResource,
+                "arrival must name a resource");
+  Arrival* known = &arrivals_[edge_index];
+  if (known->resource == grid::kInvalidResource) {
+    known->resource = resource;
+    known->when = when;
+    return;
+  }
+  for (;;) {
+    if (known->resource == resource) {
+      known->when = std::min(known->when, when);
+      return;
+    }
+    if (known->next == kNoArrival) {
+      break;
+    }
+    known = &overflow_[known->next];
+  }
+  AHEFT_REQUIRE(overflow_.size() < kNoArrival, "too many arrivals");
+  // Link before appending: the append may move overflow_ under `known`.
+  known->next = static_cast<std::uint32_t>(overflow_.size());
+  overflow_.push_back(Arrival{resource, kNoArrival, when});
+}
+
+std::optional<sim::Time> ExecutionSnapshot::arrival(
+    std::size_t edge_index, grid::ResourceId resource) const {
+  AHEFT_REQUIRE(edge_index < arrivals_.size(), "edge index out of range");
+  const Arrival* known = &arrivals_[edge_index];
+  if (known->resource == grid::kInvalidResource) {
+    return std::nullopt;
+  }
+  for (;;) {
+    if (known->resource == resource) {
+      return known->when;
+    }
+    if (known->next == kNoArrival) {
+      return std::nullopt;
+    }
+    known = &overflow_[known->next];
   }
 }
 

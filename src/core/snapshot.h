@@ -6,6 +6,12 @@
 // running, and where every finished job's output files are available
 // (feeding Eq. 1's FEA cases).
 //
+// The record is flat: one JobRecord per job and one 16-byte arrival slot
+// per edge. An edge's first arrival (the producer's own machine, recorded
+// at completion) sits in its slot; further transfer targets chain through
+// one overflow vector shared by all edges, so an edge with one arrival
+// costs no allocation and copying a snapshot is two vector copies.
+//
 // The ExecutionEngine owns one snapshot as its execution record and keeps
 // it current in place as jobs start, finish, are revoked, and as files are
 // sent; ExecutionEngine::snapshot() stamps it with the clock and hands out
@@ -15,7 +21,6 @@
 #define AHEFT_CORE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -54,14 +59,6 @@ struct JobRecord {
   sim::Time aft = sim::kTimeZero;
 };
 
-/// Where the payload of each DAG edge is (or will be) available: for edge
-/// e = (m, i), arrivals[e] maps resource -> earliest availability time of
-/// n_m's output for n_i on that resource. Populated once the producer
-/// finishes: its own resource at AFT, plus every target a transfer was
-/// initiated to (at AFT + c). This is the ground truth behind FEA cases 1,
-/// 2, and "otherwise".
-using EdgeArrivals = std::vector<std::map<grid::ResourceId, sim::Time>>;
-
 class ExecutionSnapshot {
  public:
   /// Snapshot of a workflow that has not started (clock 0, nothing done).
@@ -84,6 +81,13 @@ class ExecutionSnapshot {
   /// earlier time when the resource is already known.
   void record_arrival(std::size_t edge_index, grid::ResourceId resource,
                       sim::Time when);
+  /// When the payload of edge e = (m, i) is (or will be) available on
+  /// `resource`: n_m's own resource at AFT once it finished, and every
+  /// target a transfer was initiated to (at AFT + c). Nullopt when the
+  /// output was never directed there. This is the ground truth behind FEA
+  /// cases 1, 2, and "otherwise".
+  [[nodiscard]] std::optional<sim::Time> arrival(
+      std::size_t edge_index, grid::ResourceId resource) const;
 
   [[nodiscard]] const JobRecord& record(dag::JobId job) const {
     AHEFT_REQUIRE(job < jobs_.size(), "job id out of range");
@@ -97,19 +101,25 @@ class ExecutionSnapshot {
   [[nodiscard]] std::vector<RunningInfo> running() const;
   [[nodiscard]] std::optional<RunningInfo> running_info(dag::JobId job) const;
 
-  [[nodiscard]] const std::map<grid::ResourceId, sim::Time>& arrivals(
-      std::size_t edge_index) const {
-    AHEFT_REQUIRE(edge_index < arrivals_.size(), "edge index out of range");
-    return arrivals_[edge_index];
-  }
-
   [[nodiscard]] std::size_t finished_count() const { return finished_count_; }
   [[nodiscard]] std::size_t job_count() const { return jobs_.size(); }
 
  private:
+  static constexpr std::uint32_t kNoArrival = 0xffffffffu;
+  /// One known arrival of an edge's payload. `next` indexes the edge's
+  /// next arrival in overflow_ (kNoArrival ends the chain); an unused edge
+  /// slot has no resource.
+  struct Arrival {
+    grid::ResourceId resource = grid::kInvalidResource;
+    std::uint32_t next = kNoArrival;
+    sim::Time when = sim::kTimeZero;
+  };
+  static_assert(sizeof(Arrival) == 16, "one arrival slot is 16 bytes");
+
   sim::Time clock_ = sim::kTimeZero;
   std::vector<JobRecord> jobs_;
-  EdgeArrivals arrivals_;
+  std::vector<Arrival> arrivals_;  ///< first arrival of each edge
+  std::vector<Arrival> overflow_;  ///< the edges' further arrivals
   std::size_t finished_count_ = 0;
 };
 

@@ -15,6 +15,63 @@
 namespace aheft::core {
 namespace {
 
+// ----- the snapshot's flat arrival table ----------------------------------
+
+TEST(SnapshotArrivals, KeepsSeveralTargetsPerEdge) {
+  ExecutionSnapshot snap(0.0, 3, 2);
+  snap.record_arrival(0, 4, 9.0);  // the producer's own machine
+  snap.record_arrival(0, 1, 27.0);
+  snap.record_arrival(0, 7, 30.0);
+  snap.record_arrival(1, 2, 5.0);
+  EXPECT_EQ(snap.arrival(0, 4), std::optional<sim::Time>(9.0));
+  EXPECT_EQ(snap.arrival(0, 1), std::optional<sim::Time>(27.0));
+  EXPECT_EQ(snap.arrival(0, 7), std::optional<sim::Time>(30.0));
+  EXPECT_EQ(snap.arrival(1, 2), std::optional<sim::Time>(5.0));
+  // Each edge reads only its own arrivals.
+  EXPECT_FALSE(snap.arrival(1, 4).has_value());
+  EXPECT_FALSE(snap.arrival(0, 2).has_value());
+}
+
+TEST(SnapshotArrivals, ReRecordingKeepsTheEarlierTime) {
+  ExecutionSnapshot snap(0.0, 2, 1);
+  snap.record_arrival(0, 0, 9.0);
+  snap.record_arrival(0, 3, 20.0);
+  snap.record_arrival(0, 0, 12.0);  // later: ignored
+  snap.record_arrival(0, 3, 15.0);  // earlier: kept
+  snap.record_arrival(0, 3, 18.0);
+  EXPECT_EQ(snap.arrival(0, 0), std::optional<sim::Time>(9.0));
+  EXPECT_EQ(snap.arrival(0, 3), std::optional<sim::Time>(15.0));
+}
+
+TEST(SnapshotArrivals, UnknownResourceReadsAbsent) {
+  ExecutionSnapshot snap(0.0, 2, 1);
+  EXPECT_FALSE(snap.arrival(0, 0).has_value());  // nothing recorded yet
+  snap.record_arrival(0, 2, 4.0);
+  EXPECT_FALSE(snap.arrival(0, 0).has_value());
+  EXPECT_FALSE(snap.arrival(0, grid::kInvalidResource).has_value());
+}
+
+TEST(SnapshotArrivals, CopyIsIndependentOfLaterRecords) {
+  ExecutionSnapshot snap(0.0, 3, 2);
+  snap.record_arrival(0, 0, 9.0);
+  snap.record_arrival(0, 1, 20.0);
+  const ExecutionSnapshot copy = snap;
+  snap.record_arrival(0, 1, 11.0);
+  snap.record_arrival(0, 2, 25.0);
+  snap.record_arrival(1, 0, 30.0);
+  EXPECT_EQ(copy.arrival(0, 1), std::optional<sim::Time>(20.0));
+  EXPECT_FALSE(copy.arrival(0, 2).has_value());
+  EXPECT_FALSE(copy.arrival(1, 0).has_value());
+  EXPECT_EQ(snap.arrival(0, 1), std::optional<sim::Time>(11.0));
+  EXPECT_EQ(snap.arrival(0, 2), std::optional<sim::Time>(25.0));
+}
+
+TEST(SnapshotArrivals, OutOfRangeEdgeThrows) {
+  ExecutionSnapshot snap(0.0, 2, 1);
+  EXPECT_THROW(snap.record_arrival(1, 0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)snap.arrival(1, 0), std::invalid_argument);
+}
+
 TEST(Engine, ReplaysHeftScheduleExactly) {
   const auto scenario = workloads::sample_scenario();
   const Schedule plan =
@@ -79,11 +136,10 @@ TEST(Engine, SnapshotMidRunMatchesReality) {
   EXPECT_TRUE(snap.running_info(5).has_value());
   EXPECT_DOUBLE_EQ(snap.running_info(1)->expected_finish, 40.0);
   // n1 -> n2 transfer (edge 0) reached r1 at 9 + 18 = 27.
-  const auto& arrivals = snap.arrivals(0);
-  ASSERT_TRUE(arrivals.count(0));
-  EXPECT_DOUBLE_EQ(arrivals.at(0), 27.0);
-  ASSERT_TRUE(arrivals.count(2));  // copy kept at the producer
-  EXPECT_DOUBLE_EQ(arrivals.at(2), 9.0);
+  ASSERT_TRUE(snap.arrival(0, 0).has_value());
+  EXPECT_DOUBLE_EQ(*snap.arrival(0, 0), 27.0);
+  ASSERT_TRUE(snap.arrival(0, 2).has_value());  // copy kept at the producer
+  EXPECT_DOUBLE_EQ(*snap.arrival(0, 2), 9.0);
 }
 
 TEST(Engine, ResubmittingSamePlanIsANoop) {
@@ -313,7 +369,7 @@ TEST(EngineRequeue, RunToTheWallJobIsRecordedRunningOnItsNewMachine) {
   EXPECT_EQ(running->resource, spare);
   EXPECT_DOUBLE_EQ(running->ast, 5.0);
   EXPECT_DOUBLE_EQ(running->expected_finish, 15.0);
-  EXPECT_EQ(after.arrivals(0).count(spare), 1u);
+  EXPECT_TRUE(after.arrival(0, spare).has_value());
   EXPECT_EQ(engine.counters().revoked_jobs, 1u);
 
   session.run();
@@ -358,10 +414,9 @@ TEST_P(EngineProperty, RealizedEqualsPlannedUnderPerfectPrediction) {
         continue;
       }
       const FinishedInfo info = snap.finished_info(from);
-      const auto& arrivals = snap.arrivals(e);
-      const auto it = arrivals.find(info.resource);
-      ASSERT_NE(it, arrivals.end()) << "edge " << e;
-      EXPECT_DOUBLE_EQ(it->second, info.aft) << "edge " << e;
+      const std::optional<sim::Time> arrival = snap.arrival(e, info.resource);
+      ASSERT_TRUE(arrival.has_value()) << "edge " << e;
+      EXPECT_DOUBLE_EQ(*arrival, info.aft) << "edge " << e;
     }
     if (!first.has_value()) {
       first = snap;
