@@ -10,14 +10,19 @@ namespace aheft::core {
 
 namespace {
 
-const std::vector<Assignment> kEmptyTimeline;
-
 bool overlaps(sim::Time a_start, sim::Time a_end, sim::Time b_start,
               sim::Time b_end) {
   // Half-open intervals; touching endpoints do not overlap. A small
   // tolerance forgives floating-point dust from summed costs.
   return a_start < b_end - sim::kTimeEpsilon &&
          b_start < a_end - sim::kTimeEpsilon;
+}
+
+/// Whether `slot` is longer than the overlap tolerance. Past such a slot
+/// a disjoint timeline cannot reach: every slot beyond it ends (or, to the
+/// right, starts) on its far side.
+bool long_slot(const Assignment& slot) {
+  return slot.finish - slot.start > sim::kTimeEpsilon;
 }
 
 }  // namespace
@@ -30,77 +35,118 @@ void Schedule::assign(const Assignment& assignment) {
                 "assignment must name a resource");
   AHEFT_REQUIRE(sim::time_le(assignment.start, assignment.finish),
                 "assignment finishes before it starts");
-  AHEFT_REQUIRE(!by_job_[assignment.job].has_value(),
-                "job is already assigned");
+  AHEFT_REQUIRE(!assigned(assignment.job), "job is already assigned");
 
-  auto& slots = by_resource_[assignment.resource];
-  for (const Assignment& other : slots) {
+  const std::size_t k = run_index(assignment.resource);
+  const bool has_run =
+      k < runs_.size() && runs_[k].resource == assignment.resource;
+  const auto first = by_resource_.begin() +
+                     static_cast<std::ptrdiff_t>(run_begin(k));
+  const auto last =
+      has_run ? by_resource_.begin() + runs_[k].end : first;
+  // After every slot on the resource that starts no later.
+  const auto insert_at = std::upper_bound(
+      first, last, assignment.start, [this](sim::Time start, dag::JobId id) {
+        return start < by_job_[id].start;
+      });
+  // The resource's slots are pairwise disjoint and sorted by start, so
+  // only the neighbours can overlap the new slot, plus whatever lies
+  // behind a neighbour no longer than the tolerance. `scan_past` checks
+  // one slot and tells whether the scan must go on beyond it.
+  const auto scan_past = [&](dag::JobId id) {
+    const Assignment& other = by_job_[id];
     AHEFT_REQUIRE(
         !overlaps(assignment.start, assignment.finish, other.start,
                   other.finish),
         "slot overlaps an existing assignment on the same resource");
+    return !long_slot(other);
+  };
+  for (auto left = insert_at; left != first;) {
+    if (!scan_past(*--left)) {
+      break;
+    }
   }
-  const auto insert_at = std::upper_bound(
-      slots.begin(), slots.end(), assignment,
-      [](const Assignment& a, const Assignment& b) { return a.start < b.start; });
-  slots.insert(insert_at, assignment);
+  for (auto right = insert_at; right != last; ++right) {
+    if (!scan_past(*right)) {
+      break;
+    }
+  }
+
+  if (!has_run) {
+    runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(k),
+                 Run{assignment.resource,
+                     static_cast<std::uint32_t>(run_begin(k))});
+  }
+  by_resource_.insert(insert_at, assignment.job);
+  for (std::size_t i = k; i < runs_.size(); ++i) {
+    ++runs_[i].end;
+  }
   by_job_[assignment.job] = assignment;
-  ++assigned_;
 }
 
 void Schedule::unassign(dag::JobId job) {
-  const Assignment& slot = assignment(job);
-  const auto line = by_resource_.find(slot.resource);
-  std::vector<Assignment>& slots = line->second;
-  slots.erase(std::find_if(
-      slots.begin(), slots.end(),
-      [job](const Assignment& a) { return a.job == job; }));
-  if (slots.empty()) {
-    by_resource_.erase(line);  // a resource without slots has no timeline
+  AHEFT_REQUIRE(assigned(job), "job is not assigned");
+  const std::size_t k = run_index(by_job_[job].resource);
+  const auto first = by_resource_.begin() +
+                     static_cast<std::ptrdiff_t>(run_begin(k));
+  by_resource_.erase(
+      std::find(first, by_resource_.begin() + runs_[k].end, job));
+  for (std::size_t i = k; i < runs_.size(); ++i) {
+    --runs_[i].end;
   }
-  by_job_[job].reset();
-  --assigned_;
+  if (runs_[k].end == run_begin(k)) {
+    // A resource without slots has no timeline.
+    runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  by_job_[job] = Assignment{};
+}
+
+std::size_t Schedule::run_index(grid::ResourceId resource) const {
+  const auto it = std::lower_bound(
+      runs_.begin(), runs_.end(), resource,
+      [](const Run& run, grid::ResourceId r) { return run.resource < r; });
+  return static_cast<std::size_t>(it - runs_.begin());
 }
 
 bool Schedule::assigned(dag::JobId job) const {
   AHEFT_REQUIRE(job < by_job_.size(), "job id out of range");
-  return by_job_[job].has_value();
+  return by_job_[job].resource != grid::kInvalidResource;
 }
 
 const Assignment& Schedule::assignment(dag::JobId job) const {
-  AHEFT_REQUIRE(job < by_job_.size(), "job id out of range");
-  AHEFT_REQUIRE(by_job_[job].has_value(), "job is not assigned");
-  return *by_job_[job];
-}
-
-const std::optional<Assignment>& Schedule::maybe_assignment(
-    dag::JobId job) const {
-  AHEFT_REQUIRE(job < by_job_.size(), "job id out of range");
+  AHEFT_REQUIRE(assigned(job), "job is not assigned");
   return by_job_[job];
 }
 
-const std::vector<Assignment>& Schedule::timeline(
-    grid::ResourceId resource) const {
-  const auto it = by_resource_.find(resource);
-  return it == by_resource_.end() ? kEmptyTimeline : it->second;
+std::optional<Assignment> Schedule::maybe_assignment(dag::JobId job) const {
+  if (!assigned(job)) {
+    return std::nullopt;
+  }
+  return by_job_[job];
+}
+
+Schedule::Timeline Schedule::timeline(grid::ResourceId resource) const {
+  const std::size_t k = run_index(resource);
+  if (k == runs_.size() || runs_[k].resource != resource) {
+    return Timeline();
+  }
+  const dag::JobId* ids = by_resource_.data();
+  return Timeline(by_job_.data(), ids + run_begin(k), ids + runs_[k].end);
 }
 
 std::vector<grid::ResourceId> Schedule::used_resources() const {
   std::vector<grid::ResourceId> out;
-  for (const auto& [resource, slots] : by_resource_) {
-    if (!slots.empty()) {
-      out.push_back(resource);
-    }
+  out.reserve(runs_.size());
+  for (const Run& run : runs_) {
+    out.push_back(run.resource);
   }
   return out;
 }
 
 sim::Time Schedule::makespan() const {
   sim::Time result = sim::kTimeZero;
-  for (const auto& assignment : by_job_) {
-    if (assignment) {
-      result = std::max(result, assignment->finish);
-    }
+  for (const dag::JobId id : by_resource_) {
+    result = std::max(result, by_job_[id].finish);
   }
   return result;
 }
@@ -111,7 +157,7 @@ sim::Time Schedule::earliest_slot(grid::ResourceId resource, sim::Time ready,
                                   const AvailabilityView* foreign) const {
   AHEFT_REQUIRE(duration >= 0.0, "duration must be non-negative");
   sim::Time candidate = std::max(ready, not_before);
-  const auto it = by_resource_.find(resource);
+  const Timeline slots = timeline(resource);
   // Two monotone push-forward passes — own slots, then foreign busy
   // intervals — iterated to a fixed point: sliding past a foreign window
   // may land the candidate inside a later own slot and vice versa. Each
@@ -121,18 +167,16 @@ sim::Time Schedule::earliest_slot(grid::ResourceId resource, sim::Time ready,
   // the search is bit-identical to the historical one.
   for (;;) {
     sim::Time advanced = candidate;
-    if (it != by_resource_.end()) {
-      if (policy == SlotPolicy::kEndOfQueue) {
-        for (const Assignment& slot : it->second) {
-          advanced = std::max(advanced, slot.finish);
+    if (policy == SlotPolicy::kEndOfQueue) {
+      for (const Assignment& slot : slots) {
+        advanced = std::max(advanced, slot.finish);
+      }
+    } else {
+      for (const Assignment& slot : slots) {
+        if (advanced + duration <= slot.start + sim::kTimeEpsilon) {
+          break;  // fits in the gap before this slot
         }
-      } else {
-        for (const Assignment& slot : it->second) {
-          if (advanced + duration <= slot.start + sim::kTimeEpsilon) {
-            break;  // fits in the gap before this slot
-          }
-          advanced = std::max(advanced, slot.finish);
-        }
+        advanced = std::max(advanced, slot.finish);
       }
     }
     if (foreign == nullptr) {
@@ -157,7 +201,8 @@ sim::Time Schedule::earliest_slot(grid::ResourceId resource, sim::Time ready,
 std::string Schedule::gantt(const dag::Dag& dag,
                             const grid::ResourcePool& pool) const {
   AsciiTable table({"resource", "timeline (job[start,finish))"});
-  for (const auto& [resource, slots] : by_resource_) {
+  for (const grid::ResourceId resource : used_resources()) {
+    const Timeline slots = timeline(resource);
     std::ostringstream row;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (i != 0) {

@@ -1,9 +1,16 @@
 // Schedule representation: job → (resource, start, finish) with per-resource
 // timelines and slot search.
+//
+// Each slot is stored once, in a job-indexed Assignment table. The
+// per-resource timelines are one vector of job ids sorted by (resource,
+// start), so a timeline is a contiguous run of ids; a small table sorted
+// by resource id records where each run ends. A schedule holds no
+// per-resource allocation.
 #ifndef AHEFT_CORE_SCHEDULE_H_
 #define AHEFT_CORE_SCHEDULE_H_
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +38,58 @@ struct Assignment {
 /// heuristic order and gap queries for the insertion slot policy.
 class Schedule {
  public:
+  /// One resource's slots in start order: a random-access view over the
+  /// schedule's job ids that yields each job's Assignment. Valid until the
+  /// schedule next changes.
+  class Timeline {
+   public:
+    class iterator {
+     public:
+      using value_type = Assignment;
+      using difference_type = std::ptrdiff_t;
+
+      iterator() = default;
+      iterator(const Assignment* slots, const dag::JobId* at)
+          : slots_(slots), at_(at) {}
+      const Assignment& operator*() const { return slots_[*at_]; }
+      const Assignment* operator->() const { return &slots_[*at_]; }
+      iterator& operator++() {
+        ++at_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator before = *this;
+        ++at_;
+        return before;
+      }
+      bool operator==(const iterator& other) const { return at_ == other.at_; }
+
+     private:
+      const Assignment* slots_ = nullptr;
+      const dag::JobId* at_ = nullptr;
+    };
+
+    Timeline() = default;
+    Timeline(const Assignment* slots, const dag::JobId* first,
+             const dag::JobId* last)
+        : slots_(slots), first_(first), last_(last) {}
+
+    [[nodiscard]] std::size_t size() const {
+      return static_cast<std::size_t>(last_ - first_);
+    }
+    [[nodiscard]] bool empty() const { return first_ == last_; }
+    const Assignment& operator[](std::size_t k) const {
+      return slots_[first_[k]];
+    }
+    [[nodiscard]] iterator begin() const { return {slots_, first_}; }
+    [[nodiscard]] iterator end() const { return {slots_, last_}; }
+
+   private:
+    const Assignment* slots_ = nullptr;
+    const dag::JobId* first_ = nullptr;
+    const dag::JobId* last_ = nullptr;
+  };
+
   Schedule() = default;
   explicit Schedule(std::size_t job_count);
 
@@ -43,20 +102,25 @@ class Schedule {
   void unassign(dag::JobId job);
 
   [[nodiscard]] std::size_t job_count() const { return by_job_.size(); }
-  [[nodiscard]] std::size_t assigned_count() const { return assigned_; }
-  [[nodiscard]] bool complete() const { return assigned_ == by_job_.size(); }
+  [[nodiscard]] std::size_t assigned_count() const {
+    return by_resource_.size();
+  }
+  [[nodiscard]] bool complete() const {
+    return by_resource_.size() == by_job_.size();
+  }
 
   [[nodiscard]] bool assigned(dag::JobId job) const;
   /// Assignment of `job`; throws if unassigned.
   [[nodiscard]] const Assignment& assignment(dag::JobId job) const;
-  [[nodiscard]] const std::optional<Assignment>& maybe_assignment(
+  /// Assignment of `job`, or nullopt if unassigned.
+  [[nodiscard]] std::optional<Assignment> maybe_assignment(
       dag::JobId job) const;
 
-  /// Slots on `resource`, sorted by start time.
-  [[nodiscard]] const std::vector<Assignment>& timeline(
-      grid::ResourceId resource) const;
+  /// Slots on `resource`, sorted by start time (equal starts in the order
+  /// they were assigned).
+  [[nodiscard]] Timeline timeline(grid::ResourceId resource) const;
 
-  /// Resources that hold at least one slot.
+  /// Resources that hold at least one slot, ascending.
   [[nodiscard]] std::vector<grid::ResourceId> used_resources() const;
 
   /// Max finish time over all assignments (the paper's makespan, Eq. 4 —
@@ -83,9 +147,28 @@ class Schedule {
                                   const grid::ResourcePool& pool) const;
 
  private:
-  std::vector<std::optional<Assignment>> by_job_;
-  std::map<grid::ResourceId, std::vector<Assignment>> by_resource_;
-  std::size_t assigned_ = 0;
+  /// One resource's run of by_resource_: the ids from the previous run's
+  /// `end` (0 for the first run) up to its own.
+  struct Run {
+    grid::ResourceId resource = grid::kInvalidResource;
+    std::uint32_t end = 0;
+  };
+
+  /// Index of the first run whose resource is not below `resource`.
+  [[nodiscard]] std::size_t run_index(grid::ResourceId resource) const;
+  /// Where run `k` starts in by_resource_ (the end for k == runs_.size()).
+  [[nodiscard]] std::size_t run_begin(std::size_t k) const {
+    return k == 0 ? 0 : runs_[k - 1].end;
+  }
+
+  /// Every job's slot; an unassigned job's slot names no resource.
+  std::vector<Assignment> by_job_;
+  /// The assigned jobs sorted by (resource, start), equal keys in
+  /// assignment order: each resource's timeline is one contiguous run.
+  std::vector<dag::JobId> by_resource_;
+  /// The runs of by_resource_, one per resource holding a slot, sorted by
+  /// resource id.
+  std::vector<Run> runs_;
 };
 
 /// Structural validation: every job assigned exactly once, durations match

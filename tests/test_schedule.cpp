@@ -1,6 +1,8 @@
 // Unit tests for the schedule representation, slot search, and validators.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/schedule.h"
 #include "support/assert.h"
 #include "workloads/sample.h"
@@ -80,6 +82,93 @@ TEST(Schedule, RejectsDoubleAssignmentAndOverlap) {
   EXPECT_THROW(s.assign(Assignment{1, 0, 4.0, 6.0}), std::invalid_argument);
   s.assign(Assignment{1, 0, 5.0, 6.0});  // touching is allowed
   EXPECT_THROW(s.assign(Assignment{2, 0, 0.0, 20.0}), std::invalid_argument);
+}
+
+TEST(Schedule, RejectsOverlapWithEitherNeighbour) {
+  Schedule s(8);
+  s.assign(Assignment{0, 0, 0.0, 5.0});
+  s.assign(Assignment{1, 0, 10.0, 15.0});
+  s.assign(Assignment{2, 0, 20.0, 25.0});
+  s.assign(Assignment{3, 1, 12.0, 18.0});  // another resource: no conflict
+  // Inserted between [10, 15) and [20, 25): each neighbour alone rejects.
+  EXPECT_THROW(s.assign(Assignment{4, 0, 14.0, 18.0}), std::invalid_argument);
+  EXPECT_THROW(s.assign(Assignment{4, 0, 16.0, 21.0}), std::invalid_argument);
+  // Past the last slot and before the first.
+  EXPECT_THROW(s.assign(Assignment{4, 0, 24.0, 30.0}), std::invalid_argument);
+  EXPECT_THROW(s.assign(Assignment{4, 0, -3.0, 1.0}), std::invalid_argument);
+  EXPECT_EQ(s.assigned_count(), 4u);
+  EXPECT_FALSE(s.assigned(4));
+  s.assign(Assignment{4, 0, 16.0, 19.0});
+  EXPECT_EQ(s.timeline(0).size(), 4u);
+}
+
+TEST(Schedule, AcceptsSlotsTouchingBothNeighbours) {
+  Schedule s(3);
+  s.assign(Assignment{0, 0, 0.0, 5.0});
+  s.assign(Assignment{1, 0, 10.0, 15.0});
+  s.assign(Assignment{2, 0, 5.0, 10.0});
+  const auto slots = s.timeline(0);
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[0].job, 0u);
+  EXPECT_EQ(slots[1].job, 2u);
+  EXPECT_EQ(slots[2].job, 1u);
+}
+
+TEST(Schedule, OverlapCheckLooksPastZeroLengthNeighbours) {
+  // A zero-length slot at [0, 0) touches [0, 10) and sorts after it, so
+  // it is the left neighbour of a slot starting at 5; [0, 10) still
+  // overlaps that slot.
+  Schedule s(5);
+  s.assign(Assignment{0, 0, 0.0, 10.0});
+  s.assign(Assignment{1, 0, 0.0, 0.0});
+  EXPECT_THROW(s.assign(Assignment{2, 0, 5.0, 6.0}), std::invalid_argument);
+  // To the right: a zero-length slot within the tolerance after 20 does
+  // not overlap a slot starting at 20, but [30, 40) behind it does.
+  const sim::Time dust = 20.0 + 0.5 * sim::kTimeEpsilon;
+  s.assign(Assignment{2, 0, 30.0, 40.0});
+  s.assign(Assignment{3, 0, dust, dust});
+  EXPECT_THROW(s.assign(Assignment{4, 0, 20.0, 32.0}), std::invalid_argument);
+  s.assign(Assignment{4, 0, 20.0, 30.0});
+  EXPECT_EQ(s.timeline(0).size(), 5u);
+}
+
+TEST(Schedule, EqualStartsKeepAssignmentOrder) {
+  Schedule s(4);
+  s.assign(Assignment{2, 0, 5.0, 10.0});
+  s.assign(Assignment{0, 0, 5.0, 5.0});  // same start: goes after job 2
+  s.assign(Assignment{3, 0, 20.0, 20.0});
+  s.assign(Assignment{1, 0, 20.0, 25.0});  // same start: goes after job 3
+  const auto slots = s.timeline(0);
+  ASSERT_EQ(slots.size(), 4u);
+  std::vector<dag::JobId> order;
+  for (const Assignment& slot : slots) {
+    order.push_back(slot.job);
+  }
+  EXPECT_EQ(order, (std::vector<dag::JobId>{2, 0, 3, 1}));
+}
+
+TEST(Schedule, CopyAndMoveKeepTimelines) {
+  Schedule s(4);
+  s.assign(Assignment{0, 3, 0.0, 5.0});
+  s.assign(Assignment{1, 1, 0.0, 2.0});
+  s.assign(Assignment{2, 3, 5.0, 9.0});
+  const Schedule copy = s;
+  s.unassign(0);
+  s.assign(Assignment{3, 3, 1.0, 4.0});
+  ASSERT_EQ(copy.timeline(3).size(), 2u);
+  EXPECT_EQ(copy.timeline(3)[0].job, 0u);
+  EXPECT_EQ(copy.timeline(3)[1].job, 2u);
+  EXPECT_FALSE(copy.assigned(3));
+  EXPECT_EQ(copy.used_resources(), (std::vector<grid::ResourceId>{1, 3}));
+
+  const Schedule moved = std::move(s);
+  ASSERT_EQ(moved.timeline(3).size(), 2u);
+  EXPECT_EQ(moved.timeline(3)[0].job, 3u);
+  EXPECT_EQ(moved.timeline(3)[1].job, 2u);
+  ASSERT_EQ(moved.timeline(1).size(), 1u);
+  EXPECT_EQ(moved.timeline(1)[0].job, 1u);
+  EXPECT_FALSE(moved.assigned(0));
+  EXPECT_DOUBLE_EQ(moved.makespan(), 9.0);
 }
 
 TEST(Schedule, InsertionSlotFindsGaps) {
