@@ -19,12 +19,12 @@ ExecutionEngine::ExecutionEngine(SimulationSession& session,
       load_(session.load()),
       session_(&session),
       record_(sim::kTimeZero, dag.job_count(), dag.edge_count()),
-      jobs_(dag.job_count()),
-      done_frac_(dag.job_count(), 0.0),
-      restart_debt_(dag.job_count(), 0.0) {
+      jobs_(dag.job_count()) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
   if (session.resilience().active()) {
     resilience_ = &session.resilience();
+    done_frac_.assign(dag.job_count(), 0.0);
+    restart_debt_.assign(dag.job_count(), 0.0);
   }
   session.add_participant(this, priority);
 }
@@ -380,13 +380,12 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
       std::max(at - run.ast, sim::kTimeZero) / state.load_factor;
   const double debt_paid = std::min(elapsed, state.segment_debt);
   counters_.checkpoint_overhead += debt_paid;
-  resilience::SegmentProgress progress;
-  if (resilience_ != nullptr) {
-    progress = resilience::segment_progress(
-        resilience_->checkpoint, elapsed - debt_paid, state.segment_work);
-  } else {
-    progress.lost = elapsed - debt_paid;  // no checkpoints: all redone
+  if (resilience_ == nullptr) {
+    counters_.lost_work += elapsed - debt_paid;  // no checkpoints: all redone
+    return;
   }
+  const resilience::SegmentProgress progress = resilience::segment_progress(
+      resilience_->checkpoint, elapsed - debt_paid, state.segment_work);
   counters_.checkpoint_overhead += progress.overhead;
   counters_.lost_work += progress.lost;
   if (progress.retained > 0.0) {
@@ -399,8 +398,7 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
                                1.0);
   }
   restart_debt_[job] =
-      (resilience_ != nullptr && resilience_->checkpoint.enabled &&
-       done_frac_[job] > 0.0)
+      (resilience_->checkpoint.enabled && done_frac_[job] > 0.0)
           ? resilience_->checkpoint.read_cost
           : 0.0;
 }

@@ -224,10 +224,10 @@ class ExecutionEngine : public SessionParticipant {
   /// Fraction of each job's total work persisted by checkpoints. Kept as
   /// a fraction (not absolute units) because compute costs differ per
   /// machine: a requeue realizes the remaining fraction at the new
-  /// machine's own cost.
+  /// machine's own cost. Sized only when resilience is active.
   std::vector<double> done_frac_;
   /// Checkpoint read cost owed when each job next starts (a prior image
-  /// exists); cleared once paid.
+  /// exists); cleared once paid. Sized only when resilience is active.
   std::vector<double> restart_debt_;
   /// The machines this engine queues work on. When its own running work
   /// frees a machine is the ledger's to know: acquire and peek apply it.
