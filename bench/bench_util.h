@@ -35,7 +35,6 @@
 #ifndef AHEFT_BENCH_BENCH_UTIL_H_
 #define AHEFT_BENCH_BENCH_UTIL_H_
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -44,6 +43,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,39 +143,6 @@ inline void print_help(const char* program) {
 /// as --threads=100000 is refused instead of started.
 inline constexpr std::uint64_t kMaxThreads = 256;
 
-/// `text` as an unsigned decimal integer, or nullopt. Digits only: a
-/// sign, an empty value, trailing junk ("3abc") or a value past 64 bits
-/// is refused rather than half-parsed.
-inline std::optional<std::uint64_t> parse_digits(const std::string& text) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-/// Parses --<flag>=N, an integer in [0, ceiling]; returns `fallback` when
-/// the flag is absent and exits 2 with a message naming the flag on any
-/// other value.
-inline std::uint64_t parse_count(const ArgParser& args,
-                                 const std::string& flag,
-                                 std::uint64_t fallback,
-                                 std::uint64_t ceiling) {
-  if (!args.has(flag)) {
-    return fallback;
-  }
-  const std::string text = args.get(flag, "");
-  const std::optional<std::uint64_t> value = parse_digits(text);
-  if (!value || *value > ceiling) {
-    std::cerr << "bad --" << flag << " value '" << text
-              << "' (want an integer from 0 to " << ceiling << ")\n";
-    std::exit(2);
-  }
-  return *value;
-}
-
 inline BenchOptions parse_options(int argc, char** argv) {
   const ArgParser args(argc, argv);
   if (args.has("help")) {
@@ -183,7 +150,13 @@ inline BenchOptions parse_options(int argc, char** argv) {
     std::exit(0);
   }
   BenchOptions options;
-  options.scale = args.scale();
+  try {
+    options.scale = args.scale();
+  } catch (const std::invalid_argument&) {
+    std::cerr << "bad --scale value '" << args.get("scale", "")
+              << "' (want smoke, default or paper)\n";
+    std::exit(2);
+  }
   options.threads = static_cast<std::size_t>(
       parse_count(args, "threads", 0, kMaxThreads));
   options.seed = parse_count(args, "seed", 42,

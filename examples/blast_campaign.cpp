@@ -5,6 +5,7 @@
 // Usage: blast_campaign [--n=64] [--ccr=1.0] [--pool=8] [--interval=150]
 //                       [--fraction=0.25] [--seed=7]
 #include <iostream>
+#include <limits>
 
 #include "core/heft.h"
 #include "core/strategy.h"
@@ -18,15 +19,21 @@
 
 using namespace aheft;
 
+/// Ceiling on --n and --pool: far above any demo size, well below a
+/// count whose allocation would fail.
+constexpr std::uint64_t kMaxCount = 4096;
+
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   workloads::AppParams params;
-  params.parallelism = static_cast<std::size_t>(args.get_int("n", 64));
+  params.parallelism =
+      static_cast<std::size_t>(parse_count(args, "n", 64, kMaxCount));
   params.ccr = args.get_double("ccr", 1.0);
   const workloads::ResourceDynamics dynamics{
-      static_cast<std::size_t>(args.get_int("pool", 8)),
+      static_cast<std::size_t>(parse_count(args, "pool", 8, kMaxCount)),
       args.get_double("interval", 150.0), args.get_double("fraction", 0.25)};
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const std::uint64_t seed =
+      parse_count(args, "seed", 7, std::numeric_limits<std::uint64_t>::max());
 
   RngStream rng(seed);
   RngStream dag_stream = rng.child("dag");

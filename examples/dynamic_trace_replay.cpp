@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "core/heft.h"
@@ -82,7 +83,8 @@ core::StrategyOutcome run_once(const dag::Dag& workflow,
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  const std::uint64_t seed =
+      parse_count(args, "seed", 3, std::numeric_limits<std::uint64_t>::max());
   const std::string out_path = args.get("out", "demo_run.trace");
   const std::string source = args.get("source", "bursty");
 

@@ -5,6 +5,7 @@
 // Usage: montage_pipeline [--n=16] [--ccr=2.0] [--seed=5] [--dot=path.dot]
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "core/heft.h"
 #include "core/strategy.h"
@@ -18,12 +19,18 @@
 
 using namespace aheft;
 
+/// Ceiling on --n: far above any demo size, well below a
+/// count whose allocation would fail.
+constexpr std::uint64_t kMaxCount = 4096;
+
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   workloads::AppParams params;
-  params.parallelism = static_cast<std::size_t>(args.get_int("n", 16));
+  params.parallelism =
+      static_cast<std::size_t>(parse_count(args, "n", 16, kMaxCount));
   params.ccr = args.get_double("ccr", 2.0);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  const std::uint64_t seed =
+      parse_count(args, "seed", 5, std::numeric_limits<std::uint64_t>::max());
 
   RngStream rng(seed);
   RngStream dag_stream = rng.child("dag");

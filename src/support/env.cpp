@@ -1,6 +1,8 @@
 #include "support/env.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace aheft {
@@ -61,15 +63,6 @@ std::string ArgParser::get(const std::string& name,
   return it->second;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name,
-                                std::int64_t fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) {
-    return fallback;
-  }
-  return std::stoll(it->second);
-}
-
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) {
@@ -91,6 +84,31 @@ Scale ArgParser::scale() const {
     }
   }
   return Scale::kDefault;
+}
+
+std::optional<std::uint64_t> parse_digits(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::uint64_t parse_count(const ArgParser& args, const std::string& flag,
+                          std::uint64_t fallback, std::uint64_t ceiling) {
+  if (!args.has(flag)) {
+    return fallback;
+  }
+  const std::string text = args.get(flag, "");
+  const std::optional<std::uint64_t> value = parse_digits(text);
+  if (!value || *value > ceiling) {
+    std::cerr << "bad --" << flag << " value '" << text
+              << "' (want an integer from 0 to " << ceiling << ")\n";
+    std::exit(2);
+  }
+  return *value;
 }
 
 }  // namespace aheft

@@ -31,8 +31,6 @@ class ArgParser {
   /// Value of --name=value, or fallback.
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
 
@@ -48,6 +46,20 @@ class ArgParser {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// `text` as an unsigned decimal integer, or nullopt. Digits only: a
+/// sign, an empty value, trailing junk ("3abc") or a value past 64 bits
+/// is refused rather than half-parsed.
+[[nodiscard]] std::optional<std::uint64_t> parse_digits(
+    const std::string& text);
+
+/// Parses --<flag>=N, an integer in [0, ceiling]; returns `fallback` when
+/// the flag is absent and exits 2 with a message naming the flag on any
+/// other value.
+[[nodiscard]] std::uint64_t parse_count(const ArgParser& args,
+                                        const std::string& flag,
+                                        std::uint64_t fallback,
+                                        std::uint64_t ceiling);
 
 }  // namespace aheft
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -383,13 +384,25 @@ TEST(Env, ArgParserParsesOptionsAndPositionals) {
                         "positional"};
   ArgParser args(5, argv);
   EXPECT_EQ(args.scale(), Scale::kSmoke);
-  EXPECT_EQ(args.get_int("jobs", 0), 40);
+  EXPECT_EQ(parse_count(args, "jobs", 0, 100), 40u);
+  EXPECT_EQ(parse_count(args, "missing", 7, 100), 7u);
   EXPECT_TRUE(args.has("flag"));
   EXPECT_FALSE(args.has("missing"));
   EXPECT_EQ(args.get("missing", "fallback"), "fallback");
   EXPECT_DOUBLE_EQ(args.get_double("ccr", 1.5), 1.5);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "positional");
+}
+
+TEST(Env, ParseDigitsTakesOnlyWholeUnsignedNumbers) {
+  EXPECT_EQ(parse_digits("0"), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(parse_digits("4096"), std::optional<std::uint64_t>(4096));
+  EXPECT_EQ(parse_digits("18446744073709551615"),
+            std::optional<std::uint64_t>(18446744073709551615ull));
+  for (const char* bad : {"", "-1", "+1", "3x", "x", " 1", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_digits(bad).has_value()) << bad;
+  }
 }
 
 // ----- thread pool -----------------------------------------------------------
