@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
 """Gate the pump-scaling bench against the committed baseline.
 
-Usage: check_pump_baseline.py BASELINE.json CURRENT.json [FACTOR]
+Usage: check_pump_baseline.py [--factor=F] BASELINE.json CURRENT.json
+                              [CURRENT.json ...]
 
-Rows are matched by their full label set; a row regresses when its
-micros_per_event exceeds FACTOR (default 3.0) times the baseline's.
-Rows without a micros_per_event metric (e.g. the sparse-stream epoch
-row) and rows absent from the baseline (new axes) are ignored, so
-extending the bench never trips the gate. A baseline row with
-micros_per_event that the current run lacks is an error: a label
-change must never shrink the gate silently.
+Rows are matched by their full label set. Each row's micros_per_event is
+the median over the CURRENT files (one file per bench process), so one
+slow process cannot fail the gate alone; a row regresses when that
+median exceeds F (default 3.0) times the baseline's. Rows without a
+micros_per_event metric (e.g. the sparse-stream epoch row) and rows
+absent from the baseline (new axes) are ignored, so extending the bench
+never trips the gate. A baseline row with micros_per_event that any
+current file lacks is an error: a label change must never shrink the
+gate silently.
 
-Exit status: 0 clean, 1 on any regression or missing row, 2 when
-nothing matched (wrong file pair or a label-schema change that must be
-reflected by regenerating the baseline).
+Exit status: 0 clean, 1 on any regression or missing row, 2 on bad
+usage or when nothing matched (wrong file pair or a label-schema change
+that must be reflected by regenerating the baseline).
 """
 import json
+import statistics
 import sys
 
 
@@ -27,12 +31,18 @@ def rows_by_labels(path):
 
 
 def main(argv):
-    if len(argv) not in (3, 4):
+    factor = 3.0
+    paths = []
+    for arg in argv[1:]:
+        if arg.startswith("--factor="):
+            factor = float(arg[len("--factor="):])
+        else:
+            paths.append(arg)
+    if len(paths) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    factor = float(argv[3]) if len(argv) == 4 else 3.0
-    baseline = rows_by_labels(argv[1])
-    current = rows_by_labels(argv[2])
+    baseline = rows_by_labels(paths[0])
+    currents = [rows_by_labels(path) for path in paths[1:]]
 
     matched = 0
     regressions = []
@@ -41,26 +51,30 @@ def main(argv):
         then = reference.get("micros_per_event")
         if then is None:
             continue
-        now = current.get(key, {}).get("micros_per_event")
-        if now is None:
+        runs = [current.get(key, {}).get("micros_per_event")
+                for current in currents]
+        if None in runs:
             missing.append(dict(key))
             continue
         matched += 1
+        now = statistics.median(runs)
         if now > factor * then:
-            regressions.append((dict(key), then, now))
+            regressions.append((dict(key), then, now, runs))
 
     if matched == 0:
         print("no rows matched the committed baseline; regenerate it with "
               "`bench_pump_scaling --smoke --json=BENCH_pump.json` (Release)",
               file=sys.stderr)
         return 2
-    for labels, then, now in regressions:
+    for labels, then, now, runs in regressions:
+        spread = ", ".join(f"{run:.3f}" for run in runs)
         print(f"REGRESSION {labels}: {then:.3f} -> {now:.3f} us/event "
-              f"(bound {factor:.1f}x)")
+              f"(median of {spread}; bound {factor:.1f}x)")
     for labels in missing:
-        print(f"MISSING {labels}: baseline row absent from the current run")
-    print(f"checked {matched} rows against baseline: "
-          f"{len(regressions)} regression(s), {len(missing)} missing")
+        print(f"MISSING {labels}: baseline row absent from a current run")
+    print(f"checked {matched} rows against baseline (median of "
+          f"{len(currents)} run(s)): {len(regressions)} regression(s), "
+          f"{len(missing)} missing")
     return 1 if regressions or missing else 0
 
 
