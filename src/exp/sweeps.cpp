@@ -76,7 +76,13 @@ std::vector<CaseSpec> build_random_sweep(Scale scale, std::uint64_t master,
     fractions = {0.10, 0.20};
   }
 
+  // One allocation for the whole grid: growing a vector of these large
+  // specs by doubling would copy each several times and briefly hold
+  // about three times the grid's size.
   std::vector<CaseSpec> specs;
+  specs.reserve(jobs.size() * ccrs.size() * out_degrees.size() *
+                betas.size() * pools.size() * intervals.size() *
+                fractions.size() * instances_for(scale));
   for (const std::size_t v : jobs) {
     for (const double ccr : ccrs) {
       for (const double out_degree : out_degrees) {
