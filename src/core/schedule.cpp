@@ -18,9 +18,9 @@ bool overlaps(sim::Time a_start, sim::Time a_end, sim::Time b_start,
          b_start < a_end - sim::kTimeEpsilon;
 }
 
-/// Whether `slot` is longer than the overlap tolerance. Past such a slot
-/// a disjoint timeline cannot reach: every slot beyond it ends (or, to the
-/// right, starts) on its far side.
+/// Whether `slot` is longer than the overlap tolerance. An overlap scan
+/// outward from an insert position may stop at such a slot: in a disjoint
+/// timeline, no slot beyond it can reach the new one.
 bool long_slot(const Assignment& slot) {
   return slot.finish - slot.start > sim::kTimeEpsilon;
 }
@@ -125,13 +125,14 @@ std::optional<Assignment> Schedule::maybe_assignment(dag::JobId job) const {
   return by_job_[job];
 }
 
-Schedule::Timeline Schedule::timeline(grid::ResourceId resource) const {
+std::span<const dag::JobId> Schedule::timeline_ids(
+    grid::ResourceId resource) const {
   const std::size_t k = run_index(resource);
   if (k == runs_.size() || runs_[k].resource != resource) {
-    return Timeline();
+    return {};
   }
-  const dag::JobId* ids = by_resource_.data();
-  return Timeline(by_job_.data(), ids + run_begin(k), ids + runs_[k].end);
+  return std::span(by_resource_).subspan(run_begin(k),
+                                         runs_[k].end - run_begin(k));
 }
 
 std::vector<grid::ResourceId> Schedule::used_resources() const {
@@ -157,7 +158,7 @@ sim::Time Schedule::earliest_slot(grid::ResourceId resource, sim::Time ready,
                                   const AvailabilityView* foreign) const {
   AHEFT_REQUIRE(duration >= 0.0, "duration must be non-negative");
   sim::Time candidate = std::max(ready, not_before);
-  const Timeline slots = timeline(resource);
+  const auto slots = timeline(resource);
   // Two monotone push-forward passes — own slots, then foreign busy
   // intervals — iterated to a fixed point: sliding past a foreign window
   // may land the candidate inside a later own slot and vice versa. Each
@@ -202,7 +203,7 @@ std::string Schedule::gantt(const dag::Dag& dag,
                             const grid::ResourcePool& pool) const {
   AsciiTable table({"resource", "timeline (job[start,finish))"});
   for (const grid::ResourceId resource : used_resources()) {
-    const Timeline slots = timeline(resource);
+    const auto slots = timeline(resource);
     std::ostringstream row;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (i != 0) {

@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,58 +40,6 @@ struct Assignment {
 /// heuristic order and gap queries for the insertion slot policy.
 class Schedule {
  public:
-  /// One resource's slots in start order: a random-access view over the
-  /// schedule's job ids that yields each job's Assignment. Valid until the
-  /// schedule next changes.
-  class Timeline {
-   public:
-    class iterator {
-     public:
-      using value_type = Assignment;
-      using difference_type = std::ptrdiff_t;
-
-      iterator() = default;
-      iterator(const Assignment* slots, const dag::JobId* at)
-          : slots_(slots), at_(at) {}
-      const Assignment& operator*() const { return slots_[*at_]; }
-      const Assignment* operator->() const { return &slots_[*at_]; }
-      iterator& operator++() {
-        ++at_;
-        return *this;
-      }
-      iterator operator++(int) {
-        iterator before = *this;
-        ++at_;
-        return before;
-      }
-      bool operator==(const iterator& other) const { return at_ == other.at_; }
-
-     private:
-      const Assignment* slots_ = nullptr;
-      const dag::JobId* at_ = nullptr;
-    };
-
-    Timeline() = default;
-    Timeline(const Assignment* slots, const dag::JobId* first,
-             const dag::JobId* last)
-        : slots_(slots), first_(first), last_(last) {}
-
-    [[nodiscard]] std::size_t size() const {
-      return static_cast<std::size_t>(last_ - first_);
-    }
-    [[nodiscard]] bool empty() const { return first_ == last_; }
-    const Assignment& operator[](std::size_t k) const {
-      return slots_[first_[k]];
-    }
-    [[nodiscard]] iterator begin() const { return {slots_, first_}; }
-    [[nodiscard]] iterator end() const { return {slots_, last_}; }
-
-   private:
-    const Assignment* slots_ = nullptr;
-    const dag::JobId* first_ = nullptr;
-    const dag::JobId* last_ = nullptr;
-  };
-
   Schedule() = default;
   explicit Schedule(std::size_t job_count);
 
@@ -117,8 +67,16 @@ class Schedule {
       dag::JobId job) const;
 
   /// Slots on `resource`, sorted by start time (equal starts in the order
-  /// they were assigned).
-  [[nodiscard]] Timeline timeline(grid::ResourceId resource) const;
+  /// they were assigned): a random-access view over the resource's job
+  /// ids that yields each job's Assignment. Valid until the schedule next
+  /// changes.
+  [[nodiscard]] auto timeline(grid::ResourceId resource) const {
+    return timeline_ids(resource) |
+           std::views::transform(
+               [slots = by_job_.data()](dag::JobId id) -> const Assignment& {
+                 return slots[id];
+               });
+  }
 
   /// Resources that hold at least one slot, ascending.
   [[nodiscard]] std::vector<grid::ResourceId> used_resources() const;
@@ -154,6 +112,9 @@ class Schedule {
     std::uint32_t end = 0;
   };
 
+  /// The ids of `resource`'s run of by_resource_ (empty without slots).
+  [[nodiscard]] std::span<const dag::JobId> timeline_ids(
+      grid::ResourceId resource) const;
   /// Index of the first run whose resource is not below `resource`.
   [[nodiscard]] std::size_t run_index(grid::ResourceId resource) const;
   /// Where run `k` starts in by_resource_ (the end for k == runs_.size()).
