@@ -101,13 +101,6 @@ void Schedule::unassign(dag::JobId job) {
   by_job_[job] = Assignment{};
 }
 
-std::size_t Schedule::run_index(grid::ResourceId resource) const {
-  const auto it = std::lower_bound(
-      runs_.begin(), runs_.end(), resource,
-      [](const Run& run, grid::ResourceId r) { return run.resource < r; });
-  return static_cast<std::size_t>(it - runs_.begin());
-}
-
 bool Schedule::assigned(dag::JobId job) const {
   AHEFT_REQUIRE(job < by_job_.size(), "job id out of range");
   return by_job_[job].resource != grid::kInvalidResource;
@@ -123,16 +116,6 @@ std::optional<Assignment> Schedule::maybe_assignment(dag::JobId job) const {
     return std::nullopt;
   }
   return by_job_[job];
-}
-
-std::span<const dag::JobId> Schedule::timeline_ids(
-    grid::ResourceId resource) const {
-  const std::size_t k = run_index(resource);
-  if (k == runs_.size() || runs_[k].resource != resource) {
-    return {};
-  }
-  return std::span(by_resource_).subspan(run_begin(k),
-                                         runs_[k].end - run_begin(k));
 }
 
 std::vector<grid::ResourceId> Schedule::used_resources() const {

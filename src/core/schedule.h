@@ -9,6 +9,7 @@
 #ifndef AHEFT_CORE_SCHEDULE_H_
 #define AHEFT_CORE_SCHEDULE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -112,14 +113,26 @@ class Schedule {
     std::uint32_t end = 0;
   };
 
-  /// The ids of `resource`'s run of by_resource_ (empty without slots).
-  [[nodiscard]] std::span<const dag::JobId> timeline_ids(
-      grid::ResourceId resource) const;
   /// Index of the first run whose resource is not below `resource`.
-  [[nodiscard]] std::size_t run_index(grid::ResourceId resource) const;
+  [[nodiscard]] std::size_t run_index(grid::ResourceId resource) const {
+    const auto it = std::lower_bound(
+        runs_.begin(), runs_.end(), resource,
+        [](const Run& run, grid::ResourceId r) { return run.resource < r; });
+    return static_cast<std::size_t>(it - runs_.begin());
+  }
   /// Where run `k` starts in by_resource_ (the end for k == runs_.size()).
   [[nodiscard]] std::size_t run_begin(std::size_t k) const {
     return k == 0 ? 0 : runs_[k - 1].end;
+  }
+  /// The ids of `resource`'s run of by_resource_ (empty without slots).
+  [[nodiscard]] std::span<const dag::JobId> timeline_ids(
+      grid::ResourceId resource) const {
+    const std::size_t k = run_index(resource);
+    if (k == runs_.size() || runs_[k].resource != resource) {
+      return {};
+    }
+    return std::span(by_resource_)
+        .subspan(run_begin(k), runs_[k].end - run_begin(k));
   }
 
   /// Every job's slot; an unassigned job's slot names no resource.

@@ -76,24 +76,6 @@ void ExecutionSnapshot::record_arrival(std::size_t edge_index,
   overflow_.push_back(Arrival{resource, kNoArrival, when});
 }
 
-std::optional<sim::Time> ExecutionSnapshot::arrival(
-    std::size_t edge_index, grid::ResourceId resource) const {
-  AHEFT_REQUIRE(edge_index < arrivals_.size(), "edge index out of range");
-  const Arrival* known = &arrivals_[edge_index];
-  if (known->resource == grid::kInvalidResource) {
-    return std::nullopt;
-  }
-  for (;;) {
-    if (known->resource == resource) {
-      return known->when;
-    }
-    if (known->next == kNoArrival) {
-      return std::nullopt;
-    }
-    known = &overflow_[known->next];
-  }
-}
-
 FinishedInfo ExecutionSnapshot::finished_info(dag::JobId job) const {
   AHEFT_REQUIRE(finished(job), "job has not finished");
   const JobRecord& r = jobs_[job];

@@ -87,7 +87,22 @@ class ExecutionSnapshot {
   /// output was never directed there. This is the ground truth behind FEA
   /// cases 1, 2, and "otherwise".
   [[nodiscard]] std::optional<sim::Time> arrival(
-      std::size_t edge_index, grid::ResourceId resource) const;
+      std::size_t edge_index, grid::ResourceId resource) const {
+    AHEFT_REQUIRE(edge_index < arrivals_.size(), "edge index out of range");
+    const Arrival* known = &arrivals_[edge_index];
+    if (known->resource == grid::kInvalidResource) {
+      return std::nullopt;
+    }
+    for (;;) {
+      if (known->resource == resource) {
+        return known->when;
+      }
+      if (known->next == kNoArrival) {
+        return std::nullopt;
+      }
+      known = &overflow_[known->next];
+    }
+  }
 
   [[nodiscard]] const JobRecord& record(dag::JobId job) const {
     AHEFT_REQUIRE(job < jobs_.size(), "job id out of range");
