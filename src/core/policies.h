@@ -81,8 +81,8 @@ struct SchedulerConfig {
   double rank_tie_fraction = 0.05;
   /// File-movement model shared by the planner's FEA (Eq. 1 Case 2) and
   /// the executor. Defaults to the paper's literal Eq. 1 constraint; the
-  /// optimistic models are ablation knobs (see EXPERIMENTS.md for why the
-  /// paper's own numbers imply one of them).
+  /// optimistic models are ablation knobs (see README "Deviations from
+  /// the paper" for why the paper's own numbers imply one of them).
   TransferPolicy transfer_policy = TransferPolicy::kRetransmitFromClock;
 };
 
