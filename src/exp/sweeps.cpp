@@ -46,6 +46,17 @@ std::size_t instances_for(Scale scale) {
   return 1;
 }
 
+/// seeds[inst] = case_seed(master, spec, inst). The key leaves out the
+/// resource model, so every (R, Delta, delta) spec of one workflow key
+/// shares these seeds: the sweeps derive them once per key, not once
+/// per spec.
+void fill_seeds(std::vector<std::uint64_t>& seeds, std::uint64_t master,
+                const CaseSpec& spec) {
+  for (std::size_t inst = 0; inst < seeds.size(); ++inst) {
+    seeds[inst] = case_seed(master, spec, inst);
+  }
+}
+
 }  // namespace
 
 std::vector<CaseSpec> build_random_sweep(Scale scale, std::uint64_t master,
@@ -79,29 +90,31 @@ std::vector<CaseSpec> build_random_sweep(Scale scale, std::uint64_t master,
   // One allocation for the whole grid: growing a vector of these large
   // specs by doubling would copy each several times and briefly hold
   // about three times the grid's size.
+  const std::size_t instances = instances_for(scale);
   std::vector<CaseSpec> specs;
   specs.reserve(jobs.size() * ccrs.size() * out_degrees.size() *
                 betas.size() * pools.size() * intervals.size() *
-                fractions.size() * instances_for(scale));
+                fractions.size() * instances);
+  std::vector<std::uint64_t> seeds(instances);
   for (const std::size_t v : jobs) {
     for (const double ccr : ccrs) {
       for (const double out_degree : out_degrees) {
         for (const double beta : betas) {
+          CaseSpec spec;
+          spec.app = AppKind::kRandom;
+          spec.size = v;
+          spec.ccr = ccr;
+          spec.out_degree = out_degree;
+          spec.beta = beta;
+          spec.run_dynamic = run_dynamic;
+          spec.horizon_factor = run_dynamic ? 4.0 : 1.0;
+          fill_seeds(seeds, master, spec);
           for (const std::size_t pool : pools) {
             for (const double interval : intervals) {
               for (const double fraction : fractions) {
-                for (std::size_t inst = 0; inst < instances_for(scale);
-                     ++inst) {
-                  CaseSpec spec;
-                  spec.app = AppKind::kRandom;
-                  spec.size = v;
-                  spec.ccr = ccr;
-                  spec.out_degree = out_degree;
-                  spec.beta = beta;
+                for (std::size_t inst = 0; inst < instances; ++inst) {
                   spec.dynamics = {pool, interval, fraction};
-                  spec.run_dynamic = run_dynamic;
-                  spec.horizon_factor = run_dynamic ? 4.0 : 1.0;
-                  spec.seed = case_seed(master, spec, inst);
+                  spec.seed = seeds[inst];
                   specs.push_back(spec);
                 }
               }
@@ -143,20 +156,22 @@ std::vector<CaseSpec> build_app_sweep(AppKind app, Scale scale,
   }
 
   std::vector<CaseSpec> specs;
+  std::vector<std::uint64_t> seeds(instances);
   for (const std::size_t n : parallelism) {
     for (const double ccr : ccrs) {
       for (const double beta : betas) {
+        CaseSpec spec;
+        spec.app = app;
+        spec.size = n;
+        spec.ccr = ccr;
+        spec.beta = beta;
+        fill_seeds(seeds, master, spec);
         for (const std::size_t pool : pools) {
           for (const double interval : intervals) {
             for (const double fraction : fractions) {
               for (std::size_t inst = 0; inst < instances; ++inst) {
-                CaseSpec spec;
-                spec.app = app;
-                spec.size = n;
-                spec.ccr = ccr;
-                spec.beta = beta;
                 spec.dynamics = {pool, interval, fraction};
-                spec.seed = case_seed(master, spec, inst);
+                spec.seed = seeds[inst];
                 specs.push_back(spec);
               }
             }

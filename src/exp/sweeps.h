@@ -19,8 +19,10 @@
 
 namespace aheft::exp {
 
-/// Deterministic per-case seed from a master seed and the spec's semantic
-/// identity (app, size, ccr, out_degree, beta, R, Delta, delta, instance).
+/// Deterministic per-case seed from a master seed and the spec's workflow
+/// key (app, size, ccr, out_degree, beta, instance). The resource model
+/// (R, Delta, delta) is not part of the key, so specs differing only there
+/// share one workflow, as the paper crosses each DAG with every model.
 [[nodiscard]] std::uint64_t case_seed(std::uint64_t master,
                                       const CaseSpec& spec,
                                       std::size_t instance);

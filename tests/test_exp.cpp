@@ -10,6 +10,9 @@
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/sweeps.h"
+#include "support/rng.h"
+#include "traces/compiler.h"
+#include "traces/trace_format.h"
 
 namespace aheft::exp {
 namespace {
@@ -147,6 +150,55 @@ TEST(Sweeps, CaseSeedIsStableAndSensitive) {
   EXPECT_EQ(case_seed(1, a, 0), case_seed(1, c, 0));
 }
 
+TEST(Sweeps, CaseSeedIsPinnedToItsKeyText) {
+  // Literal seeds: a change to the key text, its number formatting or the
+  // hash would silently re-seed every published sweep.
+  CaseSpec random;
+  random.app = AppKind::kRandom;
+  random.size = 25;
+  random.ccr = 1.0;
+  random.out_degree = 0.3;
+  random.beta = 0.5;
+  EXPECT_EQ(case_seed(42, random, 0), 17694314992606301583ull);
+  CaseSpec blast;
+  blast.app = AppKind::kBlast;
+  blast.size = 200;
+  blast.ccr = 0.1;
+  blast.beta = 1.0;
+  EXPECT_EQ(case_seed(7, blast, 1), 11722088095539604706ull);
+  CaseSpec wien2k;
+  wien2k.app = AppKind::kWien2k;
+  wien2k.size = 1000;
+  wien2k.ccr = 10.0;
+  wien2k.beta = 0.25;
+  EXPECT_EQ(case_seed(31337, wien2k, 3), 16577835146122592005ull);
+}
+
+TEST(Sweeps, EverySpecCarriesItsCaseSeed) {
+  // The sweeps derive each workflow key's seeds once and hand them to
+  // every resource model of that key; each spec must still carry exactly
+  // case_seed(master, spec, inst), with the instance innermost.
+  constexpr std::uint64_t kMaster = 42;
+  auto check = [&](const std::vector<CaseSpec>& specs, std::size_t instances,
+                   const std::string& label) {
+    ASSERT_FALSE(specs.empty()) << label;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      ASSERT_EQ(specs[k].seed, case_seed(kMaster, specs[k], k % instances))
+          << label << " spec " << k;
+    }
+  };
+  for (const Scale scale : {Scale::kSmoke, Scale::kDefault}) {
+    const std::string name = to_string(scale);
+    check(build_random_sweep(scale, kMaster, false), 1, "random " + name);
+    check(build_random_sweep(scale, kMaster, true), 1,
+          "random+dynamic " + name);
+    for (const AppKind app : {AppKind::kBlast, AppKind::kWien2k}) {
+      check(build_app_sweep(app, scale, kMaster),
+            scale == Scale::kSmoke ? 1 : 2, to_string(app) + " " + name);
+    }
+  }
+}
+
 TEST(Sweeps, RandomSweepSizesPerScale) {
   const auto smoke = build_random_sweep(Scale::kSmoke, 1, false);
   EXPECT_EQ(smoke.size(), 2u * 2u * 1u * 1u * 1u * 1u * 1u);
@@ -199,6 +251,52 @@ TEST(Sweeps, SeedsDifferAcrossWorkloadsButPairAcrossModels) {
   // 5 N x 5 CCR x 2 instances distinct workloads, each paired with every
   // pool size (5), so distinct seeds = cases / pools.
   EXPECT_EQ(seeds.size(), specs.size() / 5u);
+}
+
+/// The model build_case_environment must produce: a fresh
+/// build_machine_model over the environment's final universe.
+void expect_fresh_model(const CaseSpec& spec, const CaseEnvironment& env) {
+  const grid::MachineModel fresh = workloads::build_machine_model(
+      env.workload, env.scenario.pool.universe_size(), spec.beta,
+      mix64(spec.seed, hash64("costs")));
+  ASSERT_EQ(env.model.job_count(), fresh.job_count());
+  ASSERT_EQ(env.model.resource_count(), fresh.resource_count());
+  for (dag::JobId i = 0; i < fresh.job_count(); ++i) {
+    for (grid::ResourceId j = 0; j < fresh.resource_count(); ++j) {
+      ASSERT_EQ(env.model.compute_cost(i, j), fresh.compute_cost(i, j))
+          << spec.scenario_source << " job " << i << " resource " << j;
+    }
+  }
+}
+
+TEST(Case, EnvironmentModelEqualsAFreshModelOverTheFinalUniverse) {
+  // Horizon-sensitive sources: pass 2 keeps pass 1's columns and draws
+  // only the later arrivals' columns.
+  for (const char* source : {"synthetic", "bursty"}) {
+    for (const std::uint64_t seed : {3u, 11u}) {
+      CaseSpec spec = small_spec(seed);
+      spec.scenario_source = source;
+      spec.bursty.failure_fraction = 0.3;
+      spec.horizon_factor = 4.0;
+      const CaseEnvironment env = build_case_environment(spec);
+      EXPECT_GT(env.scenario.pool.universe_size(), spec.dynamics.initial)
+          << source << ": no arrivals, so nothing was extended";
+      expect_fresh_model(spec, env);
+    }
+  }
+  // The trace source is horizon-insensitive: its pass-1 model is final.
+  CaseSpec recorded = small_spec(5);
+  recorded.horizon_factor = 4.0;
+  const std::string path = ::testing::TempDir() + "case_model_replay.trace";
+  traces::write_trace_file(
+      path, traces::record_scenario(build_case_environment(recorded).scenario,
+                                    "recorded"));
+  CaseSpec replay = recorded;
+  replay.scenario_source = "trace";
+  replay.trace_path = path;
+  const CaseEnvironment env = build_case_environment(replay);
+  EXPECT_GT(env.scenario.pool.universe_size(), replay.dynamics.initial);
+  expect_fresh_model(replay, env);
 }
 
 }  // namespace
