@@ -116,28 +116,32 @@ CaseEnvironment build_case_environment(const CaseSpec& spec) {
   // the trace source carries its own timeline regardless).
   request.horizon = sim::kTimeZero;
   traces::CompiledScenario initial = source.build(request);
-  const grid::MachineModel initial_model = workloads::build_machine_model(
+  grid::MachineModel initial_model = workloads::build_machine_model(
       workload, initial.pool.universe_size(), spec.beta, cost_seed);
-  const core::Schedule initial_plan = core::heft_schedule(
-      workload.dag, initial_model, initial.pool, spec.scheduler);
-  const sim::Time heft_makespan = initial_plan.makespan();
+  const sim::Time heft_makespan =
+      core::heft_schedule(workload.dag, initial_model, initial.pool,
+                          spec.scheduler)
+          .makespan();
 
   // Pass 2: extend the universe with the generated dynamics up to the
-  // horizon; cost columns shared with pass 1 regenerate identically
-  // (deterministic per (seed, job, column)). Horizon-insensitive
-  // sources (trace replay) would rebuild the identical scenario, so
-  // reuse pass 1 instead of re-reading them. Workflow streams push the
-  // horizon out by the arrival span (known after pass 1: generators
-  // emit the arrival records at any horizon).
+  // horizon. Cost cells are deterministic per (seed, job, column), so the
+  // pass-1 columns carry over as they are and only later arrivals' columns
+  // are drawn. Horizon-insensitive sources (trace replay) would rebuild
+  // the identical scenario, so reuse pass 1 instead of re-reading them.
+  // Workflow streams push the horizon out by the arrival span (known
+  // after pass 1: generators emit the arrival records at any horizon).
+  if (!source.horizon_sensitive()) {
+    return CaseEnvironment{std::move(workload), std::move(initial),
+                           std::move(initial_model), heft_makespan};
+  }
   const sim::Time arrival_span = initial.job_arrivals.empty()
                                      ? sim::kTimeZero
                                      : initial.job_arrivals.back().arrival;
   request.horizon = arrival_span + heft_makespan * spec.horizon_factor;
-  traces::CompiledScenario scenario = source.horizon_sensitive()
-                                          ? source.build(request)
-                                          : std::move(initial);
-  grid::MachineModel model = workloads::build_machine_model(
-      workload, scenario.pool.universe_size(), spec.beta, cost_seed);
+  traces::CompiledScenario scenario = source.build(request);
+  grid::MachineModel model = workloads::extend_machine_model(
+      initial_model, workload, scenario.pool.universe_size(), spec.beta,
+      cost_seed);
 
   return CaseEnvironment{std::move(workload), std::move(scenario),
                          std::move(model), heft_makespan};

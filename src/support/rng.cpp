@@ -134,6 +134,15 @@ std::size_t RngStream::geometric(double p) {
   return trials < 1.0 ? 1 : static_cast<std::size_t>(trials);
 }
 
+double first_uniform(std::uint64_t seed, double lo, double hi) {
+  AHEFT_REQUIRE(lo <= hi, "uniform(lo, hi) requires lo <= hi");
+  SplitMix64 sm(seed);
+  (void)sm.next();
+  const std::uint64_t s1 = sm.next();
+  const std::uint64_t draw = rotl(s1 * 5, 7) * 9;
+  return lo + (hi - lo) * (static_cast<double>(draw >> 11) * 0x1.0p-53);
+}
+
 std::uint64_t hash64(std::string_view text) noexcept {
   // FNV-1a, then strengthened through SplitMix64 finalization.
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -113,6 +113,12 @@ class RngStream {
   double cached_normal_ = 0.0;
 };
 
+/// The first draw of RngStream(seed).uniform(lo, hi), bit for bit, without
+/// building the stream: xoshiro256**'s first output reads only the second
+/// word SplitMix64 seeds it with. For callers that seed one stream per
+/// value (one cost cell per (job, machine)).
+[[nodiscard]] double first_uniform(std::uint64_t seed, double lo, double hi);
+
 /// Stable 64-bit hash of a string, for deriving stream tags from names.
 [[nodiscard]] std::uint64_t hash64(std::string_view text) noexcept;
 

@@ -60,24 +60,58 @@ grid::ResourcePool build_dynamic_pool(const ResourceDynamics& dynamics,
   return pool;
 }
 
-grid::MachineModel build_machine_model(const Workload& workload,
-                                       std::size_t universe, double beta,
-                                       std::uint64_t seed) {
-  AHEFT_REQUIRE(beta >= 0.0 && beta < 2.0, "beta must be in [0, 2)");
-  AHEFT_REQUIRE(universe > 0, "universe must be non-empty");
-  const std::size_t v = workload.dag.job_count();
-  AHEFT_REQUIRE(workload.base_cost.size() == v,
-                "base costs and DAG disagree on job count");
+namespace {
 
-  grid::MachineModel model(v, universe);
-  for (dag::JobId i = 0; i < v; ++i) {
-    for (grid::ResourceId j = 0; j < universe; ++j) {
-      // Deterministic per (seed, i, j): independent of universe size.
-      RngStream cell(mix64(seed, (static_cast<std::uint64_t>(i) << 24) ^ j));
-      const double factor = cell.uniform(1.0 - beta / 2.0, 1.0 + beta / 2.0);
+/// Draws columns [first, universe) of `model`: cell (i, j) is a function of
+/// (seed, i, j) alone, so it does not depend on the universe size or on
+/// which other columns are drawn.
+void draw_columns(grid::MachineModel& model, const Workload& workload,
+                  double beta, std::uint64_t seed, grid::ResourceId first) {
+  const std::size_t universe = model.resource_count();
+  for (dag::JobId i = 0; i < model.job_count(); ++i) {
+    for (grid::ResourceId j = first; j < universe; ++j) {
+      const double factor =
+          first_uniform(mix64(seed, (static_cast<std::uint64_t>(i) << 24) ^ j),
+                        1.0 - beta / 2.0, 1.0 + beta / 2.0);
       model.set_compute_cost(i, j, workload.base_cost[i] * factor);
     }
   }
+}
+
+void require_model_inputs(const Workload& workload, std::size_t universe,
+                          double beta) {
+  AHEFT_REQUIRE(beta >= 0.0 && beta < 2.0, "beta must be in [0, 2)");
+  AHEFT_REQUIRE(universe > 0, "universe must be non-empty");
+  AHEFT_REQUIRE(workload.base_cost.size() == workload.dag.job_count(),
+                "base costs and DAG disagree on job count");
+}
+
+}  // namespace
+
+grid::MachineModel build_machine_model(const Workload& workload,
+                                       std::size_t universe, double beta,
+                                       std::uint64_t seed) {
+  require_model_inputs(workload, universe, beta);
+  grid::MachineModel model(workload.dag.job_count(), universe);
+  draw_columns(model, workload, beta, seed, 0);
+  return model;
+}
+
+grid::MachineModel extend_machine_model(const grid::MachineModel& base,
+                                        const Workload& workload,
+                                        std::size_t universe, double beta,
+                                        std::uint64_t seed) {
+  require_model_inputs(workload, universe, beta);
+  AHEFT_REQUIRE(base.job_count() == workload.dag.job_count(),
+                "base model and workload disagree on job count");
+  const std::size_t kept = std::min(base.resource_count(), universe);
+  grid::MachineModel model(workload.dag.job_count(), universe, base.link());
+  for (dag::JobId i = 0; i < model.job_count(); ++i) {
+    for (grid::ResourceId j = 0; j < kept; ++j) {
+      model.set_compute_cost(i, j, base.compute_cost(i, j));
+    }
+  }
+  draw_columns(model, workload, beta, seed, static_cast<grid::ResourceId>(kept));
   return model;
 }
 

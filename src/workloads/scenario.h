@@ -46,6 +46,14 @@ void validate(const ResourceDynamics& dynamics);
     const Workload& workload, std::size_t universe, double beta,
     std::uint64_t seed);
 
+/// build_machine_model over `universe` resources that copies the columns
+/// `base` already holds instead of drawing them again: equal to
+/// build_machine_model(workload, universe, beta, seed) whenever `base` was
+/// built from the same (workload, beta, seed), at any universe size.
+[[nodiscard]] grid::MachineModel extend_machine_model(
+    const grid::MachineModel& base, const Workload& workload,
+    std::size_t universe, double beta, std::uint64_t seed);
+
 }  // namespace aheft::workloads
 
 #endif  // AHEFT_WORKLOADS_SCENARIO_H_

@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "support/assert.h"
 #include "support/csv.h"
@@ -77,6 +80,30 @@ TEST(Rng, UniformRespectsBounds) {
     EXPECT_GE(x, 2.5);
     EXPECT_LT(x, 7.5);
   }
+}
+
+TEST(Rng, FirstUniformIsTheStreamsFirstDrawBitForBit) {
+  // Sequential seeds, SplitMix64-scattered seeds and both extremes, over
+  // the cost-cell ranges (beta 0, 0.5, 1.5), a signed range and lo == hi.
+  std::vector<std::uint64_t> seeds{0, 1, ~std::uint64_t{0}};
+  SplitMix64 scatter(2024);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    seeds.push_back(i);
+    seeds.push_back(scatter.next());
+  }
+  ASSERT_GE(seeds.size(), 10000u);
+  const std::pair<double, double> ranges[] = {
+      {1.0, 1.0}, {0.75, 1.25}, {0.25, 1.75}, {-3.0, 7.25}, {5.5, 5.5}};
+  for (const std::uint64_t seed : seeds) {
+    for (const auto& [lo, hi] : ranges) {
+      const double direct = first_uniform(seed, lo, hi);
+      const double streamed = RngStream(seed).uniform(lo, hi);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(direct),
+                std::bit_cast<std::uint64_t>(streamed))
+          << "seed " << seed << " range [" << lo << ", " << hi << ")";
+    }
+  }
+  EXPECT_THROW((void)first_uniform(1, 2.0, 1.0), std::invalid_argument);
 }
 
 TEST(Rng, Uniform01MeanIsAboutHalf) {

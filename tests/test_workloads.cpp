@@ -257,6 +257,26 @@ TEST(Scenario, UniverseExtensionKeepsExistingColumns) {
   }
 }
 
+TEST(Scenario, ExtendMachineModelEqualsAFreshBuild) {
+  RngStream rng(18);
+  RandomDagParams params;
+  params.jobs = 20;
+  const Workload w = generate_random_workload(params, rng);
+  const grid::MachineModel base = build_machine_model(w, 5, 0.75, 99);
+  for (const std::size_t universe : {3u, 5u, 12u}) {
+    const grid::MachineModel extended =
+        extend_machine_model(base, w, universe, 0.75, 99);
+    const grid::MachineModel fresh = build_machine_model(w, universe, 0.75, 99);
+    ASSERT_EQ(extended.resource_count(), universe);
+    for (dag::JobId i = 0; i < 20; ++i) {
+      for (grid::ResourceId j = 0; j < universe; ++j) {
+        EXPECT_EQ(extended.compute_cost(i, j), fresh.compute_cost(i, j))
+            << "universe " << universe << " job " << i << " resource " << j;
+      }
+    }
+  }
+}
+
 TEST(Scenario, RejectsInvalidBetaAndEmptyUniverse) {
   RngStream rng(17);
   RandomDagParams params;
