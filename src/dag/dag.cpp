@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 #include <stdexcept>
 
 #include "support/assert.h"
@@ -31,16 +30,6 @@ void Dag::finalize() {
   }
   AHEFT_REQUIRE(!jobs_.empty(), "DAG must contain at least one job");
 
-  // Reject duplicate edges.
-  {
-    std::set<std::pair<JobId, JobId>> seen;
-    for (const Edge& e : edges_) {
-      const bool inserted = seen.emplace(e.from, e.to).second;
-      AHEFT_REQUIRE(inserted, "duplicate edge " + jobs_[e.from].name + " -> " +
-                                  jobs_[e.to].name);
-    }
-  }
-
   const auto v = jobs_.size();
   std::vector<std::uint32_t> in_degree(v, 0);
   std::vector<std::uint32_t> out_degree(v, 0);
@@ -65,6 +54,31 @@ void Dag::finalize() {
   };
   build_csr(in_degree, in_offsets_, in_index_, /*by_target=*/true);
   build_csr(out_degree, out_offsets_, out_index_, /*by_target=*/false);
+
+  // Reject duplicate edges. Each out slice lists its edges in edge order,
+  // so the first edge of a slice whose target the slice already reached
+  // is that slice's first duplicate; report the lowest over all slices.
+  {
+    std::vector<JobId> reached_from(v, kInvalidJob);
+    std::size_t first_duplicate = edges_.size();
+    for (JobId from = 0; from < v; ++from) {
+      for (std::uint32_t k = out_offsets_[from]; k < out_offsets_[from + 1];
+           ++k) {
+        const std::uint32_t e = out_index_[k];
+        JobId& reached = reached_from[edges_[e].to];
+        if (reached == from) {
+          first_duplicate = std::min<std::size_t>(first_duplicate, e);
+          break;
+        }
+        reached = from;
+      }
+    }
+    if (first_duplicate < edges_.size()) {
+      const Edge& e = edges_[first_duplicate];
+      throw std::invalid_argument("duplicate edge " + jobs_[e.from].name +
+                                  " -> " + jobs_[e.to].name);
+    }
+  }
 
   // Kahn topological sort; deterministic FIFO order.
   topo_order_.clear();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "dag/algorithms.h"
 #include "dag/dag.h"
@@ -74,6 +75,37 @@ TEST(Dag, RejectsDuplicateEdge) {
   d.add_edge(a, b, 1.0);
   d.add_edge(a, b, 2.0);
   EXPECT_THROW(d.finalize(), std::invalid_argument);
+}
+
+TEST(Dag, DuplicateEdgeMessageNamesTheFirstDuplicateInEdgeOrder) {
+  // Two duplicated pairs. In edge order the c -> d repeat (edge 3) comes
+  // before the a -> b repeat (edge 4), although a's edges are listed
+  // first by source.
+  Dag d;
+  const JobId a = d.add_job("a");
+  const JobId b = d.add_job("b");
+  const JobId c = d.add_job("c");
+  const JobId e = d.add_job("d");
+  d.add_edge(a, b, 1.0);
+  d.add_edge(c, e, 1.0);
+  d.add_edge(b, c, 1.0);
+  d.add_edge(c, e, 2.0);
+  d.add_edge(a, b, 2.0);
+  try {
+    d.finalize();
+    FAIL() << "duplicate edges were accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "duplicate edge c -> d");
+  }
+  // Same target from different sources is no duplicate.
+  Dag ok;
+  const JobId x = ok.add_job("x");
+  const JobId y = ok.add_job("y");
+  const JobId z = ok.add_job("z");
+  ok.add_edge(x, z, 1.0);
+  ok.add_edge(y, z, 1.0);
+  ok.add_edge(x, y, 1.0);
+  EXPECT_NO_THROW(ok.finalize());
 }
 
 TEST(Dag, RejectsNegativeDataAndBadIds) {
