@@ -23,12 +23,15 @@ using namespace aheft;
 /// count whose allocation would fail.
 constexpr std::uint64_t kMaxCount = 4096;
 
+/// Ceiling on --ccr: the top of the paper's CCR axis (0.1-10).
+constexpr double kMaxCcr = 10.0;
+
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   workloads::AppParams params;
   params.parallelism =
       static_cast<std::size_t>(parse_count(args, "n", 16, kMaxCount));
-  params.ccr = args.get_double("ccr", 2.0);
+  params.ccr = parse_real(args, "ccr", 2.0, 0.0, kMaxCcr);
   const std::uint64_t seed =
       parse_count(args, "seed", 5, std::numeric_limits<std::uint64_t>::max());
 

@@ -24,15 +24,25 @@ using namespace aheft;
 /// count whose allocation would fail.
 constexpr std::uint64_t kMaxCount = 4096;
 
+/// Ranges of --ccr, --interval and --fraction: they cover the paper's axes
+/// (CCR 0.1-10, Delta 400-1600, delta 0.10-0.25) and the defaults, and keep
+/// the pool finite (at most --pool machines arrive every --interval time
+/// units, up to four times the static plan's makespan).
+constexpr double kMaxCcr = 10.0;
+constexpr double kMinInterval = 100.0;
+constexpr double kMaxInterval = 1e6;
+constexpr double kMaxFraction = 1.0;
+
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   workloads::AppParams params;
   params.parallelism =
       static_cast<std::size_t>(parse_count(args, "n", 64, kMaxCount));
-  params.ccr = args.get_double("ccr", 1.0);
+  params.ccr = parse_real(args, "ccr", 1.0, 0.0, kMaxCcr);
   const workloads::ResourceDynamics dynamics{
       static_cast<std::size_t>(parse_count(args, "pool", 8, kMaxCount)),
-      args.get_double("interval", 150.0), args.get_double("fraction", 0.25)};
+      parse_real(args, "interval", 150.0, kMinInterval, kMaxInterval),
+      parse_real(args, "fraction", 0.25, 0.0, kMaxFraction)};
   const std::uint64_t seed =
       parse_count(args, "seed", 7, std::numeric_limits<std::uint64_t>::max());
 

@@ -1,6 +1,7 @@
 #include "support/env.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -63,14 +64,6 @@ std::string ArgParser::get(const std::string& name,
   return it->second;
 }
 
-double ArgParser::get_double(const std::string& name, double fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) {
-    return fallback;
-  }
-  return std::stod(it->second);
-}
-
 Scale ArgParser::scale() const {
   if (const auto it = options_.find("scale"); it != options_.end()) {
     if (const auto parsed = parse_scale(it->second)) {
@@ -106,6 +99,31 @@ std::uint64_t parse_count(const ArgParser& args, const std::string& flag,
   if (!value || *value > ceiling) {
     std::cerr << "bad --" << flag << " value '" << text
               << "' (want an integer from 0 to " << ceiling << ")\n";
+    std::exit(2);
+  }
+  return *value;
+}
+
+std::optional<double> parse_finite(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+double parse_real(const ArgParser& args, const std::string& flag,
+                  double fallback, double lo, double hi) {
+  if (!args.has(flag)) {
+    return fallback;
+  }
+  const std::string text = args.get(flag, "");
+  const std::optional<double> value = parse_finite(text);
+  if (!value || *value < lo || *value > hi) {
+    std::cerr << "bad --" << flag << " value '" << text
+              << "' (want a number from " << lo << " to " << hi << ")\n";
     std::exit(2);
   }
   return *value;

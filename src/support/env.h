@@ -31,8 +31,6 @@ class ArgParser {
   /// Value of --name=value, or fallback.
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const;
 
   /// Resolves the scale from --scale=... or $AHEFT_SCALE, defaulting to
   /// Scale::kDefault.
@@ -60,6 +58,17 @@ class ArgParser {
                                         const std::string& flag,
                                         std::uint64_t fallback,
                                         std::uint64_t ceiling);
+
+/// `text` as a finite floating-point number, or nullopt. The whole text
+/// must be one std::from_chars number: an empty value, trailing junk
+/// ("1x"), nan or inf is refused rather than half-parsed.
+[[nodiscard]] std::optional<double> parse_finite(const std::string& text);
+
+/// Parses --<flag>=X, a finite number in [lo, hi]; returns `fallback` when
+/// the flag is absent and exits 2 with a message naming the flag on any
+/// other value.
+[[nodiscard]] double parse_real(const ArgParser& args, const std::string& flag,
+                                double fallback, double lo, double hi);
 
 }  // namespace aheft
 

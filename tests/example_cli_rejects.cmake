@@ -1,7 +1,10 @@
 # Runs each example in -DEXAMPLES_DIR=<dir> with a malformed numeric flag
 # and requires it to exit 2 with a message naming the flag: the examples
-# read --n, --pool and --seed through parse_count (support/env.h), so a
-# sign, trailing junk or a non-number is refused before any work starts.
+# read --n, --pool and --seed through parse_count and --ccr, --interval
+# and --fraction through parse_real (support/env.h), so a sign, trailing
+# junk, nan/inf, a value out of range or a non-number is refused before
+# any work starts (--fraction=1e12 would otherwise grow the pool by about
+# 10^13 machines).
 #
 #   cmake -DEXAMPLES_DIR=build -P tests/example_cli_rejects.cmake
 if(NOT EXAMPLES_DIR)
@@ -12,7 +15,12 @@ set(cases
     "montage_pipeline --seed=x" "montage_pipeline --n=-1"
     "blast_campaign --n=-1" "blast_campaign --pool=3x"
     "blast_campaign --seed=x" "wien2k_campaign --pool=3x"
-    "wien2k_campaign --n=4097" "dynamic_trace_replay --seed=x")
+    "wien2k_campaign --n=4097" "dynamic_trace_replay --seed=x"
+    "montage_pipeline --ccr=x" "montage_pipeline --ccr=1x"
+    "blast_campaign --ccr=" "blast_campaign --interval=nan"
+    "blast_campaign --fraction=1e12" "wien2k_campaign --interval=inf"
+    "wien2k_campaign --interval=99" "wien2k_campaign --fraction=-0.5"
+    "wien2k_campaign --ccr=11")
 foreach(case IN LISTS cases)
   separate_arguments(words UNIX_COMMAND "${case}")
   list(GET words 0 example)

@@ -416,7 +416,7 @@ TEST(Env, ArgParserParsesOptionsAndPositionals) {
   EXPECT_TRUE(args.has("flag"));
   EXPECT_FALSE(args.has("missing"));
   EXPECT_EQ(args.get("missing", "fallback"), "fallback");
-  EXPECT_DOUBLE_EQ(args.get_double("ccr", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(parse_real(args, "ccr", 1.5, 0.0, 10.0), 1.5);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "positional");
 }
@@ -430,6 +430,31 @@ TEST(Env, ParseDigitsTakesOnlyWholeUnsignedNumbers) {
                           "18446744073709551616"}) {
     EXPECT_FALSE(parse_digits(bad).has_value()) << bad;
   }
+}
+
+TEST(Env, ParseFiniteTakesOnlyWholeFiniteNumbers) {
+  EXPECT_EQ(parse_finite("0"), std::optional<double>(0.0));
+  EXPECT_EQ(parse_finite("2.5"), std::optional<double>(2.5));
+  EXPECT_EQ(parse_finite("-0.25"), std::optional<double>(-0.25));
+  EXPECT_EQ(parse_finite("1e3"), std::optional<double>(1000.0));
+  for (const char* bad : {"", "x", "1x", "1.5.2", " 1", "+1", "nan", "-nan",
+                          "inf", "-inf", "infinity", "1e400"}) {
+    EXPECT_FALSE(parse_finite(bad).has_value()) << bad;
+  }
+}
+
+TEST(Env, ParseRealReadsTheFlagOrItsFallback) {
+  const char* argv[] = {"prog", "--ccr=0.5", "--fraction=1", "--lo=0"};
+  const ArgParser args(4, argv);
+  EXPECT_DOUBLE_EQ(parse_real(args, "ccr", 2.0, 0.0, 10.0), 0.5);
+  EXPECT_DOUBLE_EQ(parse_real(args, "fraction", 0.25, 0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(parse_real(args, "lo", 3.0, 0.0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(parse_real(args, "interval", 150.0, 100.0, 1e6), 150.0);
+  // Out of [lo, hi] on either side: exit 2 naming the flag and the value.
+  EXPECT_EXIT((void)parse_real(args, "ccr", 2.0, 1.0, 10.0),
+              ::testing::ExitedWithCode(2), "bad --ccr value '0.5'");
+  EXPECT_EXIT((void)parse_real(args, "fraction", 0.25, 0.0, 0.5),
+              ::testing::ExitedWithCode(2), "bad --fraction value '1'");
 }
 
 // ----- thread pool -----------------------------------------------------------
