@@ -13,6 +13,16 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
+/// xoshiro256**'s output function: reads only the state's second word.
+constexpr std::uint64_t scramble(std::uint64_t s1) noexcept {
+  return rotl(s1 * 5, 7) * 9;
+}
+
+/// The top 53 bits of a draw as a uniform double in [0, 1).
+constexpr double unit_interval(std::uint64_t draw) noexcept {
+  return static_cast<double>(draw >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
@@ -23,7 +33,7 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) {
 }
 
 Xoshiro256::result_type Xoshiro256::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t result = scramble(s_[1]);
   const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];
   s_[3] ^= s_[1];
@@ -43,8 +53,7 @@ RngStream RngStream::child(std::string_view tag) const {
 }
 
 double RngStream::uniform01() {
-  // 53-bit mantissa yields uniform doubles in [0, 1).
-  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+  return unit_interval(engine_());
 }
 
 double RngStream::uniform(double lo, double hi) {
@@ -136,11 +145,11 @@ std::size_t RngStream::geometric(double p) {
 
 double first_uniform(std::uint64_t seed, double lo, double hi) {
   AHEFT_REQUIRE(lo <= hi, "uniform(lo, hi) requires lo <= hi");
+  // Xoshiro256 seeds s_[0..3] from consecutive SplitMix64 outputs; its
+  // first draw scrambles s_[1], the second of them.
   SplitMix64 sm(seed);
   (void)sm.next();
-  const std::uint64_t s1 = sm.next();
-  const std::uint64_t draw = rotl(s1 * 5, 7) * 9;
-  return lo + (hi - lo) * (static_cast<double>(draw >> 11) * 0x1.0p-53);
+  return lo + (hi - lo) * unit_interval(scramble(sm.next()));
 }
 
 std::uint64_t hash64(std::string_view text) noexcept {
