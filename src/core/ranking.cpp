@@ -28,24 +28,6 @@ std::vector<double> upward_ranks(const dag::Dag& dag,
   return rank;
 }
 
-std::vector<double> downward_ranks(
-    const dag::Dag& dag, const grid::CostProvider& costs,
-    std::span<const grid::ResourceId> resources) {
-  AHEFT_REQUIRE(!resources.empty(), "rank needs at least one resource");
-  std::vector<double> rank(dag.job_count(), 0.0);
-  for (const dag::JobId i : dag.topological_order()) {
-    double best = 0.0;
-    for (const std::uint32_t e : dag.in_edges(i)) {
-      const dag::Edge& edge = dag.edges()[e];
-      best = std::max(best, rank[edge.from] +
-                                costs.mean_compute_cost(edge.from, resources) +
-                                costs.mean_comm_cost(edge));
-    }
-    rank[i] = best;
-  }
-  return rank;
-}
-
 std::vector<dag::JobId> rank_order(const std::vector<double>& ranks) {
   // Rank values are sums of cost averages; mathematically equal ranks can
   // differ by floating-point dust (the sample DAG's n3 and n4 both rank

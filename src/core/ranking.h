@@ -1,4 +1,4 @@
-// Upward/downward rank computation (paper Eq. 5–6, after [19]).
+// Upward rank computation (paper Eq. 5–6, after [19]).
 #ifndef AHEFT_CORE_RANKING_H_
 #define AHEFT_CORE_RANKING_H_
 
@@ -14,13 +14,6 @@ namespace aheft::core {
 /// ranku(n_j)); exit jobs have ranku = \bar{w}. Averages are taken over
 /// `resources` (the currently visible set).
 [[nodiscard]] std::vector<double> upward_ranks(
-    const dag::Dag& dag, const grid::CostProvider& costs,
-    std::span<const grid::ResourceId> resources);
-
-/// rankd(n_i) = max_{n_j in pred(n_i)} (rankd(n_j) + \bar{w}_j +
-/// \bar{c}_{j,i}); entry jobs have rankd = 0. Provided for completeness
-/// (CPOP-style analyses and tests).
-[[nodiscard]] std::vector<double> downward_ranks(
     const dag::Dag& dag, const grid::CostProvider& costs,
     std::span<const grid::ResourceId> resources);
 

@@ -90,7 +90,7 @@ struct ResolvedInput {
 };
 
 /// The EFT search of Fig. 3 (Eq. 1–3) for one job at a time, shared by
-/// the AHEFT pass, its fallbacks and CPOP. `resolve` reads the job's
+/// the HEFT and AHEFT passes and their fallbacks. `resolve` reads the job's
 /// inputs off `new_schedule` once; `best` then prices only their transfers
 /// per candidate, latest producer first, and skips a candidate as soon as
 /// max(ready, not_before) + w reaches the best EFT so far, where `ready`

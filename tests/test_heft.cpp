@@ -114,16 +114,6 @@ TEST_F(SampleHeft, DelayedClockShiftsSchedule) {
   }
 }
 
-TEST(HeftRanking, DownwardRanksOfSample) {
-  const auto scenario = workloads::sample_scenario();
-  const std::vector<grid::ResourceId> initial{0, 1, 2};
-  const auto down = downward_ranks(scenario.dag, scenario.model, initial);
-  EXPECT_DOUBLE_EQ(down[0], 0.0);  // entry job
-  // rankd(n2) = w̄(n1) + c(1,2) = 13 + 18 = 31.
-  EXPECT_NEAR(down[1], 31.0, 1e-9);
-  // Exit job dominates: rankd + ranku is maximal on the critical path.
-}
-
 TEST(HeftRanking, RanksNeedResources) {
   const auto scenario = workloads::sample_scenario();
   EXPECT_THROW(upward_ranks(scenario.dag, scenario.model, {}),

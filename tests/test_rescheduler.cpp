@@ -6,12 +6,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <optional>
-#include <queue>
 #include <string>
 
-#include "core/cpop.h"
 #include "core/execution_engine.h"
 #include "core/heft.h"
 #include "core/ranking.h"
@@ -542,114 +539,6 @@ Schedule aheft(const RescheduleRequest& request) {
   return best;
 }
 
-bool nearly_equal(double a, double b) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= 1e-9 * scale;
-}
-
-Schedule cpop(const dag::Dag& dag, const grid::CostProvider& estimates,
-              const grid::ResourcePool& pool, SchedulerConfig config,
-              sim::Time clock, const AvailabilityView* availability) {
-  const std::vector<grid::ResourceId> resources = pool.available_at(clock);
-  const std::vector<double> up = upward_ranks(dag, estimates, resources);
-  const std::vector<double> down = downward_ranks(dag, estimates, resources);
-  const std::vector<dag::JobId> critical =
-      cpop_critical_path(dag, estimates, resources);
-  std::vector<bool> on_cp(dag.job_count(), false);
-  for (const dag::JobId i : critical) {
-    on_cp[i] = true;
-  }
-  grid::ResourceId cp_resource = resources.front();
-  double cp_cost = std::numeric_limits<double>::infinity();
-  for (const grid::ResourceId r : resources) {
-    double total = 0.0;
-    for (const dag::JobId i : critical) {
-      total += estimates.compute_cost(i, r);
-    }
-    if (total < cp_cost) {
-      cp_cost = total;
-      cp_resource = r;
-    }
-  }
-  const auto priority = [&](dag::JobId i) { return up[i] + down[i]; };
-  const auto cmp = [&](dag::JobId a, dag::JobId b) {
-    if (!nearly_equal(priority(a), priority(b))) {
-      return priority(a) < priority(b);
-    }
-    return a > b;
-  };
-  std::priority_queue<dag::JobId, std::vector<dag::JobId>, decltype(cmp)>
-      ready(cmp);
-  std::vector<std::uint32_t> pending(dag.job_count(), 0);
-  for (dag::JobId i = 0; i < dag.job_count(); ++i) {
-    pending[i] = static_cast<std::uint32_t>(dag.in_edges(i).size());
-    if (pending[i] == 0) {
-      ready.push(i);
-    }
-  }
-  RescheduleRequest request;
-  request.dag = &dag;
-  request.estimates = &estimates;
-  request.pool = &pool;
-  request.resources = resources;
-  request.clock = clock;
-  request.config = config;
-  request.availability = availability;
-
-  Schedule result(dag.job_count());
-  while (!ready.empty()) {
-    const dag::JobId job = ready.top();
-    ready.pop();
-    grid::ResourceId best_resource = grid::kInvalidResource;
-    sim::Time best_finish = sim::kTimeInfinity;
-    sim::Time best_start = sim::kTimeInfinity;
-    std::vector<grid::ResourceId> candidates;
-    if (on_cp[job]) {
-      candidates.push_back(cp_resource);
-    } else {
-      candidates = resources;
-    }
-    const auto search = [&](const AvailabilityView* view) {
-      for (const grid::ResourceId r : candidates) {
-        const grid::Resource& machine = pool.resource(r);
-        sim::Time ready_time = sim::kTimeZero;
-        for (const std::uint32_t e : dag.in_edges(job)) {
-          ready_time =
-              std::max(ready_time, file_available(request, e, r, result));
-        }
-        const double w = estimates.compute_cost(job, r);
-        const sim::Time start = result.earliest_slot(
-            r, ready_time, w, config.slot_policy,
-            std::max(clock, machine.arrival), machine.departure, view);
-        if (start == sim::kTimeInfinity) {
-          continue;
-        }
-        if (best_resource == grid::kInvalidResource ||
-            (start + w < best_finish &&
-             !sim::time_eq(start + w, best_finish))) {
-          best_resource = r;
-          best_start = start;
-          best_finish = start + w;
-        }
-      }
-    };
-    search(availability);
-    if (best_resource == grid::kInvalidResource && availability != nullptr) {
-      search(nullptr);
-    }
-    AHEFT_ASSERT(best_resource != grid::kInvalidResource,
-                 "no feasible resource for job " + dag.job(job).name);
-    result.assign(Assignment{job, best_resource, best_start, best_finish});
-    for (const std::uint32_t e : dag.out_edges(job)) {
-      const dag::JobId succ = dag.edges()[e].to;
-      if (--pending[succ] == 0) {
-        ready.push(succ);
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace reference
 
 /// A planner's outcome: the schedule, or the infeasibility it reported.
@@ -830,19 +719,6 @@ TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
     } else {
       ++infeasible;
     }
-
-    const dag::Dag& dag = c.rc->workload.dag;
-    const test::RandomCase& rc = *c.rc;
-    expect_same_outcome(outcome_of([&] {
-                          return cpop_schedule(dag, rc.model, rc.pool,
-                                               c.config, c.clock,
-                                               req.availability);
-                        }),
-                        outcome_of([&] {
-                          return reference::cpop(dag, rc.model, rc.pool,
-                                                 c.config, c.clock,
-                                                 req.availability);
-                        }));
   }
   // The sweep must mostly plan, not only agree on giving up.
   EXPECT_GT(planned, 150u);
