@@ -28,8 +28,6 @@ std::string to_string(TransferPolicy policy) {
   switch (policy) {
     case TransferPolicy::kRetransmitFromClock:
       return "retransmit-from-clock";
-    case TransferPolicy::kEagerReplicate:
-      return "eager-replicate";
     case TransferPolicy::kPrestagedArrivals:
       return "prestaged-arrivals";
   }
@@ -43,11 +41,6 @@ TransferWindow transfer_window(TransferPolicy policy, sim::Time now,
     case TransferPolicy::kRetransmitFromClock:
       // "The file transmission can not be earlier than clock."
       break;
-    case TransferPolicy::kEagerReplicate: {
-      // The copy left at max(AFT, target arrival).
-      const sim::Time start = std::max(produced, target_arrival);
-      return {start, start + cost};
-    }
     case TransferPolicy::kPrestagedArrivals: {
       // A joining resource syncs previously produced files on arrival.
       const sim::Time arrival = std::max(produced + cost, target_arrival);

@@ -30,21 +30,16 @@ enum class RunningJobPolicy { kRestartable, kKeepRunning };
 ///  - kRetransmitFromClock: a literal reading of Eq. 1 Case 2 — "the file
 ///    transmission can not be earlier than clock", so a moved consumer
 ///    waits clock + c. Physically conservative.
-///  - kEagerReplicate: outputs are replicated toward every resource as
-///    soon as they exist (transfer starts at max(AFT, resource arrival)).
-///  - kPrestagedArrivals: like kEagerReplicate, but a joining resource
-///    syncs with the grid's data fabric as part of joining, so files
-///    produced earlier are available max(AFT + c, arrival) — i.e. a copy
-///    effectively left at production time. This is the reading implied by
-///    the paper's published numbers: the Fig. 5(b) schedule has n5's input
-///    landing on r4 at t = 20 = AFT + c although r4 joined at 15, and
-///    Table 3's large high-CCR gains require migrations that do not pay a
-///    full post-arrival transfer.
-enum class TransferPolicy {
-  kRetransmitFromClock,
-  kEagerReplicate,
-  kPrestagedArrivals
-};
+///  - kPrestagedArrivals: outputs are replicated toward every resource as
+///    soon as they exist, and a joining resource syncs with the grid's
+///    data fabric as part of joining, so files produced earlier are
+///    available max(AFT + c, arrival) — i.e. a copy effectively left at
+///    production time. This is the reading implied by the paper's
+///    published numbers: the Fig. 5(b) schedule has n5's input landing on
+///    r4 at t = 20 = AFT + c although r4 joined at 15, and Table 3's large
+///    high-CCR gains require migrations that do not pay a full
+///    post-arrival transfer.
+enum class TransferPolicy { kRetransmitFromClock, kPrestagedArrivals };
 
 /// When a finished job's output that was never sent to a machine moves
 /// there: the copy leaves at `start` and lands at `arrival`.

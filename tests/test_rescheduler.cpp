@@ -79,23 +79,23 @@ TEST(FileAvailable, Case2FinishedButNeverSentToTarget) {
   // Literal Eq. 1 Case 2: retransmission starts at clock, 20 + 10 = 30.
   req.config.transfer_policy = TransferPolicy::kRetransmitFromClock;
   EXPECT_DOUBLE_EQ(file_available(req, 0, 1, s1), 30.0);
-  // Eager replication: the copy left at AFT, 5 + 10 = 15.
-  req.config.transfer_policy = TransferPolicy::kEagerReplicate;
+  // Prestaged arrivals: the copy left at AFT, 5 + 10 = 15.
+  req.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
   EXPECT_DOUBLE_EQ(file_available(req, 0, 1, s1), 15.0);
 }
 
-TEST(FileAvailable, EagerReplicationWaitsForTheTargetToExist) {
+TEST(FileAvailable, PrestagedCopyWaitsForTheTargetToExist) {
   TinyFixture fx;
-  fx.pool.set_arrival(2, 12.0);  // r2 joins at t=12
+  fx.pool.set_arrival(2, 18.0);  // r2 joins at t=18, after AFT + c = 15
   ExecutionSnapshot snap(20.0, 2, 1);
   snap.mark_finished(fx.a, FinishedInfo{0, 0.0, 5.0});
   snap.record_arrival(0, 0, 5.0);
   Schedule s0(2);
   auto req = fx.request(&snap, &s0, 20.0);
   Schedule s1(2);
-  req.config.transfer_policy = TransferPolicy::kEagerReplicate;
-  // Transfer to r2 could only start when r2 appeared: 12 + 10 = 22.
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 2, s1), 22.0);
+  req.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
+  // r2 joins already holding the file, but no earlier than it joins.
+  EXPECT_DOUBLE_EQ(file_available(req, 0, 2, s1), 18.0);
 }
 
 TEST(FileAvailable, InFlightTransferKeepsItsArrival) {
@@ -604,9 +604,9 @@ struct DifferentialCase {
     config.running_policy = rng.bernoulli(0.5)
                                 ? RunningJobPolicy::kKeepRunning
                                 : RunningJobPolicy::kRestartable;
-    config.transfer_policy = std::array{
-        TransferPolicy::kRetransmitFromClock, TransferPolicy::kEagerReplicate,
-        TransferPolicy::kPrestagedArrivals}[rng.index(3)];
+    config.transfer_policy =
+        std::array{TransferPolicy::kRetransmitFromClock,
+                   TransferPolicy::kPrestagedArrivals}[rng.index(2)];
     config.order_candidates = rng.index(4);
 
     const dag::Dag& dag = rc->workload.dag;

@@ -1,4 +1,4 @@
-// Transfer-policy semantics: the three file-movement models must behave
+// Transfer-policy semantics: both file-movement models must behave
 // identically in the planner's FEA and in the executor, and the realized
 // makespan must match the adopted prediction under every model.
 #include <gtest/gtest.h>
@@ -84,40 +84,28 @@ TEST(TransferPolicies, StrictMoveWaitsForRetransmissionFromClock) {
       30.0);
 }
 
-TEST(TransferPolicies, EagerMoveUsesTheProductionTimeCopy) {
+TEST(TransferPolicies, PrestagedMoveUsesTheProductionTimeCopy) {
   MoveFixture fx(30.0, 0.0);
   // The copy left r1 at AFT=5 and reached r2 at 15; b starts at the
   // reschedule clock.
   EXPECT_DOUBLE_EQ(
-      fx.move_b_to_r2(TransferPolicy::kEagerReplicate, 20.0, 20.0), 20.0);
-  MoveFixture fx2(30.0, 0.0);
-  EXPECT_DOUBLE_EQ(
-      fx2.move_b_to_r2(TransferPolicy::kPrestagedArrivals, 20.0, 20.0),
+      fx.move_b_to_r2(TransferPolicy::kPrestagedArrivals, 20.0, 20.0),
       20.0);
 }
 
-TEST(TransferPolicies, LateResourceDistinguishesEagerFromPrestaged) {
-  // r2 joins at t=50, long after a finished at 5. Eager: the transfer can
-  // only start at the join -> file at 60. Prestaged: the machine joins
-  // already holding the file (staging counted from production) -> b can
+TEST(TransferPolicies, LateResourceJoinsHoldingThePrestagedCopy) {
+  // r2 joins at t=50, long after a finished at 5. The machine joins
+  // already holding the file (staging counted from production), so b can
   // start at the reschedule clock 55.
-  {
-    MoveFixture fx(60.0, 50.0);
-    EXPECT_DOUBLE_EQ(
-        fx.move_b_to_r2(TransferPolicy::kEagerReplicate, 55.0, 60.0), 60.0);
-  }
-  {
-    MoveFixture fx(60.0, 50.0);
-    EXPECT_DOUBLE_EQ(
-        fx.move_b_to_r2(TransferPolicy::kPrestagedArrivals, 55.0, 55.0),
-        55.0);
-  }
+  MoveFixture fx(60.0, 50.0);
+  EXPECT_DOUBLE_EQ(
+      fx.move_b_to_r2(TransferPolicy::kPrestagedArrivals, 55.0, 55.0),
+      55.0);
 }
 
 TEST(TransferPolicies, FeaMatchesTheFileAvailabilityPerPolicy) {
   for (const auto& [policy, expected] :
        {std::pair{TransferPolicy::kRetransmitFromClock, 30.0},
-        std::pair{TransferPolicy::kEagerReplicate, 15.0},
         std::pair{TransferPolicy::kPrestagedArrivals, 15.0}}) {
     MoveFixture fx(30.0, 0.0);
     SimulationSession session(test::solo_environment(fx.pool));
@@ -145,7 +133,7 @@ TEST(TransferPolicies, FeaMatchesTheFileAvailabilityPerPolicy) {
 
 TEST(TransferPolicies, AdoptedPredictionRealizedUnderEveryPolicy) {
   for (const TransferPolicy policy :
-       {TransferPolicy::kRetransmitFromClock, TransferPolicy::kEagerReplicate,
+       {TransferPolicy::kRetransmitFromClock,
         TransferPolicy::kPrestagedArrivals}) {
     for (const std::uint64_t seed : {61u, 62u, 63u}) {
       const test::RandomCase c = test::make_random_case(seed);
@@ -170,9 +158,9 @@ TEST(TransferPolicies, AdoptedPredictionRealizedUnderEveryPolicy) {
   }
 }
 
-TEST(TransferPolicies, OptimisticPoliciesNeverPredictLaterAvailability) {
-  // For any finished producer and any target, availability under eager /
-  // prestaged is never later than under the strict policy.
+TEST(TransferPolicies, PrestagedNeverPredictsLaterAvailability) {
+  // For any finished producer and any target, availability under
+  // prestaged arrivals is never later than under the strict policy.
   const test::RandomCase c = test::make_random_case(77);
   const Schedule plan = heft_schedule(c.workload.dag, c.model, c.pool);
   SimulationSession session(test::solo_environment(c.pool));
@@ -198,8 +186,6 @@ TEST(TransferPolicies, OptimisticPoliciesNeverPredictLaterAvailability) {
     for (const grid::ResourceId r : req.resources) {
       req.config.transfer_policy = TransferPolicy::kRetransmitFromClock;
       const sim::Time strict = file_available(req, e, r, s1);
-      req.config.transfer_policy = TransferPolicy::kEagerReplicate;
-      EXPECT_LE(file_available(req, e, r, s1), strict + 1e-9);
       req.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
       EXPECT_LE(file_available(req, e, r, s1), strict + 1e-9);
     }
