@@ -2,51 +2,7 @@
 
 #include <algorithm>
 
-#include "support/assert.h"
-
 namespace aheft::dag {
-
-CriticalPath critical_path(const Dag& dag,
-                           const std::vector<double>& node_cost,
-                           const std::vector<double>& edge_cost) {
-  AHEFT_REQUIRE(node_cost.size() == dag.job_count(),
-                "node_cost size mismatch");
-  AHEFT_REQUIRE(edge_cost.size() == dag.edge_count(),
-                "edge_cost size mismatch");
-
-  const auto v = dag.job_count();
-  std::vector<double> best(v, 0.0);
-  std::vector<JobId> from(v, kInvalidJob);
-
-  for (const JobId id : dag.topological_order()) {
-    double incoming = 0.0;
-    JobId via = kInvalidJob;
-    for (const std::uint32_t e : dag.in_edges(id)) {
-      const Edge& edge = dag.edges()[e];
-      const double candidate = best[edge.from] + edge_cost[e];
-      if (candidate > incoming) {
-        incoming = candidate;
-        via = edge.from;
-      }
-    }
-    best[id] = incoming + node_cost[id];
-    from[id] = via;
-  }
-
-  CriticalPath result;
-  JobId tail = kInvalidJob;
-  for (const JobId id : dag.exit_jobs()) {
-    if (tail == kInvalidJob || best[id] > result.length) {
-      result.length = best[id];
-      tail = id;
-    }
-  }
-  for (JobId id = tail; id != kInvalidJob; id = from[id]) {
-    result.path.push_back(id);
-  }
-  std::reverse(result.path.begin(), result.path.end());
-  return result;
-}
 
 std::vector<std::uint32_t> levels(const Dag& dag) {
   std::vector<std::uint32_t> level(dag.job_count(), 0);
@@ -75,30 +31,6 @@ std::uint32_t max_parallelism(const Dag& dag) {
   const auto widths = level_widths(dag);
   return widths.empty() ? 0
                         : *std::max_element(widths.begin(), widths.end());
-}
-
-bool reaches(const Dag& dag, JobId ancestor, JobId descendant) {
-  if (ancestor == descendant) {
-    return true;
-  }
-  std::vector<bool> visited(dag.job_count(), false);
-  std::vector<JobId> stack{ancestor};
-  visited[ancestor] = true;
-  while (!stack.empty()) {
-    const JobId id = stack.back();
-    stack.pop_back();
-    for (const std::uint32_t e : dag.out_edges(id)) {
-      const JobId next = dag.edges()[e].to;
-      if (next == descendant) {
-        return true;
-      }
-      if (!visited[next]) {
-        visited[next] = true;
-        stack.push_back(next);
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace aheft::dag

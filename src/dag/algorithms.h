@@ -1,4 +1,4 @@
-// Graph analyses over workflow DAGs: critical path, levels, parallelism.
+// Graph analyses over workflow DAGs: levels and parallelism.
 #ifndef AHEFT_DAG_ALGORITHMS_H_
 #define AHEFT_DAG_ALGORITHMS_H_
 
@@ -7,18 +7,6 @@
 #include "dag/dag.h"
 
 namespace aheft::dag {
-
-/// Result of a critical-path computation.
-struct CriticalPath {
-  double length = 0.0;
-  std::vector<JobId> path;  ///< entry ... exit, inclusive
-};
-
-/// Longest path through the DAG where node i contributes node_cost[i] and
-/// edge e contributes edge_cost[e] (indexed like dag.edges()).
-[[nodiscard]] CriticalPath critical_path(const Dag& dag,
-                                         const std::vector<double>& node_cost,
-                                         const std::vector<double>& edge_cost);
 
 /// Topological level of each job: entry jobs are level 0; every other job
 /// is 1 + max(level of predecessors). This is the paper's notion of a DAG
@@ -32,9 +20,6 @@ struct CriticalPath {
 
 /// max(level_widths).
 [[nodiscard]] std::uint32_t max_parallelism(const Dag& dag);
-
-/// True if `ancestor` reaches `descendant` through directed edges.
-[[nodiscard]] bool reaches(const Dag& dag, JobId ancestor, JobId descendant);
 
 }  // namespace aheft::dag
 

@@ -145,29 +145,11 @@ TEST(Dag, OperationsListedInFirstAppearanceOrder) {
             (std::vector<std::string>{"op1", "op2", "op3"}));
 }
 
-TEST(DagAlgorithms, CriticalPathOfDiamond) {
-  const Dag d = diamond();
-  const std::vector<double> node_cost{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> edge_cost{10.0, 20.0, 5.0, 1.0};
-  const CriticalPath cp = critical_path(d, node_cost, edge_cost);
-  // a -> c -> e: 1 + 20 + 3 + 1 + 4 = 29 vs a -> b -> e: 1+10+2+5+4 = 22.
-  EXPECT_DOUBLE_EQ(cp.length, 29.0);
-  EXPECT_EQ(cp.path, (std::vector<JobId>{0, 2, 3}));
-}
-
 TEST(DagAlgorithms, LevelsAndWidths) {
   const Dag d = diamond();
   EXPECT_EQ(levels(d), (std::vector<std::uint32_t>{0, 1, 1, 2}));
   EXPECT_EQ(level_widths(d), (std::vector<std::uint32_t>{1, 2, 1}));
   EXPECT_EQ(max_parallelism(d), 2u);
-}
-
-TEST(DagAlgorithms, Reachability) {
-  const Dag d = diamond();
-  EXPECT_TRUE(reaches(d, 0, 3));
-  EXPECT_TRUE(reaches(d, 1, 3));
-  EXPECT_FALSE(reaches(d, 1, 2));
-  EXPECT_TRUE(reaches(d, 2, 2));
 }
 
 TEST(DagAlgorithms, SampleDagShape) {
