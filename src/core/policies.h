@@ -58,6 +58,10 @@ struct TransferWindow {
                                              sim::Time target_arrival,
                                              double cost);
 
+/// Relative rank gap under which two adjacent jobs count as near-tied
+/// for SchedulerConfig::order_candidates.
+inline constexpr double kRankTieFraction = 0.05;
+
 /// Scheduler configuration shared by HEFT and AHEFT.
 struct SchedulerConfig {
   SlotPolicy slot_policy = SlotPolicy::kInsertion;
@@ -67,13 +71,11 @@ struct SchedulerConfig {
   double adoption_threshold = 0.0;
   /// Order exploration: in addition to the canonical non-increasing
   /// upward-rank order, try up to this many alternative orders obtained by
-  /// swapping adjacent jobs whose ranks are within rank_tie_fraction of
+  /// swapping adjacent jobs whose ranks are within kRankTieFraction of
   /// each other, and keep the best schedule. 0 = pure HEFT greedy (used
   /// for the large sweeps); a small value reproduces the paper's Fig. 5(b)
   /// schedule, which improves on strict rank order by one near-tie swap.
   std::size_t order_candidates = 0;
-  /// Relative rank gap under which two adjacent jobs count as near-tied.
-  double rank_tie_fraction = 0.05;
   /// File-movement model shared by the planner's FEA (Eq. 1 Case 2) and
   /// the executor. Defaults to the paper's literal Eq. 1 constraint; the
   /// optimistic models are ablation knobs (see README "Deviations from

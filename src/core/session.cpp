@@ -285,7 +285,7 @@ void SimulationSession::maybe_preempt(ShardState& shard,
     return;  // not deferred: nothing to preempt for
   }
   const double self_stretch = shard.policy->preemption_stretch(entry, now);
-  if (self_stretch <= manager.config().preemption_min_stretch) {
+  if (self_stretch <= resilience::kPreemptionMinStretch) {
     return;  // inside the deadband: starved, but not starved enough
   }
   // The victim: the committed window blocking the requester's feasible
@@ -314,7 +314,7 @@ void SimulationSession::maybe_preempt(ShardState& shard,
                owner_probe.active_since);
   const double victim_stretch =
       shard.policy->preemption_stretch(owner_probe, now);
-  if (self_stretch <= manager.config().preemption_ratio * victim_stretch) {
+  if (self_stretch <= resilience::kPreemptionRatio * victim_stretch) {
     return;  // disparity inside the displacement band
   }
   if (!manager.may_revoke(victim.participant, victim.tag) ||

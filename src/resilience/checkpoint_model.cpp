@@ -90,18 +90,6 @@ void validate(const ResilienceConfig& config) {
       throw std::invalid_argument("checkpoint interval must be >= 0");
     }
   }
-  if (config.preemption) {
-    if (config.preemption_min_stretch <= 0.0 ||
-        config.preemption_ratio <= 1.0) {
-      throw std::invalid_argument(
-          "preemption deadband needs min stretch > 0 and ratio > 1");
-    }
-  }
-  if (config.max_revocations_per_job == 0) {
-    throw std::invalid_argument(
-        "max_revocations_per_job must be >= 1 (0 would fail every "
-        "workflow on its first revocation)");
-  }
 }
 
 }  // namespace aheft::resilience

@@ -93,6 +93,17 @@ struct SegmentProgress {
 [[nodiscard]] SegmentProgress segment_progress(const CheckpointModel& model,
                                                double elapsed, double work);
 
+/// Fair-share preemption deadband: a starved requester may revoke the
+/// committed window blocking it only when its stretch exceeds
+/// kPreemptionMinStretch AND kPreemptionRatio times the victim's stretch
+/// (mirrors the fair-share displacement band for held claims).
+inline constexpr double kPreemptionMinStretch = 2.0;
+inline constexpr double kPreemptionRatio = 1.25;
+
+/// Revocations one job may absorb before its workflow fails — bounds
+/// requeue livelock under sustained failure bursts.
+inline constexpr std::size_t kMaxRevocationsPerJob = 16;
+
 /// Everything the resilience subsystem can be told to do. All defaults
 /// off: a default config leaves every simulation bit-identical to the
 /// pre-resilience behavior.
@@ -101,16 +112,9 @@ struct ResilienceConfig {
   CheckpointModel checkpoint;
   /// Fair-share preemption: a starved requester may revoke the committed
   /// window blocking it when the stretch disparity clears the deadband
-  /// below. Only engages under a policy that supports preemption.
+  /// (kPreemptionMinStretch, kPreemptionRatio). Only engages under a
+  /// policy that supports preemption.
   bool preemption = false;
-  /// Deadband: the requester's stretch must exceed this floor AND
-  /// `preemption_ratio` times the victim's stretch (mirrors the
-  /// fair-share displacement band for held claims).
-  double preemption_min_stretch = 2.0;
-  double preemption_ratio = 1.25;
-  /// Revocations one job may absorb before its workflow fails — bounds
-  /// requeue livelock under sustained failure bursts.
-  std::size_t max_revocations_per_job = 16;
 
   /// Whether any resilience behavior is switched on. Inactive configs
   /// must not change a single simulated event.
@@ -119,9 +123,9 @@ struct ResilienceConfig {
   }
 };
 
-/// Throws std::invalid_argument on inconsistent knobs (an enabled
-/// checkpoint model without a positive write cost or any way to pick an
-/// interval, non-positive deadband parameters, ...).
+/// Throws std::invalid_argument on an inconsistent checkpoint model (an
+/// enabled one without a positive write cost or any way to pick an
+/// interval, or with a negative read cost or interval).
 void validate(const ResilienceConfig& config);
 
 }  // namespace aheft::resilience

@@ -46,7 +46,7 @@ class RevocationManager {
                                 std::uint64_t tag) const {
     const auto it = counts_.find({participant, tag});
     return it == counts_.end() ||
-           it->second < config_.max_revocations_per_job;
+           it->second < kMaxRevocationsPerJob;
   }
 
   /// Records a landed revocation of (participant, tag).

@@ -520,7 +520,7 @@ Schedule aheft(const RescheduleRequest& request) {
     const dag::JobId b = order[k + 1];
     const double gap = ranks[a] - ranks[b];
     const double scale = std::max(1.0, std::max(ranks[a], ranks[b]));
-    if (gap > request.config.rank_tie_fraction * scale) {
+    if (gap > kRankTieFraction * scale) {
       continue;
     }
     const std::vector<dag::JobId> succ_of_a = dag.successors(a);

@@ -2,15 +2,21 @@
 // segment occupancy, interrupted-segment decomposition), config
 // validation, revocation bookkeeping in the ledger (truncate_commit
 // carrying wait baselines into the requeue, revoking around a two-phase
-// hold), and EventQueue cancel/compaction under revocation churn.
+// hold), the per-job revocation cap, the fair-share preemption deadband,
+// and EventQueue cancel/compaction under revocation churn.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/resource_ledger.h"
+#include "core/session.h"
+#include "grid/resource_pool.h"
 #include "resilience/checkpoint_model.h"
+#include "resilience/revocation.h"
 #include "sim/event_queue.h"
 
 namespace aheft {
@@ -183,14 +189,8 @@ TEST(ResilienceValidate, RejectsInconsistentKnobs) {
   config.checkpoint.mtbf = 100.0;
   EXPECT_NO_THROW(resilience::validate(config));
 
-  config.preemption = true;
-  config.preemption_ratio = 1.0;  // must be > 1
-  EXPECT_THROW(resilience::validate(config), std::invalid_argument);
-  config.preemption_ratio = 1.25;
+  config.preemption = true;  // the deadband is fixed: nothing to check
   EXPECT_NO_THROW(resilience::validate(config));
-
-  config.max_revocations_per_job = 0;
-  EXPECT_THROW(resilience::validate(config), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -298,6 +298,83 @@ TEST(LedgerRevocation, WithdrawingAHeldClaimCarriesItsBaseline) {
   const ReservationEntry& moved =
       upsert(ledger, 1, 2, /*ready=*/25.0, /*duration=*/10.0, kOther);
   EXPECT_DOUBLE_EQ(moved.first_ready, 3.0);
+}
+
+// ---------------------------------------------------------------------
+// Revocation cap and preemption deadband
+
+TEST(RevocationCap, SixteenthRevocationAllowedSeventeenthRefused) {
+  ResilienceConfig config;
+  config.departure_action = resilience::DepartureAction::kRequeue;
+  resilience::RevocationManager manager(config);
+  ASSERT_EQ(resilience::kMaxRevocationsPerJob, 16u);
+  for (std::size_t landed = 0; landed < 15; ++landed) {
+    manager.record(0, 7);
+  }
+  EXPECT_TRUE(manager.may_revoke(0, 7));  // the 16th
+  manager.record(0, 7);
+  EXPECT_FALSE(manager.may_revoke(0, 7));  // the 17th
+  // The cap is per job: another tag, or the same tag of another
+  // participant, is untouched.
+  EXPECT_TRUE(manager.may_revoke(0, 8));
+  EXPECT_TRUE(manager.may_revoke(1, 7));
+}
+
+/// A participant with a fixed release-time plan that records the
+/// revocations the session asks of it (and declines them).
+struct PreemptionProbe : core::SessionParticipant {
+  explicit PreemptionProbe(sim::Time finish) : finish(finish) {}
+  [[nodiscard]] sim::Time planned_finish() const override { return finish; }
+  bool revoke_committed(grid::ResourceId resource,
+                        std::uint64_t tag) override {
+    revoked.emplace_back(resource, tag);
+    return false;
+  }
+  sim::Time finish;
+  std::vector<std::pair<grid::ResourceId, std::uint64_t>> revoked;
+};
+
+/// One machine under fair share with preemption. The victim commits
+/// [0, 1000) at t=0 with a release-time plan ending at `victim_finish`;
+/// a requester planned to take 10 units asks for the machine at `now`
+/// (ready since 0), so its stretch is now / 10 and the victim's is
+/// now / victim_finish. Returns the revocations the victim received.
+std::size_t preemptions(sim::Time victim_finish, sim::Time now) {
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "only"});
+  core::SessionEnvironment env;
+  env.pool = &pool;
+  env.contention_policy = "fair-share";
+  env.resilience.preemption = true;
+  core::SimulationSession session(env);
+  PreemptionProbe victim(victim_finish);
+  PreemptionProbe requester(10.0);
+  session.add_participant(&victim);
+  session.add_participant(&requester);
+  EXPECT_DOUBLE_EQ(session.acquire(&victim, 0, 0.0, 1000.0, 1), 0.0);
+  session.commit(&victim, 0, 1, 0.0, 1000.0);
+  session.simulator().run_until(now);
+  EXPECT_DOUBLE_EQ(session.acquire(&requester, 0, 0.0, 10.0, 2), 1000.0);
+  session.simulator().run_until(now);  // the eviction event, if any
+  EXPECT_TRUE(requester.revoked.empty());
+  for (const auto& [resource, tag] : victim.revoked) {
+    EXPECT_EQ(resource, 0u);
+    EXPECT_EQ(tag, 1u);
+  }
+  return victim.revoked.size();
+}
+
+TEST(PreemptionDeadband, RequesterOutsideTheBandRevokesTheBlockingWindow) {
+  // Requester stretch 2.5 > kPreemptionMinStretch, and > kPreemptionRatio
+  // times the victim's 0.025.
+  EXPECT_EQ(preemptions(/*victim_finish=*/1000.0, /*now=*/25.0), 1u);
+}
+
+TEST(PreemptionDeadband, RequesterInsideTheBandDoesNot) {
+  // Stretch 1.5: starved, but not past the floor.
+  EXPECT_EQ(preemptions(/*victim_finish=*/1000.0, /*now=*/15.0), 0u);
+  // Stretch 2.5 clears the floor, but not 1.25 times the victim's 2.5.
+  EXPECT_EQ(preemptions(/*victim_finish=*/10.0, /*now=*/25.0), 0u);
 }
 
 // ---------------------------------------------------------------------
