@@ -15,7 +15,8 @@
 using namespace aheft;
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, {}));
   std::size_t repeats = options.scale == Scale::kSmoke ? 2 : 10;
   if (options.scale == Scale::kPaper) {
     repeats = 50;

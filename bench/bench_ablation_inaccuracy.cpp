@@ -53,7 +53,8 @@ CaseBundle make_case(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, {}));
   std::size_t repeats = options.scale == Scale::kSmoke ? 2 : 10;
   if (options.scale == Scale::kPaper) {
     repeats = 50;

@@ -56,7 +56,8 @@ exp::GroupStats run_variant(const bench::BenchOptions& options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, {"threads"}));
   const std::vector<exp::CaseSpec> specs = base_cases(options);
   bench::print_header("Ablation — scheduler policy knobs", options,
                       specs.size());

@@ -222,8 +222,9 @@ int run_fit_report(const bench::BenchOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::parse_options(argc, argv);
-  const ArgParser args(argc, argv);
+  const ArgParser args = bench::arguments(
+      argc, argv, {"smoke", "archive", "archive-fit-report", "json"});
+  bench::BenchOptions options = bench::parse_options(args);
   if (args.has("smoke")) {
     options.scale = Scale::kSmoke;
   }

@@ -66,8 +66,11 @@ struct PolicyRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::parse_options(argc, argv);
-  const ArgParser args(argc, argv);
+  const ArgParser args = bench::arguments(
+      argc, argv,
+      {"smoke", "strategy", "streams", "scenario-source", "trace", "archive",
+       "backfill", "contention-aware", "json"});
+  bench::BenchOptions options = bench::parse_options(args);
   if (args.has("smoke")) {
     options.scale = Scale::kSmoke;
   }

@@ -15,7 +15,8 @@
 using namespace aheft;
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, {}));
   bench::print_header("Fig. 4/5 worked example (10-job sample DAG)", options,
                       1);
 

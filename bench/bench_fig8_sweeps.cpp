@@ -13,7 +13,8 @@
 using namespace aheft;
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, bench::kRunFlags));
 
   const std::pair<exp::SweepAxis, const char*> panels[] = {
       {exp::SweepAxis::kCcr, "(a) makespan vs CCR"},

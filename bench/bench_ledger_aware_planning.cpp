@@ -77,8 +77,11 @@ struct ModeRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::parse_options(argc, argv);
-  const ArgParser args(argc, argv);
+  const ArgParser args = bench::arguments(
+      argc, argv,
+      {"smoke", "streams", "scenario-source", "trace", "archive",
+       "contention-policy", "backfill", "contention-aware", "json"});
+  bench::BenchOptions options = bench::parse_options(args);
   if (args.has("smoke")) {
     options.scale = Scale::kSmoke;
   }

@@ -86,8 +86,11 @@ void report(std::size_t streams, const exp::StreamCaseResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::parse_options(argc, argv);
-  const ArgParser args(argc, argv);
+  const ArgParser args = bench::arguments(
+      argc, argv,
+      {"smoke", "streams", "shards", "history", "scenario-source", "trace",
+       "archive", "contention-policy", "backfill", "contention-aware", "json"});
+  bench::BenchOptions options = bench::parse_options(args);
   if (args.has("smoke")) {
     options.scale = Scale::kSmoke;
   }

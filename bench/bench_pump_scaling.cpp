@@ -306,8 +306,9 @@ ScalingPoint best_of(std::size_t runs, const RunFn& run) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::parse_options(argc, argv);
-  const ArgParser args(argc, argv);
+  const ArgParser args =
+      bench::arguments(argc, argv, {"smoke", "shards", "threads", "json"});
+  bench::BenchOptions options = bench::parse_options(args);
   if (args.has("smoke")) {
     options.scale = Scale::kSmoke;
   }

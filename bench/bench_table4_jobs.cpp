@@ -9,7 +9,8 @@
 using namespace aheft;
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, bench::kRunFlags));
   std::vector<exp::CaseSpec> specs =
       exp::build_random_sweep(options.scale, options.seed,
                               /*run_dynamic=*/false);

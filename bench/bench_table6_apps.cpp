@@ -11,7 +11,8 @@
 using namespace aheft;
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, bench::kRunFlags));
 
   AsciiTable table({"application", "avg HEFT", "avg AHEFT", "improvement",
                     "paper HEFT", "paper AHEFT", "paper impr."});

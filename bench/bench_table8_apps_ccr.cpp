@@ -9,7 +9,8 @@
 using namespace aheft;
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const bench::BenchOptions options =
+      bench::parse_options(bench::arguments(argc, argv, bench::kRunFlags));
 
   AsciiTable table({"CCR", "blast impr.", "paper", "wien2k impr.", "paper"});
   std::map<double, double> blast_rows;

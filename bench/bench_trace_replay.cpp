@@ -96,8 +96,11 @@ void report(const char* title, const exp::SweepOutcome& outcome) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
-  const ArgParser args(argc, argv);
+  const ArgParser args = bench::arguments(
+      argc, argv,
+      {"threads", "csv", "scenario-source", "trace", "archive",
+       "contention-policy", "backfill", "contention-aware", "trace-out"});
+  const bench::BenchOptions options = bench::parse_options(args);
   std::string trace_path = args.get("trace-out", "");
   const bool keep_trace = !trace_path.empty();
   if (!keep_trace) {

@@ -1,10 +1,14 @@
 // Shared scaffolding for the table/figure reproduction benches.
 //
-// Every bench accepts:
+// Every bench reads --help, --scale and --seed (the header and the JSON
+// envelope echo both) and passes arguments() the list of the other flags
+// it reads; any other flag, or a positional argument, exits 2 with a
+// message naming it. The shared flags, each read only by the benches it
+// applies to:
 //   --scale=smoke|default|paper   (or $AHEFT_SCALE; default: default)
+//   --seed=N                      (master seed, default 42)
 //   --threads=N                   (0 = hardware concurrency; at most
 //                                  kMaxThreads)
-//   --seed=N                      (master seed, default 42)
 //   --csv=path                    (optional per-case dump)
 //   --scenario-source=NAME        (grid environment backend; default keeps
 //                                  each sweep's own setting, usually
@@ -25,7 +29,8 @@
 //                                  ledger's availability snapshot; off by
 //                                  default so the contention-blind plans
 //                                  stay bit-stable across PRs)
-//   --json=path                   (structured per-configuration results —
+//   --json=path                   (benches that write a JsonReport:
+//                                  structured per-configuration results —
 //                                  every row's makespan/wait/jain at full
 //                                  double precision — so CI can archive
 //                                  the perf trajectory machine-readably)
@@ -45,6 +50,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -90,7 +96,8 @@ inline void print_help(const char* program) {
       << "  --threads=N                  worker threads (0 = hardware)\n"
       << "  --seed=N                     master seed (default 42)\n"
       << "  --csv=path                   per-case CSV dump\n"
-      << "  --json=path                  structured JSON results\n"
+      << "  --json=path                  structured JSON results (benches\n"
+      << "                               that write them)\n"
       << "  --scenario-source=NAME       grid environment backend\n"
       << "  --trace=path                 trace file (scenario source "
          "'trace')\n"
@@ -107,6 +114,8 @@ inline void print_help(const char* program) {
       << "                               (benches that sweep it; 1 = the\n"
       << "                               serial event loop)\n"
       << "  --help                       this message\n\n"
+      << "a bench refuses (exit 2) any flag it does not read; the\n"
+      << "message lists the ones it does.\n\n"
       << "strategies:\n ";
   for (const std::string& name : core::strategy_names()) {
     std::cout << ' ' << name;
@@ -143,12 +152,29 @@ inline void print_help(const char* program) {
 /// as --threads=100000 is refused instead of started.
 inline constexpr std::uint64_t kMaxThreads = 256;
 
-inline BenchOptions parse_options(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+/// The flags bench::run() applies to a sweep. A bench that runs its
+/// sweeps through run() and reads nothing else passes exactly these.
+inline const std::vector<std::string_view> kRunFlags = {
+    "threads", "csv", "scenario-source", "trace", "archive",
+    "contention-policy", "backfill", "contention-aware"};
+
+/// Parses a bench's command line: --help, --scale and --seed plus
+/// `flags`, the other flags the bench reads. Anything else exits 2;
+/// --help prints the flag reference and exits 0.
+inline ArgParser arguments(int argc, char** argv,
+                           std::vector<std::string_view> flags) {
+  flags.insert(flags.begin(), {"help", "scale", "seed"});
+  ArgParser args(argc, argv, flags);
   if (args.has("help")) {
     print_help(argc > 0 ? argv[0] : "bench");
     std::exit(0);
   }
+  return args;
+}
+
+/// Reads the shared flags out of `args` (see arguments()). A flag the
+/// bench does not read never reaches here, so it reads as absent.
+inline BenchOptions parse_options(const ArgParser& args) {
   BenchOptions options;
   try {
     options.scale = args.scale();

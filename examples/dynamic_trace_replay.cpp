@@ -82,7 +82,7 @@ core::StrategyOutcome run_once(const dag::Dag& workflow,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+  const ArgParser args(argc, argv, {"seed", "dag", "out", "source"});
   const std::uint64_t seed =
       parse_count(args, "seed", 3, std::numeric_limits<std::uint64_t>::max());
   const std::string out_path = args.get("out", "demo_run.trace");

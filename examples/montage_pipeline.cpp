@@ -27,7 +27,7 @@ constexpr std::uint64_t kMaxCount = 4096;
 constexpr double kMaxCcr = 10.0;
 
 int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+  const ArgParser args(argc, argv, {"n", "seed", "ccr", "dot"});
   workloads::AppParams params;
   params.parallelism =
       static_cast<std::size_t>(parse_count(args, "n", 16, kMaxCount));

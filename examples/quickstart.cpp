@@ -12,10 +12,14 @@
 #include "dag/dag.h"
 #include "grid/machine_model.h"
 #include "grid/resource_pool.h"
+#include "support/env.h"
 
 using namespace aheft;
 
-int main() {
+int main(int argc, char** argv) {
+  // Takes no flags: any argument exits 2 naming it.
+  const ArgParser args(argc, argv, {});
+
   // 1. Describe the workflow: a small fork-join pipeline. Edge weights are
   //    the amount of data shipped between jobs (cost units).
   dag::Dag workflow("quickstart");

@@ -11,12 +11,16 @@
 #include "core/heft.h"
 #include "core/whatif.h"
 #include "sim/simulator.h"
+#include "support/env.h"
 #include "support/table.h"
 #include "workloads/sample.h"
 
 using namespace aheft;
 
-int main() {
+int main(int argc, char** argv) {
+  // Takes no flags: any argument exits 2 naming it.
+  const ArgParser args(argc, argv, {});
+
   // r4 exists in the universe but has not joined (arrival pushed out), so
   // it can serve as the "what if it joined now?" hypothesis.
   workloads::SampleScenario scenario = workloads::sample_scenario(1e9);

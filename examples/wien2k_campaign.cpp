@@ -34,7 +34,8 @@ constexpr double kMaxInterval = 1e6;
 constexpr double kMaxFraction = 1.0;
 
 int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+  const ArgParser args(argc, argv,
+                       {"n", "pool", "seed", "ccr", "interval", "fraction"});
   workloads::AppParams params;
   params.parallelism =
       static_cast<std::size_t>(parse_count(args, "n", 64, kMaxCount));

@@ -1,5 +1,6 @@
 #include "support/env.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -35,19 +36,25 @@ std::optional<std::string> get_env(const std::string& name) {
   return std::string(value);
 }
 
-ArgParser::ArgParser(int argc, const char* const* argv) {
+ArgParser::ArgParser(int argc, const char* const* argv,
+                     const std::vector<std::string_view>& flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        options_[arg.substr(2)] = "";
-      } else {
-        options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    const bool dashed = arg.rfind("--", 0) == 0;
+    const auto eq = arg.find('=');
+    const std::string name =
+        dashed ? arg.substr(2, eq == std::string::npos ? eq : eq - 2) : "";
+    if (name.empty() ||
+        std::find(flags.begin(), flags.end(), name) == flags.end()) {
+      std::cerr << (dashed ? "unknown flag '" : "unexpected argument '")
+                << arg << "' (accepted:";
+      for (const std::string_view flag : flags) {
+        std::cerr << " --" << flag;
       }
-    } else {
-      positional_.push_back(arg);
+      std::cerr << (flags.empty() ? " none)\n" : ")\n");
+      std::exit(2);
     }
+    options_[name] = eq == std::string::npos ? "" : arg.substr(eq + 1);
   }
 }
 

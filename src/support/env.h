@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace aheft {
@@ -21,10 +22,13 @@ enum class Scale { kSmoke, kDefault, kPaper };
 [[nodiscard]] std::optional<std::string> get_env(const std::string& name);
 
 /// A tiny --key=value / --flag argument parser used by benches/examples.
-/// Unrecognized positional arguments are kept in positional().
 class ArgParser {
  public:
-  ArgParser(int argc, const char* const* argv);
+  /// Parses argv[1..argc) against `flags`, the names the program reads.
+  /// Any other argument — an unknown --name, a positional argument — exits
+  /// 2 with a message naming it and listing the accepted flags.
+  ArgParser(int argc, const char* const* argv,
+            const std::vector<std::string_view>& flags);
 
   /// True if --name or --name=anything was passed.
   [[nodiscard]] bool has(const std::string& name) const;
@@ -36,13 +40,8 @@ class ArgParser {
   /// Scale::kDefault.
   [[nodiscard]] Scale scale() const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
-
  private:
   std::map<std::string, std::string> options_;
-  std::vector<std::string> positional_;
 };
 
 /// `text` as an unsigned decimal integer, or nullopt. Digits only: a

@@ -1,29 +1,44 @@
-# Runs the bench named by -DBENCH=<path> once per malformed --threads /
-# --seed / --scale value and requires each run to exit 2 with a message
-# naming the flag. The values are refused while parsing the command line,
+# Runs a bench once per malformed or unread argument and requires each run
+# to exit 2 with a message naming it: a bad --threads / --seed / --scale
+# value, an unknown flag, a positional argument, or a shared flag the bench
+# does not read. -DBENCH=<path> is bench_fig5_example, which reads only
+# --help, --scale and --seed; -DRUN_BENCH=<path> is a sweep bench that also
+# reads --threads. Everything is refused while parsing the command line,
 # before any worker thread exists, so no value here starts a thread.
 #
-#   cmake -DBENCH=build/bench_fig5_example -P tests/bench_cli_rejects.cmake
-if(NOT BENCH)
-  message(FATAL_ERROR "pass -DBENCH=<bench binary>")
+#   cmake -DBENCH=build/bench_fig5_example \
+#         -DRUN_BENCH=build/bench_table3_ccr -P tests/bench_cli_rejects.cmake
+if(NOT BENCH OR NOT RUN_BENCH)
+  message(FATAL_ERROR "pass -DBENCH=<bench binary> -DRUN_BENCH=<bench binary>")
 endif()
 
-set(bad_values
-    --threads=-1 --threads=abc --threads=3abc --threads= --threads=257
-    --threads=100000 --threads=99999999999999999999999
-    --seed=x --seed=-1 --seed=7x --seed=18446744073709551616
-    --scale=huge --scale=)
-foreach(arg IN LISTS bad_values)
+set(cases
+    "RUN_BENCH --threads=-1" "RUN_BENCH --threads=abc"
+    "RUN_BENCH --threads=3abc" "RUN_BENCH --threads="
+    "RUN_BENCH --threads=257" "RUN_BENCH --threads=100000"
+    "RUN_BENCH --threads=99999999999999999999999"
+    "BENCH --seed=x" "BENCH --seed=-1" "BENCH --seed=7x"
+    "BENCH --seed=18446744073709551616" "BENCH --scale=huge" "BENCH --scale="
+    "BENCH --bogus=1" "BENCH extra" "BENCH --json=x" "BENCH --smoke"
+    "BENCH --threads=2" "RUN_BENCH --bogus" "RUN_BENCH extra")
+foreach(case IN LISTS cases)
+  separate_arguments(words UNIX_COMMAND "${case}")
+  list(GET words 0 binary)
+  list(GET words 1 arg)
+  # A flag's message names the flag; a positional argument's names it.
   string(REGEX MATCH "^--[a-z]+" flag "${arg}")
-  # The bad value comes last: a repeated flag keeps its last value.
-  execute_process(COMMAND "${BENCH}" --scale=smoke "${arg}"
+  if(NOT flag)
+    set(flag "${arg}")
+  endif()
+  # The bad argument comes last: a repeated flag keeps its last value.
+  execute_process(COMMAND "${${binary}}" --scale=smoke "${arg}"
                   RESULT_VARIABLE code OUTPUT_VARIABLE out
                   ERROR_VARIABLE err TIMEOUT 60)
   if(NOT code EQUAL 2)
-    message(FATAL_ERROR "${arg}: want exit 2, got '${code}'\n${out}${err}")
+    message(FATAL_ERROR "${case}: want exit 2, got '${code}'\n${out}${err}")
   endif()
   string(FIND "${err}" "${flag}" at)
   if(at EQUAL -1)
-    message(FATAL_ERROR "${arg}: message does not name ${flag}: ${err}")
+    message(FATAL_ERROR "${case}: message does not name ${flag}: ${err}")
   endif()
 endforeach()

@@ -1,10 +1,11 @@
 # Runs each example in -DEXAMPLES_DIR=<dir> with a malformed numeric flag
-# and requires it to exit 2 with a message naming the flag: the examples
-# read --n, --pool and --seed through parse_count and --ccr, --interval
-# and --fraction through parse_real (support/env.h), so a sign, trailing
-# junk, nan/inf, a value out of range or a non-number is refused before
-# any work starts (--fraction=1e12 would otherwise grow the pool by about
-# 10^13 machines).
+# or a flag it does not read, and requires it to exit 2 with a message
+# naming the flag: the examples read --n, --pool and --seed through
+# parse_count and --ccr, --interval and --fraction through parse_real
+# (support/env.h), so a sign, trailing junk, nan/inf, a value out of range
+# or a non-number is refused before any work starts (--fraction=1e12
+# would otherwise grow the pool by about 10^13 machines), and ArgParser
+# refuses any flag not on the example's list.
 #
 #   cmake -DEXAMPLES_DIR=build -P tests/example_cli_rejects.cmake
 if(NOT EXAMPLES_DIR)
@@ -20,7 +21,8 @@ set(cases
     "blast_campaign --ccr=" "blast_campaign --interval=nan"
     "blast_campaign --fraction=1e12" "wien2k_campaign --interval=inf"
     "wien2k_campaign --interval=99" "wien2k_campaign --fraction=-0.5"
-    "wien2k_campaign --ccr=11")
+    "wien2k_campaign --ccr=11" "montage_pipeline --pool=4"
+    "quickstart --bogus" "whatif_queries --seed=1")
 foreach(case IN LISTS cases)
   separate_arguments(words UNIX_COMMAND "${case}")
   list(GET words 0 example)

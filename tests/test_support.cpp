@@ -406,10 +406,9 @@ TEST(Env, ScaleRoundTrip) {
   EXPECT_EQ(to_string(Scale::kPaper), "paper");
 }
 
-TEST(Env, ArgParserParsesOptionsAndPositionals) {
-  const char* argv[] = {"prog", "--scale=smoke", "--jobs=40", "--flag",
-                        "positional"};
-  ArgParser args(5, argv);
+TEST(Env, ArgParserParsesTheFlagsItIsGiven) {
+  const char* argv[] = {"prog", "--scale=smoke", "--jobs=40", "--flag"};
+  const ArgParser args(4, argv, {"scale", "jobs", "flag", "missing", "ccr"});
   EXPECT_EQ(args.scale(), Scale::kSmoke);
   EXPECT_EQ(parse_count(args, "jobs", 0, 100), 40u);
   EXPECT_EQ(parse_count(args, "missing", 7, 100), 7u);
@@ -417,8 +416,21 @@ TEST(Env, ArgParserParsesOptionsAndPositionals) {
   EXPECT_FALSE(args.has("missing"));
   EXPECT_EQ(args.get("missing", "fallback"), "fallback");
   EXPECT_DOUBLE_EQ(parse_real(args, "ccr", 1.5, 0.0, 10.0), 1.5);
-  ASSERT_EQ(args.positional().size(), 1u);
-  EXPECT_EQ(args.positional()[0], "positional");
+}
+
+TEST(Env, ArgParserRefusesWhatTheProgramDoesNotRead) {
+  const char* unknown[] = {"prog", "--seed=3", "--bogus=1"};
+  EXPECT_EXIT(ArgParser(3, unknown, {"seed"}), ::testing::ExitedWithCode(2),
+              "unknown flag '--bogus=1' \\(accepted: --seed\\)");
+  const char* positional[] = {"prog", "extra"};
+  EXPECT_EXIT(ArgParser(2, positional, {"seed"}),
+              ::testing::ExitedWithCode(2), "unexpected argument 'extra'");
+  const char* bare[] = {"prog", "--"};
+  EXPECT_EXIT(ArgParser(2, bare, {"seed"}), ::testing::ExitedWithCode(2),
+              "unknown flag '--'");
+  const char* any[] = {"prog", "--seed"};
+  EXPECT_EXIT(ArgParser(2, any, {}), ::testing::ExitedWithCode(2),
+              "unknown flag '--seed' \\(accepted: none\\)");
 }
 
 TEST(Env, ParseDigitsTakesOnlyWholeUnsignedNumbers) {
@@ -445,7 +457,7 @@ TEST(Env, ParseFiniteTakesOnlyWholeFiniteNumbers) {
 
 TEST(Env, ParseRealReadsTheFlagOrItsFallback) {
   const char* argv[] = {"prog", "--ccr=0.5", "--fraction=1", "--lo=0"};
-  const ArgParser args(4, argv);
+  const ArgParser args(4, argv, {"ccr", "fraction", "lo", "interval"});
   EXPECT_DOUBLE_EQ(parse_real(args, "ccr", 2.0, 0.0, 10.0), 0.5);
   EXPECT_DOUBLE_EQ(parse_real(args, "fraction", 0.25, 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(parse_real(args, "lo", 3.0, 0.0, 10.0), 0.0);
