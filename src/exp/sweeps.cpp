@@ -1,6 +1,11 @@
 #include "exp/sweeps.h"
 
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <iterator>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "core/contention_policy.h"
 #include "exp/paper_params.h"
@@ -16,10 +21,34 @@ std::uint64_t case_seed(std::uint64_t master, const CaseSpec& spec,
   // model (6250 DAGs x 80 models), so specs that differ only in
   // (R, Delta, delta) must share the workflow — paired comparisons keep
   // the Fig. 8(d)–(f) series smooth.
-  std::ostringstream key;
-  key << to_string(spec.app) << '/' << spec.size << '/' << spec.ccr << '/'
-      << spec.out_degree << '/' << spec.beta << '/' << instance;
-  return mix64(master, hash64(key.str()));
+  //
+  // The key text is "app/size/ccr/out_degree/beta/instance" as
+  // std::ostream's defaults print it: integers in decimal, doubles as %g
+  // at precision 6. It is at most about 100 characters.
+  char key[128];
+  const std::string app = to_string(spec.app);
+  char* out = key;
+  out = std::copy(app.begin(), app.end(), out);
+  const auto field = [&](const auto value) {
+    AHEFT_ASSERT(out != std::end(key), "case_seed key overflows its buffer");
+    *out++ = '/';
+    std::to_chars_result written;
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      written = std::to_chars(out, std::end(key), value,
+                              std::chars_format::general, 6);
+    } else {
+      written = std::to_chars(out, std::end(key), value);
+    }
+    AHEFT_ASSERT(written.ec == std::errc(),
+                 "case_seed key overflows its buffer");
+    out = written.ptr;
+  };
+  field(spec.size);
+  field(spec.ccr);
+  field(spec.out_degree);
+  field(spec.beta);
+  field(instance);
+  return mix64(master, hash64(std::string_view(key, out - key)));
 }
 
 namespace {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include "exp/case.h"
 #include "exp/paper_params.h"
@@ -172,6 +174,63 @@ TEST(Sweeps, CaseSeedIsPinnedToItsKeyText) {
   wien2k.ccr = 10.0;
   wien2k.beta = 0.25;
   EXPECT_EQ(case_seed(31337, wien2k, 3), 16577835146122592005ull);
+}
+
+/// case_seed as it stood when it formatted its key through std::ostream:
+/// the reference the std::to_chars key must reproduce bit for bit.
+std::uint64_t stream_case_seed(std::uint64_t master, const CaseSpec& spec,
+                               std::size_t instance) {
+  std::ostringstream key;
+  key << to_string(spec.app) << '/' << spec.size << '/' << spec.ccr << '/'
+      << spec.out_degree << '/' << spec.beta << '/' << instance;
+  return mix64(master, hash64(key.str()));
+}
+
+TEST(Sweeps, CaseSeedMatchesTheStreamFormattedKey) {
+  constexpr std::uint64_t kMaster = 42;
+  std::size_t compared = 0;
+  const auto check = [&](const std::vector<CaseSpec>& specs,
+                         const std::string& label) {
+    ASSERT_FALSE(specs.empty()) << label;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      for (const std::size_t inst : {std::size_t{0}, std::size_t{3}}) {
+        ASSERT_EQ(case_seed(kMaster, specs[k], inst),
+                  stream_case_seed(kMaster, specs[k], inst))
+            << label << " spec " << k << " instance " << inst;
+        ++compared;
+      }
+    }
+  };
+  for (const Scale scale : {Scale::kSmoke, Scale::kDefault}) {
+    const std::string name = to_string(scale);
+    check(build_random_sweep(scale, kMaster, false), "random " + name);
+    for (const AppKind app : {AppKind::kBlast, AppKind::kWien2k}) {
+      check(build_app_sweep(app, scale, kMaster), to_string(app) + " " + name);
+      for (const SweepAxis axis :
+           {SweepAxis::kCcr, SweepAxis::kBeta, SweepAxis::kJobs,
+            SweepAxis::kPool, SweepAxis::kInterval, SweepAxis::kFraction}) {
+        check(build_fig8_sweep(app, axis, scale, kMaster),
+              to_string(app) + " fig8 " + to_string(axis) + " " + name);
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+  // Values where %g switches to exponent form or rounds to 6 digits, and
+  // the largest size and instance.
+  CaseSpec spec;
+  for (const double value :
+       {1e-5, 1234567.0, 0.0001, 123456.0, 1.0 / 3.0, 2.5e-300, -0.75,
+        1e21, 0.0}) {
+    spec.ccr = value;
+    spec.out_degree = value;
+    spec.beta = value;
+    EXPECT_EQ(case_seed(kMaster, spec, 1), stream_case_seed(kMaster, spec, 1))
+        << value;
+  }
+  spec.size = std::numeric_limits<std::size_t>::max();
+  const std::size_t last = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(case_seed(kMaster, spec, last),
+            stream_case_seed(kMaster, spec, last));
 }
 
 TEST(Sweeps, EverySpecCarriesItsCaseSeed) {
