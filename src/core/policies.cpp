@@ -4,36 +4,6 @@
 
 namespace aheft::core {
 
-std::string to_string(SlotPolicy policy) {
-  switch (policy) {
-    case SlotPolicy::kInsertion:
-      return "insertion";
-    case SlotPolicy::kEndOfQueue:
-      return "end-of-queue";
-  }
-  return "unknown";
-}
-
-std::string to_string(RunningJobPolicy policy) {
-  switch (policy) {
-    case RunningJobPolicy::kRestartable:
-      return "restartable";
-    case RunningJobPolicy::kKeepRunning:
-      return "keep-running";
-  }
-  return "unknown";
-}
-
-std::string to_string(TransferPolicy policy) {
-  switch (policy) {
-    case TransferPolicy::kRetransmitFromClock:
-      return "retransmit-from-clock";
-    case TransferPolicy::kPrestagedArrivals:
-      return "prestaged-arrivals";
-  }
-  return "unknown";
-}
-
 TransferWindow transfer_window(TransferPolicy policy, sim::Time now,
                                sim::Time produced, sim::Time target_arrival,
                                double cost) {

@@ -3,7 +3,7 @@
 #ifndef AHEFT_CORE_POLICIES_H_
 #define AHEFT_CORE_POLICIES_H_
 
-#include <string>
+#include <cstddef>
 
 #include "sim/time.h"
 
@@ -82,10 +82,6 @@ struct SchedulerConfig {
   /// the paper" for why the paper's own numbers imply one of them).
   TransferPolicy transfer_policy = TransferPolicy::kRetransmitFromClock;
 };
-
-[[nodiscard]] std::string to_string(SlotPolicy policy);
-[[nodiscard]] std::string to_string(RunningJobPolicy policy);
-[[nodiscard]] std::string to_string(TransferPolicy policy);
 
 }  // namespace aheft::core
 

@@ -127,7 +127,7 @@ TEST(TransferPolicies, FeaMatchesTheFileAvailabilityPerPolicy) {
 
     Schedule s1(3);
     EXPECT_DOUBLE_EQ(file_available(req, 0, 2, s1), expected)
-        << to_string(policy);
+        << static_cast<int>(policy);
   }
 }
 
@@ -151,7 +151,7 @@ TEST(TransferPolicies, AdoptedPredictionRealizedUnderEveryPolicy) {
         }
       }
       EXPECT_NEAR(result.makespan, last, 1e-6)
-          << to_string(policy) << " seed " << seed;
+          << static_cast<int>(policy) << " seed " << seed;
       EXPECT_LE(result.makespan, result.initial_makespan + 1e-6);
       test::expect_valid_trace(trace, c.workload.dag, c.model, c.pool);
     }
