@@ -16,9 +16,10 @@
 //   --trace=path                  (trace file for --scenario-source=trace)
 //   --archive=path                (SWF/GWA log for
 //                                  --scenario-source=archive|fitted)
-//   --help                        (lists the flags plus every scenario
-//                                  source and registered contention
-//                                  policy)
+//   --help                        (lists the flags the bench reads,
+//                                  plus the strategies, scenario
+//                                  sources and contention policies
+//                                  those flags select)
 //   --contention-policy=NAME      (cross-workflow machine arbitration for
 //                                  stream benches: fcfs, priority,
 //                                  fair-share, or a custom registration)
@@ -40,6 +41,7 @@
 #ifndef AHEFT_BENCH_BENCH_UTIL_H_
 #define AHEFT_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -86,58 +88,86 @@ struct BenchOptions {
   std::string json;
 };
 
-/// Prints the shared flag reference plus the backends — scenario sources
-/// with their descriptions and the registered contention policies — so
-/// `--help` always reflects what the binary can run.
-inline void print_help(const char* program) {
-  std::cout
-      << "usage: " << program << " [options]\n\n"
-      << "  --scale=smoke|default|paper  sweep size (or $AHEFT_SCALE)\n"
-      << "  --threads=N                  worker threads (0 = hardware)\n"
-      << "  --seed=N                     master seed (default 42)\n"
-      << "  --csv=path                   per-case CSV dump\n"
-      << "  --json=path                  structured JSON results (benches\n"
-      << "                               that write them)\n"
-      << "  --scenario-source=NAME       grid environment backend\n"
-      << "  --trace=path                 trace file (scenario source "
-         "'trace')\n"
-      << "  --archive=path               SWF/GWA log (scenario sources "
-         "'archive' and 'fitted')\n"
-      << "  --contention-policy=NAME     cross-workflow arbitration\n"
-      << "  --backfill                   session-level ledger backfilling\n"
-      << "  --contention-aware           contention-aware planning\n"
-      << "  --strategy=NAME              strategy under test (benches that\n"
-      << "                               take one; see the list below)\n"
-      << "  --streams=a,b,c              stream-concurrency axis (stream\n"
-      << "                               benches)\n"
-      << "  --shards=a,b,c               parallel-simulation shard axis\n"
-      << "                               (benches that sweep it; 1 = the\n"
-      << "                               serial event loop)\n"
-      << "  --help                       this message\n\n"
-      << "a bench refuses (exit 2) any flag it does not read; the\n"
-      << "message lists the ones it does.\n\n"
-      << "strategies:\n ";
-  for (const std::string& name : core::strategy_names()) {
-    std::cout << ' ' << name;
-  }
-  std::cout << "\n\nscenario sources:\n";
-  for (const std::string& name : traces::scenario_source_names()) {
-    std::cout << "  " << name;
-    for (std::size_t pad = name.size(); pad < 12; ++pad) {
-      std::cout << ' ';
+/// One line of the --help flag reference.
+struct FlagHelp {
+  std::string_view name;
+  std::string_view usage;
+  std::string_view text;
+};
+
+/// Every flag a bench may read, in the order --help lists them.
+inline constexpr FlagHelp kFlagHelp[] = {
+    {"scale", "--scale=smoke|default|paper", "sweep size (or $AHEFT_SCALE)"},
+    {"smoke", "--smoke", "alias for --scale=smoke"},
+    {"threads", "--threads=N", "worker threads (0 = hardware)"},
+    {"seed", "--seed=N", "master seed (default 42)"},
+    {"csv", "--csv=path", "per-case CSV dump"},
+    {"json", "--json=path", "structured JSON results"},
+    {"scenario-source", "--scenario-source=NAME",
+     "grid environment backend (see the list below)"},
+    {"trace", "--trace=path", "trace file (scenario source 'trace')"},
+    {"archive", "--archive=path",
+     "SWF/GWA log (scenario sources 'archive' and 'fitted')"},
+    {"archive-fit-report", "--archive-fit-report",
+     "fit --archive and print the fit as JSON"},
+    {"contention-policy", "--contention-policy=NAME",
+     "cross-workflow arbitration (see the list below)"},
+    {"backfill", "--backfill", "session-level ledger backfilling"},
+    {"contention-aware", "--contention-aware", "contention-aware planning"},
+    {"strategy", "--strategy=NAME",
+     "strategy under test (see the list below)"},
+    {"streams", "--streams=a,b,c", "stream-concurrency axis"},
+    {"shards", "--shards=a,b,c",
+     "parallel-simulation shard axis (1 = the serial event loop)"},
+    {"history", "--history", "feed each strategy a performance history"},
+    {"trace-out", "--trace-out=path", "keep the recorded trace file"},
+    {"help", "--help", "this message"},
+};
+
+/// Prints the reference for `flags`, the flags the bench reads, plus the
+/// backends those flags select — strategies, scenario sources with their
+/// descriptions, registered contention policies — so `--help` always
+/// reflects what the binary runs and never offers a flag it refuses.
+inline void print_help(const char* program,
+                       const std::vector<std::string_view>& flags) {
+  const auto reads = [&](std::string_view name) {
+    return std::find(flags.begin(), flags.end(), name) != flags.end();
+  };
+  std::cout << "usage: " << program << " [options]\n\n";
+  for (const FlagHelp& flag : kFlagHelp) {
+    if (reads(flag.name)) {
+      std::cout << "  " << std::left << std::setw(29) << flag.usage
+                << flag.text << "\n";
     }
-    std::cout << traces::scenario_source(name).description() << "\n";
   }
-  std::cout << "\ncontention policies:\n ";
-  for (const std::string& name :
-       core::ContentionPolicyRegistry::instance().names()) {
-    std::cout << ' ' << name;
+  std::cout << "\nany other flag is refused (exit 2).\n";
+  if (reads("strategy")) {
+    std::cout << "\nstrategies:\n ";
+    for (const std::string& name : core::strategy_names()) {
+      std::cout << ' ' << name;
+    }
+    std::cout << "\n";
+  }
+  if (reads("scenario-source")) {
+    std::cout << "\nscenario sources:\n";
+    for (const std::string& name : traces::scenario_source_names()) {
+      std::cout << "  " << std::left << std::setw(12) << name
+                << traces::scenario_source(name).description() << "\n";
+    }
+  }
+  if (reads("contention-policy")) {
+    std::cout << "\ncontention policies:\n ";
+    for (const std::string& name :
+         core::ContentionPolicyRegistry::instance().names()) {
+      std::cout << ' ' << name;
+    }
+    std::cout << "\n";
   }
   // Passthrough pointer, --version style: the determinism rules these
   // benches' byte-for-byte self-checks rely on are enforced statically
   // by the in-tree linter; `detlint --list-rules` documents them the
   // same way this help documents the bench axes.
-  std::cout << "\n\nstatic analysis:\n"
+  std::cout << "\nstatic analysis:\n"
             << "  the determinism & concurrency rules this bench's "
                "bit-identical\n"
             << "  self-checks depend on are enforced by tools/detlint "
@@ -166,7 +196,7 @@ inline ArgParser arguments(int argc, char** argv,
   flags.insert(flags.begin(), {"help", "scale", "seed"});
   ArgParser args(argc, argv, flags);
   if (args.has("help")) {
-    print_help(argc > 0 ? argv[0] : "bench");
+    print_help(argc > 0 ? argv[0] : "bench", flags);
     std::exit(0);
   }
   return args;

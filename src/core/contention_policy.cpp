@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "resilience/checkpoint_model.h"
 #include "support/assert.h"
 
 namespace aheft::core {
@@ -233,9 +234,11 @@ class FairSharePolicy final : public ContentionPolicy {
   /// a requester stretched to `self`? Only when it is well past its own
   /// uncontended completion AND starved beyond the deadband relative to
   /// the requester. The deadband keeps mutual deferral impossible, so
-  /// some pending request is always granted.
+  /// some pending request is always granted. It is the band preemption
+  /// applies to committed windows, so the two cannot drift apart.
   [[nodiscard]] static bool displaces(double starved, double self) {
-    return starved > 2.0 && starved > 1.25 * self;
+    return starved > resilience::kPreemptionMinStretch &&
+           starved > resilience::kPreemptionRatio * self;
   }
 
   /// Starvation tier of a stretch value: quantized most-starved-first.

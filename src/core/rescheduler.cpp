@@ -179,22 +179,7 @@ Schedule schedule_in_order(const RescheduleRequest& request,
       // error: place the job on the longest-surviving machine (the wall
       // that salvages the most checkpointed progress) and let the
       // executor's departure handling take it from there.
-      sim::Time best_departure = -sim::kTimeInfinity;
-      for (const grid::ResourceId r : request.resources) {
-        const grid::Resource& machine = request.pool->resource(r);
-        const sim::Time not_before = std::max(request.clock, machine.arrival);
-        const double w = request.estimates->compute_cost(job, r);
-        const sim::Time start = result.earliest_slot(
-            r, search.ready_on(r), w, request.config.slot_policy, not_before,
-            sim::kTimeInfinity, nullptr);
-        const sim::Time finish = start + w;
-        if (!best || machine.departure > best_departure ||
-            (sim::time_eq(machine.departure, best_departure) &&
-             finish < best->finish)) {
-          best = Assignment{job, r, start, finish};
-          best_departure = machine.departure;
-        }
-      }
+      best = search.longest_surviving(request.resources);
     }
 
     AHEFT_ASSERT(best.has_value(),
@@ -231,14 +216,6 @@ void EftSearch::resolve(dag::JobId job) {
             });
 }
 
-sim::Time EftSearch::ready_on(grid::ResourceId target) const {
-  sim::Time ready = sim::kTimeZero;
-  for (const ResolvedInput& input : inputs_) {
-    ready = std::max(ready, input_available(request_, input, target));
-  }
-  return ready;
-}
-
 std::optional<Assignment> EftSearch::best(
     std::span<const grid::ResourceId> candidates,
     const AvailabilityView* availability) const {
@@ -251,17 +228,20 @@ std::optional<Assignment> EftSearch::best(
     const double w = request_.estimates->compute_cost(job_, r);
     // Inner max of Eq. 2, priced input by input. `ready` only grows and
     // the slot starts no earlier than max(ready, not_before), so once that
-    // plus w reaches the best EFT so far this candidate cannot finish
-    // strictly earlier: stop pricing and skip it. Starting from the latest
-    // placed predecessor's finish leaves the full max unchanged.
-    const auto beaten = [&](sim::Time ready) {
-      return best && std::max(ready, not_before) + w >= best->finish;
+    // plus w passes the departure wall (the bound earliest_slot tests) or
+    // reaches the best EFT so far, this candidate can neither fit nor
+    // finish strictly earlier: stop pricing and skip it. Starting from the
+    // latest placed predecessor's finish leaves the full max unchanged.
+    const sim::Time wall = machine.departure + sim::kTimeEpsilon;
+    const auto ruled_out = [&](sim::Time ready) {
+      const sim::Time finish = std::max(ready, not_before) + w;
+      return finish > wall || (best && finish >= best->finish);
     };
     sim::Time ready = placed_ready_;
-    bool skip = beaten(ready);
+    bool skip = ruled_out(ready);
     for (std::size_t k = 0; !skip && k < inputs_.size(); ++k) {
       ready = std::max(ready, input_available(request_, inputs_[k], r));
-      skip = beaten(ready);
+      skip = ruled_out(ready);
     }
     if (skip) {
       continue;
@@ -279,6 +259,38 @@ std::optional<Assignment> EftSearch::best(
     if (!best ||
         (finish < best->finish && !sim::time_eq(finish, best->finish))) {
       best = Assignment{job_, r, start, finish};
+    }
+  }
+  return best;
+}
+
+std::optional<Assignment> EftSearch::longest_surviving(
+    std::span<const grid::ResourceId> candidates) const {
+  std::optional<Assignment> best;
+  sim::Time best_departure = -sim::kTimeInfinity;
+  for (const grid::ResourceId r : candidates) {
+    const grid::Resource& machine = request_.pool->resource(r);
+    // A machine that leaves clearly earlier than the best so far can never
+    // replace it, whatever its finish: skip it before pricing its inputs.
+    if (best && machine.departure < best_departure &&
+        !sim::time_eq(machine.departure, best_departure)) {
+      continue;
+    }
+    const sim::Time not_before = std::max(request_.clock, machine.arrival);
+    const double w = request_.estimates->compute_cost(job_, r);
+    sim::Time ready = sim::kTimeZero;
+    for (const ResolvedInput& input : inputs_) {
+      ready = std::max(ready, input_available(request_, input, r));
+    }
+    const sim::Time start = new_schedule_.earliest_slot(
+        r, ready, w, request_.config.slot_policy, not_before,
+        sim::kTimeInfinity, nullptr);
+    const sim::Time finish = start + w;
+    if (!best || machine.departure > best_departure ||
+        (sim::time_eq(machine.departure, best_departure) &&
+         finish < best->finish)) {
+      best = Assignment{job_, r, start, finish};
+      best_departure = machine.departure;
     }
   }
   return best;

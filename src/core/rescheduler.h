@@ -92,12 +92,21 @@ struct ResolvedInput {
 /// The EFT search of Fig. 3 (Eq. 1–3) for one job at a time, shared by
 /// the HEFT and AHEFT passes and their fallbacks. `resolve` reads the job's
 /// inputs off `new_schedule` once; `best` then prices only their transfers
-/// per candidate, latest producer first, and skips a candidate as soon as
-/// max(ready, not_before) + w reaches the best EFT so far, where `ready`
-/// starts at the latest placed predecessor's finish and grows with each
-/// priced input. The skip is exact: transfer costs are >= 0, the slot
-/// starts no earlier than max(ready, not_before), and a candidate wins
-/// only on a strictly smaller EFT, so no skipped candidate could have won.
+/// per candidate, latest producer first, and rules a candidate out as soon
+/// as its finish bound max(ready, not_before) + w either passes its
+/// departure wall (departure + kTimeEpsilon, the bound earliest_slot
+/// tests) or reaches the best EFT so far, where `ready` starts at the
+/// latest placed predecessor's finish and grows with each priced input.
+/// The test runs before the first input is priced and after each one. It
+/// is exact: transfer costs are >= 0 and the slot starts no earlier than
+/// max(ready, not_before), so a walled candidate would get no slot, and a
+/// beaten one could not win, since a candidate wins only on a strictly
+/// smaller EFT. `longest_surviving`, the fallback when nothing fits,
+/// skips a machine whose departure is below the best so far and not
+/// time_eq to it before pricing anything: such a machine can never
+/// replace the best. A machine time_eq to the best's departure still
+/// competes on finish — time_eq holds between any finite departure and an
+/// infinite one.
 class EftSearch {
  public:
   /// Both references must outlive the search; `new_schedule` is the S1
@@ -116,9 +125,13 @@ class EftSearch {
       std::span<const grid::ResourceId> candidates,
       const AvailabilityView* availability) const;
 
-  /// Eq. 2's inner max: when all the resolved job's inputs are on
-  /// `target`.
-  [[nodiscard]] sim::Time ready_on(grid::ResourceId target) const;
+  /// The fallback when no candidate fits: the resolved job on the
+  /// candidate that departs last, ignoring its wall and `availability`.
+  /// A later departure wins outright; one time_eq to the best's wins only
+  /// on a strictly earlier finish. Nullopt only when `candidates` is
+  /// empty.
+  [[nodiscard]] std::optional<Assignment> longest_surviving(
+      std::span<const grid::ResourceId> candidates) const;
 
  private:
   const RescheduleRequest& request_;

@@ -35,6 +35,23 @@ double MachineModel::compute_cost(dag::JobId job, ResourceId resource) const {
   return cost;
 }
 
+double MachineModel::mean_compute_cost(
+    dag::JobId job, std::span<const ResourceId> resources) const {
+  AHEFT_REQUIRE(!resources.empty(), "mean over empty resource set");
+  AHEFT_REQUIRE(job < jobs_, "cost index out of range");
+  const double* row = w_.data() + job * resources_;
+  double total = 0.0;
+  for (const ResourceId r : resources) {
+    AHEFT_REQUIRE(r < resources_, "cost index out of range");
+    const double cost = row[r];
+    AHEFT_ASSERT(cost > 0.0, "computation cost was never set for job " +
+                                 std::to_string(job) + " on resource " +
+                                 std::to_string(r));
+    total += cost;
+  }
+  return total / static_cast<double>(resources.size());
+}
+
 double MachineModel::comm_cost(const dag::Edge& e, ResourceId from,
                                ResourceId to) const {
   if (from == to) {

@@ -43,6 +43,11 @@ class MachineModel final : public CostProvider {
   [[nodiscard]] double comm_cost(const dag::Edge& e, ResourceId from,
                                  ResourceId to) const override;
   [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override;
+  /// The base-class mean, summed straight off the job's row in
+  /// `resources` order with compute_cost's checks, so it is bit-identical
+  /// to it at one loop instead of one virtual call per resource.
+  [[nodiscard]] double mean_compute_cost(
+      dag::JobId job, std::span<const ResourceId> resources) const override;
 
  private:
   std::size_t jobs_;

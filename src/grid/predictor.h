@@ -34,6 +34,10 @@ class PerfectPredictor final : public CostProvider {
   [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
     return truth_.mean_comm_cost(e);
   }
+  [[nodiscard]] double mean_compute_cost(
+      dag::JobId job, std::span<const ResourceId> resources) const override {
+    return truth_.mean_compute_cost(job, resources);
+  }
 
  private:
   const CostProvider& truth_;

@@ -1,7 +1,8 @@
 # Runs a bench once per malformed or unread argument and requires each run
 # to exit 2 with a message naming it: a bad --threads / --seed / --scale
 # value, an unknown flag, a positional argument, or a shared flag the bench
-# does not read. -DBENCH=<path> is bench_fig5_example, which reads only
+# does not read. --help must exit 0 and list only the flags the bench
+# reads. -DBENCH=<path> is bench_fig5_example, which reads only
 # --help, --scale and --seed; -DRUN_BENCH=<path> is a sweep bench that also
 # reads --threads. Everything is refused while parsing the command line,
 # before any worker thread exists, so no value here starts a thread.
@@ -40,5 +41,25 @@ foreach(case IN LISTS cases)
   string(FIND "${err}" "${flag}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "${case}: message does not name ${flag}: ${err}")
+  endif()
+endforeach()
+
+# --help lists the flags the bench reads, and no flag it would refuse.
+execute_process(COMMAND "${BENCH}" --help RESULT_VARIABLE code
+                OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 60)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--help: want exit 0, got '${code}'\n${out}${err}")
+endif()
+foreach(flag IN ITEMS --scale --seed --help)
+  string(FIND "${out}" "${flag}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "--help does not list ${flag}:\n${out}")
+  endif()
+endforeach()
+foreach(flag IN ITEMS --threads --json --csv --smoke --scenario-source)
+  string(FIND "${out}" "${flag}" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "--help lists ${flag}, which the bench refuses:\n"
+                        "${out}")
   endif()
 endforeach()

@@ -2,6 +2,9 @@
 // history repository.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "grid/machine_model.h"
 #include "grid/predictor.h"
 #include "grid/resource_pool.h"
+#include "support/rng.h"
 
 namespace aheft::grid {
 namespace {
@@ -99,6 +103,53 @@ TEST(MachineModel, UnsetCostIsAnInvariantViolation) {
   MachineModel model(1, 2);
   model.set_compute_cost(0, 0, 2.0);
   EXPECT_THROW((void)model.compute_cost(0, 1), AssertionError);
+}
+
+// The row-sum override must add the same cells in the same order as the
+// base class's one-virtual-call-per-resource loop, so ranks stay
+// bit-identical: visible sets come in any order, with repeats, and the
+// costs span several orders of magnitude so a reordered sum would show.
+TEST(MachineModel, MeanComputeCostIsTheBaseClassSumBitForBit) {
+  RngStream rng(2718);
+  MachineModel model(8, 12);
+  for (dag::JobId i = 0; i < 8; ++i) {
+    for (ResourceId r = 0; r < 12; ++r) {
+      model.set_compute_cost(i, r, std::exp(rng.uniform(-6.0, 9.0)));
+    }
+  }
+  const PerfectPredictor perfect(model);
+  const CostProvider& base = model;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<ResourceId> visible(1 + rng.index(16));
+    for (ResourceId& r : visible) {
+      r = static_cast<ResourceId>(rng.index(12));
+    }
+    const auto job = static_cast<dag::JobId>(rng.index(8));
+    const auto bits = [](double value) {
+      return std::bit_cast<std::uint64_t>(value);
+    };
+    const double reference =
+        base.CostProvider::mean_compute_cost(job, visible);
+    EXPECT_EQ(bits(model.mean_compute_cost(job, visible)), bits(reference));
+    EXPECT_EQ(bits(perfect.mean_compute_cost(job, visible)), bits(reference));
+  }
+}
+
+TEST(MachineModel, MeanComputeCostKeepsThePerCellChecks) {
+  MachineModel model(2, 3);
+  model.set_compute_cost(0, 0, 2.0);
+  model.set_compute_cost(0, 1, 4.0);
+  const std::vector<ResourceId> none;
+  const std::vector<ResourceId> out_of_range{0, 3};
+  const std::vector<ResourceId> unset{1, 2};
+  const std::vector<ResourceId> set{0, 1};
+  EXPECT_THROW((void)model.mean_compute_cost(0, none), std::invalid_argument);
+  EXPECT_THROW((void)model.mean_compute_cost(0, out_of_range),
+               std::invalid_argument);
+  EXPECT_THROW((void)model.mean_compute_cost(2, set), std::invalid_argument);
+  EXPECT_THROW((void)model.mean_compute_cost(0, unset), AssertionError);
+  EXPECT_THROW((void)model.mean_compute_cost(1, set), AssertionError);
+  EXPECT_DOUBLE_EQ(model.mean_compute_cost(0, set), 3.0);
 }
 
 TEST(Predictor, PerfectPassesThrough) {

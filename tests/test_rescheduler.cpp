@@ -347,6 +347,118 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReschedulerProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808));
 
+/// Forwards to `inner`, logging the machine each transfer is priced to.
+class TransferLog final : public grid::CostProvider {
+ public:
+  explicit TransferLog(const grid::CostProvider& inner) : inner_(inner) {}
+
+  [[nodiscard]] double compute_cost(dag::JobId job,
+                                    grid::ResourceId resource) const override {
+    return inner_.compute_cost(job, resource);
+  }
+  [[nodiscard]] double comm_cost(const dag::Edge& e, grid::ResourceId from,
+                                 grid::ResourceId to) const override {
+    priced_to.push_back(to);
+    return inner_.comm_cost(e, from, to);
+  }
+  [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
+    return inner_.mean_comm_cost(e);
+  }
+
+  mutable std::vector<grid::ResourceId> priced_to;
+
+ private:
+  const grid::CostProvider& inner_;
+};
+
+// A candidate whose compute cost alone carries it past its departure wall
+// is ruled out before any of its inputs is priced; one that lands within
+// kTimeEpsilon past its departure still fits, as earliest_slot allows.
+TEST(EftSearch, WallRulesOutBeforePricingAndKeepsItsTolerance) {
+  dag::Dag graph;
+  const dag::JobId a = graph.add_job("a");
+  const dag::JobId b = graph.add_job("b");
+  graph.add_edge(a, b, 10.0);
+  graph.finalize();
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "always", .arrival = 0.0});
+  pool.add(grid::Resource{.name = "walled", .departure = 10.0});
+  pool.add(grid::Resource{.name = "just-fits", .departure = 30.0});
+  grid::MachineModel model(2, 3);
+  for (grid::ResourceId r = 0; r < 3; ++r) {
+    model.set_compute_cost(a, r, 5.0);
+  }
+  model.set_compute_cost(b, 0, 100.0);
+  model.set_compute_cost(b, 1, 20.0);
+  model.set_compute_cost(b, 2, 15.0 + 0.5 * sim::kTimeEpsilon);
+  const TransferLog costs(model);
+  RescheduleRequest req;
+  req.dag = &graph;
+  req.estimates = &costs;
+  req.pool = &pool;
+  req.resources = {0, 1, 2};
+  Schedule s1(2);
+  s1.assign(Assignment{a, 0, 0.0, 5.0});
+  EftSearch search(req, s1);
+  search.resolve(b);
+
+  // "always" holds the input and finishes at 105; the walled machine's
+  // bound 5 + 20 passes 10 before its transfer is priced.
+  const std::optional<Assignment> best = search.best(req.resources, nullptr);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->resource, 2u);
+  EXPECT_DOUBLE_EQ(best->start, 15.0);
+  EXPECT_GT(best->finish, 30.0);
+  EXPECT_EQ(costs.priced_to, std::vector<grid::ResourceId>{2});
+}
+
+// The allow_infeasible fallback skips a machine that leaves clearly before
+// the best so far, unpriced. time_eq holds between any finite departure
+// and an infinite one, so a finite-departure machine that follows an
+// always-on best still competes on finish — and wins it here.
+TEST(EftSearch, FallbackLetsAFiniteDepartureCompeteWithAnInfiniteOne) {
+  dag::Dag graph;
+  graph.add_job("a");
+  graph.finalize();
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "always", .arrival = 0.0});
+  pool.add(grid::Resource{.name = "leaves", .departure = 10.0});
+  pool.add(grid::Resource{.name = "leaves-first", .departure = 5.0});
+  grid::MachineModel model(1, 3);
+  model.set_compute_cost(0, 0, 50.0);
+  model.set_compute_cost(0, 1, 20.0);
+  model.set_compute_cost(0, 2, 6.0);
+  RescheduleRequest req;
+  req.dag = &graph;
+  req.estimates = &model;
+  req.pool = &pool;
+  req.resources = {0, 1, 2};
+  const Schedule empty(1);
+  EftSearch search(req, empty);
+  search.resolve(0);
+
+  // "leaves" ties the infinite departure and finishes first; the fallback
+  // then skips "leaves-first", whose own finish would have been earliest.
+  const std::vector<grid::ResourceId> always_first{0, 1, 2};
+  const std::optional<Assignment> tied = search.longest_surviving(always_first);
+  ASSERT_TRUE(tied.has_value());
+  EXPECT_EQ(tied->resource, 1u);
+  EXPECT_DOUBLE_EQ(tied->start, 0.0);
+  EXPECT_DOUBLE_EQ(tied->finish, 20.0);
+
+  // A later departure wins outright, whatever its finish.
+  const std::vector<grid::ResourceId> always_last{1, 2, 0};
+  const std::optional<Assignment> later = search.longest_surviving(always_last);
+  ASSERT_TRUE(later.has_value());
+  EXPECT_EQ(later->resource, 0u);
+  EXPECT_DOUBLE_EQ(later->finish, 50.0);
+
+  // Nothing finishes inside its window on the leaving machines.
+  const std::vector<grid::ResourceId> leaving{1, 2};
+  EXPECT_FALSE(search.best(leaving, nullptr).has_value());
+  EXPECT_FALSE(search.longest_surviving({}).has_value());
+}
+
 // ----- differential: the EFT search against the plain reference loop -----
 //
 // The reference below is the planning loop as it stood before EftSearch:
@@ -355,6 +467,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReschedulerProperty,
 // start and finish for every job, under every policy combination.
 
 namespace reference {
+
+/// How often the sweep meets the bounds EftSearch rules work out by, so
+/// the differential check is known to exercise them.
+struct Coverage {
+  /// Candidates not yet beaten on EFT whose finish bound
+  /// max(ready, not_before) + w passes their departure wall: only the
+  /// wall rules them out.
+  std::size_t walled = 0;
+  /// allow_infeasible fallbacks that meet two or more walls, one of them
+  /// clearly before the best departure so far: the fallback skips it.
+  std::size_t outlived_fallbacks = 0;
+};
 
 Schedule pin_history(const RescheduleRequest& request,
                      std::vector<bool>& pinned) {
@@ -392,7 +516,8 @@ Schedule pin_history(const RescheduleRequest& request,
 }
 
 Schedule schedule_in_order(const RescheduleRequest& request,
-                           const std::vector<dag::JobId>& order) {
+                           const std::vector<dag::JobId>& order,
+                           Coverage& coverage) {
   const dag::Dag& dag = *request.dag;
   const grid::CostProvider& est = *request.estimates;
 
@@ -422,6 +547,11 @@ Schedule schedule_in_order(const RescheduleRequest& request,
           ready = std::max(ready, file_available(request, e, r, result));
         }
         const double w = est.compute_cost(job, r);
+        const sim::Time bound = std::max(ready, not_before) + w;
+        if (bound > machine.departure + sim::kTimeEpsilon &&
+            (best_resource == grid::kInvalidResource || bound < best_finish)) {
+          ++coverage.walled;
+        }
         const sim::Time start =
             result.earliest_slot(r, ready, w, request.config.slot_policy,
                                  not_before, machine.departure, availability);
@@ -456,8 +586,12 @@ Schedule schedule_in_order(const RescheduleRequest& request,
     if (best_resource == grid::kInvalidResource &&
         request.allow_infeasible) {
       sim::Time best_departure = -sim::kTimeInfinity;
+      bool outlived = false;
       for (const grid::ResourceId r : request.resources) {
         const grid::Resource& machine = request.pool->resource(r);
+        outlived |= best_resource != grid::kInvalidResource &&
+                    machine.departure < best_departure &&
+                    !sim::time_eq(machine.departure, best_departure);
         const sim::Time not_before = std::max(request.clock, machine.arrival);
         sim::Time ready = sim::kTimeZero;
         for (const std::uint32_t e : dag.in_edges(job)) {
@@ -478,6 +612,7 @@ Schedule schedule_in_order(const RescheduleRequest& request,
           best_departure = machine.departure;
         }
       }
+      coverage.outlived_fallbacks += outlived ? 1 : 0;
     }
 
     AHEFT_ASSERT(best_resource != grid::kInvalidResource,
@@ -487,7 +622,7 @@ Schedule schedule_in_order(const RescheduleRequest& request,
   return result;
 }
 
-Schedule aheft(const RescheduleRequest& request) {
+Schedule aheft(const RescheduleRequest& request, Coverage& coverage) {
   const dag::Dag& dag = *request.dag;
   if (request.restrict_to_previous) {
     std::vector<dag::JobId> order(dag.job_count());
@@ -507,12 +642,12 @@ Schedule aheft(const RescheduleRequest& request) {
       }
       return a < b;
     });
-    return schedule_in_order(request, order);
+    return schedule_in_order(request, order, coverage);
   }
   const std::vector<double> ranks =
       upward_ranks(dag, *request.estimates, request.resources);
   const std::vector<dag::JobId> order = rank_order(ranks);
-  Schedule best = schedule_in_order(request, order);
+  Schedule best = schedule_in_order(request, order, coverage);
   std::size_t tried = 0;
   for (std::size_t k = 0;
        k + 1 < order.size() && tried < request.config.order_candidates; ++k) {
@@ -530,7 +665,7 @@ Schedule aheft(const RescheduleRequest& request) {
     std::vector<dag::JobId> variant = order;
     std::swap(variant[k], variant[k + 1]);
     ++tried;
-    Schedule candidate = schedule_in_order(request, variant);
+    Schedule candidate = schedule_in_order(request, variant, coverage);
     if (candidate.makespan() <
         best.makespan() - sim::kTimeEpsilon * (1.0 + best.makespan())) {
       best = std::move(candidate);
@@ -691,6 +826,7 @@ struct DifferentialCase {
 TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
   std::size_t planned = 0;
   std::size_t infeasible = 0;
+  reference::Coverage coverage;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     DifferentialCase c(seed);
@@ -712,8 +848,9 @@ TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
     req.allow_infeasible = c.rng.bernoulli(0.5);
 
     const Outcome library = outcome_of([&] { return aheft_schedule(req); });
-    expect_same_outcome(library,
-                        outcome_of([&] { return reference::aheft(req); }));
+    expect_same_outcome(library, outcome_of([&] {
+                          return reference::aheft(req, coverage);
+                        }));
     if (library.schedule) {
       ++planned;
     } else {
@@ -723,6 +860,9 @@ TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
   // The sweep must mostly plan, not only agree on giving up.
   EXPECT_GT(planned, 150u);
   EXPECT_GT(infeasible, 0u);
+  // ... and must reach both departure-wall rule-outs.
+  EXPECT_GT(coverage.walled, 0u);
+  EXPECT_GT(coverage.outlived_fallbacks, 0u);
 }
 
 }  // namespace
