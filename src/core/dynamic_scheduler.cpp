@@ -27,9 +27,6 @@ DynamicExecution::DynamicExecution(SimulationSession& session,
       finished_(dag.job_count(), false),
       pending_preds_(dag.job_count(), 0) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
-  if (session.resilience().active()) {
-    resilience_ = &session.resilience();
-  }
   session.add_participant(this, priority);
 }
 
@@ -74,7 +71,8 @@ sim::Time DynamicExecution::estimate_solo_finish() const {
   std::vector<sim::Time> finish(dag_->job_count(), release_);
   std::vector<grid::ResourceId> where(dag_->job_count(),
                                       grid::kInvalidResource);
-  std::map<grid::ResourceId, sim::Time> free;
+  // When each machine frees of this estimate's own placements.
+  std::vector<sim::Time> free(pool_->universe_size(), release_);
   sim::Time span_end = release_;
   for (const dag::JobId job : dag_->topological_order()) {
     sim::Time best_finish = sim::kTimeInfinity;
@@ -90,9 +88,7 @@ sim::Time DynamicExecution::estimate_solo_finish() const {
         ready = std::max(ready, arrival);
       }
       const double w = actual_->compute_cost(job, r);
-      const auto it = free.find(r);
-      sim::Time start =
-          std::max(ready, it == free.end() ? release_ : it->second);
+      sim::Time start = std::max(ready, free[r]);
       if (view) {
         start = view->earliest_fit(r, start, w);
       }
@@ -104,7 +100,9 @@ sim::Time DynamicExecution::estimate_solo_finish() const {
     }
     finish[job] = best_finish;
     where[job] = best_r;
-    free[best_r] = best_finish;
+    if (best_r != grid::kInvalidResource) {
+      free[best_r] = best_finish;
+    }
     span_end = std::max(span_end, best_finish);
   }
   return span_end;
@@ -217,15 +215,16 @@ void DynamicExecution::dispatch() {
         }
       }
       if (best_r == grid::kInvalidResource) {
-        if (resilience_ == nullptr) {
+        if (departure_is_error()) {
           throw std::runtime_error(
               "dynamic dispatch: no visible machine can finish job " +
               dag_->job(job).name +
-              " before departing (the dynamic baseline does not defer "
-              "dispatch until repairs arrive)");
+              " before departing (under DepartureAction::kError the "
+              "dynamic baseline does not defer dispatch until repairs "
+              "arrive)");
         }
-        // Resilience on: the job waits for the pool to change (a repair
-        // may bring a machine); see defer_dispatch below.
+        // The job waits for the pool to change (a repair may bring a
+        // machine); see defer_dispatch below.
         stuck = true;
         continue;
       }
@@ -416,17 +415,17 @@ void DynamicExecution::start_assignment(dag::JobId job,
   }
   const sim::Time finish = start + duration;
   // The dispatch loop vetted the nominal completion against the window;
-  // a load spike can still stretch the realized run past it, which is
-  // the same unsupported combination the execution engine reports —
-  // unless resilience is on, in which case the run fails gracefully
-  // (dynamic jobs have no restart machinery; see the class note).
+  // a load spike can still stretch the realized run past it. Under kError
+  // that is the scenario the execution engine refuses too; otherwise the
+  // run fails gracefully (dynamic jobs have no restart machinery; see the
+  // class note).
   if (!sim::time_le(finish, pool_->resource(resource).departure)) {
-    if (resilience_ == nullptr) {
+    if (departure_is_error()) {
       throw std::runtime_error(
           "load-stretched job " + dag_->job(job).name +
           " would outlive its machine: scenarios combining load segments "
-          "with finite departures need restart semantics (unsupported; "
-          "see ROADMAP)");
+          "with finite departures need restart semantics (set "
+          "ResilienceConfig::departure_action to kFail or kRequeue)");
     }
     fail_run("load-stretched job " + dag_->job(job).name +
              " would outlive its machine");

@@ -45,15 +45,16 @@ namespace aheft::core {
 /// session's load profile, and machine reservations respect (and are
 /// visible to) every other workflow in the session through the ledger.
 ///
-/// Resilience note: under an active session ResilienceConfig the two
-/// historical throws soften — a decision round with no machine able to
-/// finish a job defers until the pool next changes (a repair may bring
-/// one) and fails the run gracefully only when the pool never changes
-/// again, and a load-stretched run outliving its machine fails the run
-/// instead of aborting the process. Dynamic runs have no restart
-/// machinery (a just-in-time job either finishes or never ran), so
-/// DepartureAction::kRequeue degrades to the same graceful failure —
-/// checkpoint/restart requeueing is the planner engines' domain.
+/// Departures follow the session's DepartureAction, as in the execution
+/// engine. Under kError (the default) a decision round with no machine
+/// able to finish a job, or a load-stretched run outliving its machine,
+/// throws. Otherwise the round defers until the pool next changes (a
+/// repair may bring a machine) and fails the run gracefully only when the
+/// pool never changes again, and the stretched run fails the run instead
+/// of aborting the process. Dynamic runs have no restart machinery (a
+/// just-in-time job either finishes or never ran), so kRequeue degrades
+/// to the same graceful failure as kFail — checkpoint/restart requeueing
+/// is the planner engines' domain.
 class DynamicExecution : public SessionParticipant {
  public:
   /// `priority` is the workflow's weight under the session's contention
@@ -136,6 +137,12 @@ class DynamicExecution : public SessionParticipant {
                                           grid::ResourceId resource,
                                           sim::Time now) const;
 
+  /// Whether the session's DepartureAction is kError: a job no machine
+  /// can finish before departing throws instead of failing the run.
+  [[nodiscard]] bool departure_is_error() const {
+    return session_->resilience().departure_action ==
+           resilience::DepartureAction::kError;
+  }
   void dispatch();
   /// Ready jobs no visible machine can host right now wait for the next
   /// pool change; a pool that never changes again fails the run.
@@ -171,9 +178,6 @@ class DynamicExecution : public SessionParticipant {
   const grid::LoadProfile* load_;
   sim::TraceRecorder* trace_;
   bool contention_aware_ = false;
-  /// The session's resilience config when active; null keeps the
-  /// historical hard-abort paths bit-identical.
-  const resilience::ResilienceConfig* resilience_ = nullptr;
 
   sim::Time release_ = sim::kTimeZero;
   Completion done_;

@@ -21,8 +21,7 @@ ExecutionEngine::ExecutionEngine(SimulationSession& session,
       record_(sim::kTimeZero, dag.job_count(), dag.edge_count()),
       jobs_(dag.job_count()) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
-  if (session.resilience().active()) {
-    resilience_ = &session.resilience();
+  if (session.resilience().checkpoint.enabled) {
     done_frac_.assign(dag.job_count(), 0.0);
     restart_debt_.assign(dag.job_count(), 0.0);
   }
@@ -208,11 +207,9 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
     //     the grant is just their bookings.
     sim::Time start =
         std::max({ready, pool_->resource(resource).arrival, now});
-    double request = actual_->compute_cost(job, resource);
-    if (resilience_ != nullptr) {
-      request = requeue_occupancy(job, resource);
-    }
-    start = session_->acquire(this, resource, start, request, /*tag=*/job);
+    start = session_->acquire(this, resource, start,
+                              next_segment(job, resource).duration(),
+                              /*tag=*/job);
 
     if (start > now) {
       // Try again when the gating time is reached (deduplicated). A retry
@@ -242,31 +239,27 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
   }
 }
 
-double ExecutionEngine::requeue_occupancy(dag::JobId job,
-                                          grid::ResourceId resource) const {
-  return restart_debt_[job] +
-         resilience::segment_occupancy(
-             resilience_->checkpoint,
-             actual_->compute_cost(job, resource) * (1.0 - done_frac_[job]));
+ExecutionEngine::Segment ExecutionEngine::next_segment(
+    dag::JobId job, grid::ResourceId resource) const {
+  Segment segment;
+  segment.work = actual_->compute_cost(job, resource);
+  segment.occupancy = segment.work;  // no checkpoints: no writes
+  if (!done_frac_.empty()) {
+    // The segment attempts the job's remaining fraction, pays any restart
+    // read debt up front, and interleaves checkpoint writes.
+    segment.work *= 1.0 - done_frac_[job];
+    segment.debt = restart_debt_[job];
+    segment.occupancy = resilience::segment_occupancy(
+        session_->resilience().checkpoint, segment.work);
+  }
+  return segment;
 }
 
 bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
   const sim::Time now = simulator_->now();
   const grid::Resource& machine = pool_->resource(resource);
-  double duration = actual_->compute_cost(job, resource);
-  double work = duration;
-  double debt = 0.0;
-  double writes = 0.0;
-  if (resilience_ != nullptr) {
-    // The segment attempts the job's remaining fraction, pays any restart
-    // read debt up front, and interleaves checkpoint writes.
-    work = duration * (1.0 - done_frac_[job]);
-    debt = restart_debt_[job];
-    const double occupancy =
-        resilience::segment_occupancy(resilience_->checkpoint, work);
-    writes = occupancy - work;
-    duration = debt + occupancy;
-  }
+  const Segment segment = next_segment(job, resource);
+  double duration = segment.duration();
   double factor = 1.0;
   if (load_ != nullptr) {
     factor = load_->factor(resource, now);
@@ -276,46 +269,47 @@ bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
   }
   const bool fits = sim::time_le(now + duration, machine.departure);
 
-  if (resilience_ == nullptr ||
-      resilience_->departure_action == resilience::DepartureAction::kError) {
-    if (load_ != nullptr && !fits) {
-      // The planner fits jobs against nominal costs, so a load spike can
-      // legitimately stretch one past a finite departure window. Without
-      // restart semantics switched on that is a scenario the engine
-      // cannot honor, not an internal invariant violation — report it as
-      // such.
-      throw std::runtime_error(
-          "load-stretched job " + dag_->job(job).name + " (" +
-          std::to_string(duration) + " units at factor " +
-          std::to_string(factor) + ") would outlive resource " +
-          machine.name +
-          ": scenarios combining load segments with finite departures "
-          "need restart semantics (unsupported; see ROADMAP)");
-    }
-    AHEFT_ASSERT(fits, "job " + dag_->job(job).name +
-                           " would outlive resource " + machine.name);
-  } else if (!fits) {
-    if (resilience_->departure_action == resilience::DepartureAction::kFail) {
-      fail_workflow("job " + dag_->job(job).name + " would outlive resource " +
-                    machine.name);
-      return false;
-    }
-    // kRequeue: the departure is a failure the job does not foresee.
-    if (sim::time_le(machine.departure, now)) {
-      // The machine is already gone; nothing can run here. Withdraw the
-      // pending acquisition and move the job elsewhere.
-      session_->withdraw(this, resource, /*tag=*/job);
-      requeue_job(job, now);
-      return false;
+  if (!fits) {
+    switch (session_->resilience().departure_action) {
+      case resilience::DepartureAction::kError:
+        if (load_ != nullptr) {
+          // The planner fits jobs against nominal costs, so a load spike
+          // can legitimately stretch one past a finite departure window.
+          // Under kError that is a scenario the engine refuses to run, not
+          // an internal invariant violation — report it as such.
+          throw std::runtime_error(
+              "load-stretched job " + dag_->job(job).name + " (" +
+              std::to_string(duration) + " units at factor " +
+              std::to_string(factor) + ") would outlive resource " +
+              machine.name +
+              ": scenarios combining load segments with finite departures "
+              "need restart semantics (set ResilienceConfig::"
+              "departure_action to kFail or kRequeue)");
+        }
+        AHEFT_ASSERT(fits, "job " + dag_->job(job).name +
+                               " would outlive resource " + machine.name);
+        break;
+      case resilience::DepartureAction::kFail:
+        fail_workflow("job " + dag_->job(job).name +
+                      " would outlive resource " + machine.name);
+        return false;
+      case resilience::DepartureAction::kRequeue:
+        // The departure is a failure the job does not foresee.
+        if (sim::time_le(machine.departure, now)) {
+          // The machine is already gone; nothing can run here. Withdraw
+          // the pending acquisition and move the job elsewhere.
+          session_->withdraw(this, resource, /*tag=*/job);
+          requeue_job(job, now);
+          return false;
+        }
+        break;  // run to the wall
     }
   }
 
   JobState& state = jobs_[job];
   state.load_factor = factor;
-  state.segment_work = work;
-  state.segment_debt = debt;
-  state.segment_writes = writes;
-  if (resilience_ != nullptr) {
+  state.segment = segment;
+  if (!restart_debt_.empty()) {
     restart_debt_[job] = 0.0;  // consumed into this segment
   }
   // Run to the wall when the job does not fit: the departure interrupts it
@@ -341,8 +335,9 @@ void ExecutionEngine::complete_job(dag::JobId job) {
   record_.set_clock(simulator_->now());  // no finish after the clock
   record_.mark_finished(job, FinishedInfo{run.resource, run.ast, run.aft});
   makespan_ = std::max(makespan_, run.aft);
-  counters_.useful_work += state.segment_work;
-  counters_.checkpoint_overhead += state.segment_debt + state.segment_writes;
+  counters_.useful_work += state.segment.work;
+  counters_.checkpoint_overhead +=
+      state.segment.debt + (state.segment.occupancy - state.segment.work);
   if (trace_ != nullptr) {
     trace_->record_compute(job, run.resource, run.ast, run.aft);
   }
@@ -378,14 +373,12 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
   // nominal; the load factor stretched it uniformly).
   const double elapsed =
       std::max(at - run.ast, sim::kTimeZero) / state.load_factor;
-  const double debt_paid = std::min(elapsed, state.segment_debt);
+  const double debt_paid = std::min(elapsed, state.segment.debt);
   counters_.checkpoint_overhead += debt_paid;
-  if (resilience_ == nullptr) {
-    counters_.lost_work += elapsed - debt_paid;  // no checkpoints: all redone
-    return;
-  }
+  const resilience::CheckpointModel& checkpoint =
+      session_->resilience().checkpoint;
   const resilience::SegmentProgress progress = resilience::segment_progress(
-      resilience_->checkpoint, elapsed - debt_paid, state.segment_work);
+      checkpoint, elapsed - debt_paid, state.segment.work);
   counters_.checkpoint_overhead += progress.overhead;
   counters_.lost_work += progress.lost;
   if (progress.retained > 0.0) {
@@ -397,10 +390,9 @@ void ExecutionEngine::account_interrupted_segment(dag::JobId job,
     done_frac_[job] = std::min(done_frac_[job] + progress.retained / total,
                                1.0);
   }
-  restart_debt_[job] =
-      (resilience_->checkpoint.enabled && done_frac_[job] > 0.0)
-          ? resilience_->checkpoint.read_cost
-          : 0.0;
+  if (!restart_debt_.empty()) {
+    restart_debt_[job] = done_frac_[job] > 0.0 ? checkpoint.read_cost : 0.0;
+  }
 }
 
 void ExecutionEngine::hit_departure(dag::JobId job) {
@@ -421,8 +413,7 @@ void ExecutionEngine::hit_departure(dag::JobId job) {
 
 bool ExecutionEngine::revoke_committed(grid::ResourceId resource,
                                        std::uint64_t tag) {
-  if (resilience_ == nullptr || failed_ || !has_schedule_ ||
-      tag >= jobs_.size()) {
+  if (failed_ || !has_schedule_ || tag >= jobs_.size()) {
     return false;
   }
   const dag::JobId job = static_cast<dag::JobId>(tag);
@@ -486,7 +477,7 @@ grid::ResourceId ExecutionEngine::choose_requeue_target(dag::JobId job,
     if (sim::time_le(machine.departure, now)) {
       continue;  // already departed
     }
-    const double occupancy = requeue_occupancy(job, machine.id);
+    const double occupancy = next_segment(job, machine.id).duration();
     const sim::Time start = session_->peek(
         this, machine.id, std::max(now, machine.arrival), occupancy);
     const sim::Time finish = start + occupancy;
@@ -513,7 +504,8 @@ void ExecutionEngine::reassign(dag::JobId job, grid::ResourceId target,
     start = std::max(start, slot.finish);
   }
   schedule_.assign(
-      Assignment{job, target, start, start + requeue_occupancy(job, target)});
+      Assignment{job, target, start,
+                 start + next_segment(job, target).duration()});
 }
 
 void ExecutionEngine::fail_workflow(const std::string& reason) {

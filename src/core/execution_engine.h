@@ -18,13 +18,15 @@
 // contention policy): the simulator, pool, trace recorder, load profile,
 // and resilience config come from the session's environment.
 //
-// Resilience (session environments with an active ResilienceConfig):
-// a job that loses its machine mid-run — a finite departure its
-// load-stretched duration cannot beat, or a fair-share preemption — keeps
-// only the work its checkpoints saved (see resilience/checkpoint_model.h)
-// and requeues its remainder on another machine through the normal
-// acquire/commit lifecycle. The inactive default config leaves every
-// simulated event bit-identical to the pre-resilience engine.
+// Departures (the session's ResilienceConfig): a job its load-stretched
+// duration cannot fit before a finite departure is handled by the
+// config's DepartureAction — kError reports the scenario, kFail fails the
+// workflow, kRequeue runs the job to the wall. A job that loses its
+// machine mid-run (that wall, or a fair-share preemption) keeps only the
+// work its checkpoints saved (see resilience/checkpoint_model.h) and
+// requeues its remainder on another machine through the normal
+// acquire/commit lifecycle. Every config runs this one path; the default
+// (kError, no checkpoints, no preemption) simply never reaches a revoke.
 #ifndef AHEFT_CORE_EXECUTION_ENGINE_H_
 #define AHEFT_CORE_EXECUTION_ENGINE_H_
 
@@ -72,10 +74,9 @@ class ExecutionEngine : public SessionParticipant {
   /// The engine's share of the run's counters: `restarts` (running jobs
   /// cancelled and restarted by reschedules) and the resilience
   /// accounting — revocations absorbed and nominal machine-seconds of
-  /// useful, lost, and checkpoint work (zero when the session's
-  /// resilience config is inactive and no reschedule cancelled a running
-  /// job). "Useful" work counted toward a completion or survived in a
-  /// checkpoint image; "lost" work is redone.
+  /// useful, lost, and checkpoint work. "Useful" work counted toward a
+  /// completion or survived in a checkpoint image; "lost" work is
+  /// redone.
   [[nodiscard]] const RunCounters& counters() const { return counters_; }
 
   /// Whether the workflow failed terminally (departure under kFail, the
@@ -141,17 +142,24 @@ class ExecutionEngine : public SessionParticipant {
     sim::Time pending_pump = 0;
   };
 
+  /// A run segment's composition on one machine, in nominal units (wall
+  /// clock = nominal * load factor).
+  struct Segment {
+    double work = 0.0;       ///< useful work the segment attempts
+    double debt = 0.0;       ///< restart read cost paid up front
+    double occupancy = 0.0;  ///< the work plus its checkpoint writes
+    /// Machine time the whole segment takes: debt, then the occupancy.
+    [[nodiscard]] double duration() const { return debt + occupancy; }
+  };
+
   /// A job's running-segment accounting; its phase, resource, start and
   /// (projected) finish live in the shared record_.
   struct JobState {
     sim::EventId completion = 0;
-    // The running segment's composition, fixed at start (nominal units;
-    // wall clock = nominal * load_factor). Interruption accounting
-    // decomposes the elapsed occupancy against these.
+    // The running segment, fixed at start. Interruption accounting
+    // decomposes the elapsed occupancy against it.
     double load_factor = 1.0;
-    double segment_work = 0.0;    ///< useful work this segment attempts
-    double segment_debt = 0.0;    ///< restart read cost paid up front
-    double segment_writes = 0.0;  ///< checkpoint writes if run to term
+    Segment segment;
   };
 
   void rebuild_queues();
@@ -165,8 +173,9 @@ class ExecutionEngine : public SessionParticipant {
   /// if it is not already there or in flight; returns the arrival time.
   sim::Time ensure_transfer(std::size_t edge_index, grid::ResourceId target,
                             sim::Time when);
-  /// Starts `job` on `resource` now, or — under an active resilience
-  /// config — converts a doomed start into a fail/run-to-the-wall/requeue.
+  /// Starts `job` on `resource` now; a start that cannot finish before the
+  /// machine departs goes by the config's DepartureAction (throw, fail,
+  /// run to the wall, or requeue off a machine already gone).
   /// Returns false when the engine's queues were restructured (the caller
   /// must abandon its queue scan and, unless the workflow failed, rescan
   /// the resource in a fresh event).
@@ -196,10 +205,11 @@ class ExecutionEngine : public SessionParticipant {
   /// Terminal failure: truncates running work, drains the queues, and
   /// fires the failure hook once.
   void fail_workflow(const std::string& reason);
-  /// Machine time `job`'s remaining work occupies on `resource`: restart
-  /// read debt plus the checkpoint-interleaved remainder.
-  [[nodiscard]] double requeue_occupancy(dag::JobId job,
-                                         grid::ResourceId resource) const;
+  /// The segment `job` would run next on `resource`: its remaining work
+  /// at that machine's cost (one cost query), any restart read debt, and
+  /// the checkpoint-interleaved occupancy.
+  [[nodiscard]] Segment next_segment(dag::JobId job,
+                                     grid::ResourceId resource) const;
 
   sim::Simulator* simulator_;
   const dag::Dag* dag_;
@@ -211,9 +221,6 @@ class ExecutionEngine : public SessionParticipant {
   /// means nominal costs.
   const grid::LoadProfile* load_;
   SimulationSession* session_;
-  /// The session's resilience config when active; null keeps the engine
-  /// on the bit-identical historical paths.
-  const resilience::ResilienceConfig* resilience_ = nullptr;
 
   Schedule schedule_;
   bool has_schedule_ = false;
@@ -224,10 +231,11 @@ class ExecutionEngine : public SessionParticipant {
   /// Fraction of each job's total work persisted by checkpoints. Kept as
   /// a fraction (not absolute units) because compute costs differ per
   /// machine: a requeue realizes the remaining fraction at the new
-  /// machine's own cost. Sized only when resilience is active.
+  /// machine's own cost. Both tables stay zero without checkpoints, so
+  /// they are sized only when the session's checkpoint model is enabled.
   std::vector<double> done_frac_;
   /// Checkpoint read cost owed when each job next starts (a prior image
-  /// exists); cleared once paid. Sized only when resilience is active.
+  /// exists); cleared once paid.
   std::vector<double> restart_debt_;
   /// The machines this engine queues work on. When its own running work
   /// frees a machine is the ledger's to know: acquire and peek apply it.

@@ -34,10 +34,6 @@ SimulationSession::SimulationSession(const SessionEnvironment& env)
   for (std::size_t s = 0; s < shards; ++s) {
     auto state = std::make_unique<ShardState>();
     state->policy = ContentionPolicyRegistry::instance().create(policy_name);
-    if (env.resilience.active()) {
-      state->revocation =
-          std::make_unique<resilience::RevocationManager>(env.resilience);
-    }
     if (shards > 1) {
       for (const grid::Resource& resource : env.pool->all()) {
         grid::Resource copy = resource;
@@ -250,32 +246,27 @@ sim::Time SimulationSession::acquire(const SessionParticipant* self,
       shard.ledger.upsert(index, resource, tag, ready, duration,
                           record.priority, record.active_since, planned_span);
   const sim::Time grant = grant_for(shard, entry, shard.ledger.queue(resource));
-  if (shard.revocation != nullptr) {
-    maybe_preempt(shard, entry, grant);
-  }
+  maybe_preempt(shard, entry, grant);
   return grant;
 }
 
 bool SimulationSession::may_revoke(const SessionParticipant* self,
                                    std::uint64_t tag) const {
   const ShardState& shard = state();
-  return shard.revocation == nullptr ||
-         shard.revocation->may_revoke(index_of(self), tag);
+  const auto it = shard.revocations.find({index_of(self), tag});
+  return it == shard.revocations.end() ||
+         it->second < resilience::kMaxRevocationsPerJob;
 }
 
 void SimulationSession::record_revocation(const SessionParticipant* self,
                                           std::uint64_t tag) {
-  ShardState& shard = state();
-  if (shard.revocation != nullptr) {
-    shard.revocation->record(index_of(self), tag);
-  }
+  ++state().revocations[{index_of(self), tag}];
 }
 
 void SimulationSession::maybe_preempt(ShardState& shard,
                                       const ReservationEntry& entry,
                                       sim::Time grant) {
-  resilience::RevocationManager& manager = *shard.revocation;
-  if (!manager.config().preemption || !shard.policy->supports_preemption()) {
+  if (!env_.resilience.preemption || !shard.policy->supports_preemption()) {
     return;
   }
   sim::Simulator& simulator = sharded_.current();
@@ -317,17 +308,17 @@ void SimulationSession::maybe_preempt(ShardState& shard,
   if (self_stretch <= resilience::kPreemptionRatio * victim_stretch) {
     return;  // disparity inside the displacement band
   }
-  if (!manager.may_revoke(victim.participant, victim.tag) ||
-      !manager.begin_preemption(entry.resource)) {
+  SessionParticipant* owner = owner_record.participant;
+  if (!may_revoke(owner, victim.tag) ||
+      !shard.preempting.insert(entry.resource).second) {
     return;
   }
   // Evict in a fresh event: the victim truncates its window and requeues,
   // which must not run inside the requester's acquire.
-  SessionParticipant* owner = owner_record.participant;
   const grid::ResourceId resource = entry.resource;
   const std::uint64_t tag = victim.tag;
   simulator.schedule_at(now, [this, owner, resource, tag] {
-    state().revocation->end_preemption(resource);
+    state().preempting.erase(resource);
     // A landed revocation is recorded by the victim's requeue path
     // (record_revocation), the same bookkeeping departure hits use.
     owner->revoke_committed(resource, tag);

@@ -40,16 +40,19 @@
 #define AHEFT_CORE_SESSION_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/contention_policy.h"
 #include "core/resource_ledger.h"
 #include "grid/history.h"
-#include "resilience/revocation.h"
 #include "grid/load_profile.h"
 #include "grid/resource_pool.h"
+#include "resilience/checkpoint_model.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
@@ -107,9 +110,9 @@ struct SessionEnvironment {
   /// the calling thread (deterministic either way). Must outlive run().
   ThreadPool* shard_workers = nullptr;
   /// Resilience: checkpoint/restart model, the departure action, and
-  /// fair-share preemption (see resilience/checkpoint_model.h). The
-  /// default config is inactive and leaves every simulated event
-  /// bit-identical to the pre-resilience behavior.
+  /// fair-share preemption (see resilience/checkpoint_model.h). Every
+  /// config runs the same executor and session code; the default
+  /// (kError, no checkpoints, no preemption) never revokes a job.
   resilience::ResilienceConfig resilience;
 };
 
@@ -302,7 +305,7 @@ class SimulationSession {
                        sim::Time at, bool carry_baseline = false);
 
   /// Whether `self`'s work `tag` may absorb another revocation under the
-  /// resilience per-job cap (true when resilience is inactive).
+  /// per-job cap (resilience::kMaxRevocationsPerJob).
   [[nodiscard]] bool may_revoke(const SessionParticipant* self,
                                 std::uint64_t tag) const;
   /// Records a landed revocation of `self`'s work `tag` (departure hits
@@ -356,10 +359,15 @@ class SimulationSession {
     /// so planners cannot see — let alone choose — foreign machines.
     /// Unused (empty) in the single-shard session.
     grid::ResourcePool masked_pool;
-    /// Revocation bookkeeping (per-job caps, preemption latches); built
-    /// only when the environment's resilience config is active, so an
-    /// inactive session carries no resilience state at all.
-    std::unique_ptr<resilience::RevocationManager> revocation;
+    /// Revocations each (participant slot, tag) absorbed, against the
+    /// per-job cap: a job endlessly bounced between failing machines
+    /// eventually fails its workflow instead of livelocking.
+    std::map<std::pair<std::size_t, std::uint64_t>, std::size_t> revocations;
+    /// Resources with a preemption in flight, latched until the eviction
+    /// event runs: the starved requester re-acquires every wakeup, and
+    /// without the latch each retry would schedule another eviction
+    /// before the first lands.
+    std::set<grid::ResourceId> preempting;
     /// Shard-private stamped sinks, built only in sharded sessions whose
     /// environment carries the matching shared sink. Written exclusively
     /// by the shard's drain thread; drained by merge_shard_sinks() on the

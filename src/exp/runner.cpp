@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <iostream>
+#include <string>
 
 #include "support/stopwatch.h"
 #include "support/thread_pool.h"
@@ -23,8 +24,16 @@ SweepOutcome run_sweep(std::vector<CaseSpec> specs, std::size_t threads,
     outcome.results[i] = run_case(outcome.specs[i]);
     const std::size_t d = done.fetch_add(1) + 1;
     if (progress && d % report_every == 0) {
-      std::cerr << "  [sweep] " << d << "/" << total << " cases ("
-                << static_cast<int>(watch.seconds()) << "s)\n";
+      // One insertion per line: workers report concurrently, and several
+      // insertions from two of them would interleave mid-line.
+      std::string line("  [sweep] ");
+      line.append(std::to_string(d))
+          .append("/")
+          .append(std::to_string(total))
+          .append(" cases (")
+          .append(std::to_string(static_cast<int>(watch.seconds())))
+          .append("s)\n");
+      std::cerr << line;
     }
   };
 

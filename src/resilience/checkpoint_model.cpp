@@ -74,6 +74,11 @@ SegmentProgress segment_progress(const CheckpointModel& model, double elapsed,
 void validate(const ResilienceConfig& config) {
   const CheckpointModel& model = config.checkpoint;
   if (model.enabled) {
+    if (!config.active()) {
+      throw std::invalid_argument(
+          "a checkpoint model needs a departure action other than kError "
+          "or preemption: nothing else interrupts a job");
+    }
     if (model.write_cost <= 0.0) {
       throw std::invalid_argument(
           "an enabled checkpoint model needs a positive write cost");

@@ -33,8 +33,9 @@ namespace aheft::resilience {
 /// What the executor does when a running (or about-to-start) job cannot
 /// finish before its machine departs.
 enum class DepartureAction {
-  /// Report the scenario as unsupported (throw) — the historical
-  /// behavior, bit-identical to every pre-resilience release.
+  /// Refuse the scenario: throw (a load-stretched run) or fail an
+  /// internal assertion (a plan that did not fit the window). The paper's
+  /// executor assumes a machine never leaves under a running job (§4.1).
   kError,
   /// The workflow fails gracefully: running work is truncated, the
   /// failure is counted, and the stream carries on. This is the
@@ -104,9 +105,10 @@ inline constexpr double kPreemptionRatio = 1.25;
 /// requeue livelock under sustained failure bursts.
 inline constexpr std::size_t kMaxRevocationsPerJob = 16;
 
-/// Everything the resilience subsystem can be told to do. All defaults
-/// off: a default config leaves every simulation bit-identical to the
-/// pre-resilience behavior.
+/// Everything the resilience subsystem can be told to do. The executors
+/// and the session run one code path for every config; the default
+/// (kError, no checkpoints, no preemption) is the point of it at which no
+/// job is ever revoked.
 struct ResilienceConfig {
   DepartureAction departure_action = DepartureAction::kError;
   CheckpointModel checkpoint;
@@ -116,16 +118,17 @@ struct ResilienceConfig {
   /// policy that supports preemption.
   bool preemption = false;
 
-  /// Whether any resilience behavior is switched on. Inactive configs
-  /// must not change a single simulated event.
+  /// Whether the config can revoke a job: a departure action other than
+  /// kError, or preemption. validate() refuses a checkpoint model on an
+  /// inactive config, which would never be read.
   [[nodiscard]] bool active() const {
     return departure_action != DepartureAction::kError || preemption;
   }
 };
 
 /// Throws std::invalid_argument on an inconsistent checkpoint model (an
-/// enabled one without a positive write cost or any way to pick an
-/// interval, or with a negative read cost or interval).
+/// enabled one on an inactive config, without a positive write cost or
+/// any way to pick an interval, or with a negative read cost or interval).
 void validate(const ResilienceConfig& config);
 
 }  // namespace aheft::resilience

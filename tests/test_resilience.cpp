@@ -16,7 +16,6 @@
 #include "core/session.h"
 #include "grid/resource_pool.h"
 #include "resilience/checkpoint_model.h"
-#include "resilience/revocation.h"
 #include "sim/event_queue.h"
 
 namespace aheft {
@@ -181,6 +180,7 @@ TEST(ResilienceValidate, DefaultConfigIsValidAndInactive) {
 
 TEST(ResilienceValidate, RejectsInconsistentKnobs) {
   ResilienceConfig config;
+  config.departure_action = resilience::DepartureAction::kRequeue;
   config.checkpoint.enabled = true;  // no write cost, no interval source
   EXPECT_THROW(resilience::validate(config), std::invalid_argument);
 
@@ -188,6 +188,12 @@ TEST(ResilienceValidate, RejectsInconsistentKnobs) {
   EXPECT_THROW(resilience::validate(config), std::invalid_argument);
   config.checkpoint.mtbf = 100.0;
   EXPECT_NO_THROW(resilience::validate(config));
+
+  // The same model on an inactive config: nothing would ever interrupt a
+  // job, so nothing would read it.
+  config.departure_action = resilience::DepartureAction::kError;
+  EXPECT_FALSE(config.active());
+  EXPECT_THROW(resilience::validate(config), std::invalid_argument);
 
   config.preemption = true;  // the deadband is fixed: nothing to check
   EXPECT_NO_THROW(resilience::validate(config));
@@ -304,20 +310,27 @@ TEST(LedgerRevocation, WithdrawingAHeldClaimCarriesItsBaseline) {
 // Revocation cap and preemption deadband
 
 TEST(RevocationCap, SixteenthRevocationAllowedSeventeenthRefused) {
-  ResilienceConfig config;
-  config.departure_action = resilience::DepartureAction::kRequeue;
-  resilience::RevocationManager manager(config);
+  grid::ResourcePool pool;
+  pool.add(grid::Resource{.name = "only"});
+  core::SessionEnvironment env;
+  env.pool = &pool;
+  env.resilience.departure_action = resilience::DepartureAction::kRequeue;
+  core::SimulationSession session(env);
+  core::SessionParticipant first;
+  core::SessionParticipant second;
+  session.add_participant(&first);
+  session.add_participant(&second);
   ASSERT_EQ(resilience::kMaxRevocationsPerJob, 16u);
   for (std::size_t landed = 0; landed < 15; ++landed) {
-    manager.record(0, 7);
+    session.record_revocation(&first, 7);
   }
-  EXPECT_TRUE(manager.may_revoke(0, 7));  // the 16th
-  manager.record(0, 7);
-  EXPECT_FALSE(manager.may_revoke(0, 7));  // the 17th
+  EXPECT_TRUE(session.may_revoke(&first, 7));  // the 16th
+  session.record_revocation(&first, 7);
+  EXPECT_FALSE(session.may_revoke(&first, 7));  // the 17th
   // The cap is per job: another tag, or the same tag of another
   // participant, is untouched.
-  EXPECT_TRUE(manager.may_revoke(0, 8));
-  EXPECT_TRUE(manager.may_revoke(1, 7));
+  EXPECT_TRUE(session.may_revoke(&first, 8));
+  EXPECT_TRUE(session.may_revoke(&second, 7));
 }
 
 /// A participant with a fixed release-time plan that records the

@@ -539,9 +539,10 @@ TEST(LoadScaling, StaticRunStretchesBySegmentMultiplier) {
 
 TEST(LoadScaling, DepartureOverrunReportsClearErrorNotInvariant) {
   // A legal trace can combine a load segment with a finite departure;
-  // when the stretch pushes a planned job past the window the engine
-  // must explain the unsupported combination, not claim an internal
-  // invariant broke.
+  // when the stretch pushes a planned job past the window, kError must
+  // explain the unsupported combination, not claim an internal invariant
+  // broke. The engine and the dynamic baseline agree, whatever else the
+  // config switches on (here, preemption).
   dag::Dag dag("single");
   dag.add_job("a");
   dag.finalize();
@@ -556,14 +557,21 @@ TEST(LoadScaling, DepartureOverrunReportsClearErrorNotInvariant) {
   core::SessionEnvironment env;
   env.pool = &pool;
   env.load = &load;
-  try {
-    (void)core::run_strategy(core::StrategyKind::kStaticHeft, dag, model,
-                             model, env);
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("load-stretched"), std::string::npos) << what;
-    EXPECT_NE(what.find("restart semantics"), std::string::npos) << what;
+  for (const bool preemption : {false, true}) {
+    env.resilience.preemption = preemption;
+    for (const core::StrategyKind kind :
+         {core::StrategyKind::kStaticHeft, core::StrategyKind::kDynamic}) {
+      try {
+        (void)core::run_strategy(kind, dag, model, model, env);
+        ADD_FAILURE() << "expected runtime_error from "
+                      << core::to_string(kind)
+                      << (preemption ? " with preemption" : "");
+      } catch (const std::runtime_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("load-stretched"), std::string::npos) << what;
+        EXPECT_NE(what.find("restart semantics"), std::string::npos) << what;
+      }
+    }
   }
 }
 
