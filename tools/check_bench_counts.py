@@ -5,25 +5,30 @@ Usage: check_bench_counts.py --binary=BENCH_SUITE PINS RESULT [RESULT ...]
        check_bench_counts.py --binary=BENCH_SUITE --write PINS RESULT [...]
 
 Each RESULT is a `bench_suite --json` file of one workload from a
-`--trace` run (only traced runs report the per-layer counts) at the pins'
-seed (--seed=N, default 42). PINS holds one `WORKLOAD METRIC VALUE` line
-per exact per-layer metric of `bench_suite --list=json`; `#` starts a
-comment. A count is exact: the same code and seed give the same value on
-every host, so any difference is a change in the work the code does.
+`--trace` run (only traced runs report the per-layer counts) at seed 42,
+the pins' seed. PINS holds one `WORKLOAD METRIC VALUE` line per exact
+per-layer metric of `bench_suite --list=json`; `#` starts a comment. A
+count is exact: the same code and seed give the same value on every host,
+so any difference is a change in the work the code does.
 
 The check fails (exit 1), naming the workload and the counter, when a
 count differs from its pin, when a result lacks a pinned count, when an
-exact per-layer metric of the listing has no pin, or when a pinned
-workload has no result. --write replaces PINS with the RESULTs' counts
-instead; a change that moves a count on purpose regenerates the file in
-its own diff. Exit 2 on bad usage.
+exact per-layer metric of the listing has no pin, when a pin names a
+counter the listing no longer has, or when a pinned workload has no
+result. --write replaces PINS with the RESULTs' counts instead; a change
+that moves a count on purpose regenerates the file in its own diff. It
+refuses (exit 2) unless a RESULT is given for every workload PINS already
+holds, so a partial rerun cannot drop a workload's pins. Exit 2 on bad
+usage.
 """
 import json
+import os
 import subprocess
 import sys
 
-HEADER = """\
-# bench_suite's exact per-layer counts at --seed={seed}, from --trace runs:
+SEED = 42
+HEADER = f"""\
+# bench_suite's exact per-layer counts at --seed={SEED}, from --trace runs:
 # one "WORKLOAD METRIC VALUE" line each. tools/check_bench_counts.py gates
 # CI on them; a change that moves a count on purpose regenerates this file
 # with its --write mode.
@@ -38,11 +43,11 @@ def exact_counters(binary):
             if m["exact"] and m["scope"] == "per_layer"]
 
 
-def summary(path, seed):
+def summary(path):
     with open(path) as handle:
         report = json.load(handle)
-    if report["seed"] != seed:
-        sys.exit(f"{path}: seed {report['seed']}, the pins are at {seed}")
+    if report["seed"] != SEED:
+        sys.exit(f"{path}: seed {report['seed']}, the pins are at {SEED}")
     for row in report["rows"]:
         if row["labels"].get("stat") == "summary":
             return row["labels"]["workload"], row["metrics"]
@@ -63,25 +68,32 @@ def read_pins(path):
 
 
 def main(argv):
-    binary, seed, write, paths = None, 42, False, []
+    binary, write, paths = None, False, []
     for arg in argv[1:]:
         if arg.startswith("--binary="):
             binary = arg[len("--binary="):]
-        elif arg.startswith("--seed="):
-            seed = int(arg[len("--seed="):])
         elif arg == "--write":
             write = True
+        elif arg.startswith("--"):
+            print(f"unknown flag {arg}", file=sys.stderr)
+            return 2
         else:
             paths.append(arg)
     if binary is None or len(paths) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     counters = exact_counters(binary)
-    results = dict(summary(path, seed) for path in paths[1:])
+    results = dict(summary(path) for path in paths[1:])
 
     if write:
+        pinned = (read_pins(paths[0]) if os.path.exists(paths[0]) else {})
+        dropped = sorted({w for w, _ in pinned} - results.keys())
+        if dropped:
+            print(f"--write: no result given for pinned workload(s) "
+                  f"{', '.join(dropped)}", file=sys.stderr)
+            return 2
         with open(paths[0], "w") as handle:
-            handle.write(HEADER.format(seed=seed))
+            handle.write(HEADER)
             for workload, metrics in results.items():
                 for counter in counters:
                     handle.write(f"{workload} {counter} "
@@ -92,6 +104,10 @@ def main(argv):
     failures = []
     for workload in sorted({w for w, _ in pins} - results.keys()):
         failures.append(f"{workload}: pinned, but no result given")
+    for workload, counter in sorted(pins):
+        if counter not in counters:
+            failures.append(f"{workload}: {counter} is pinned, but not an "
+                            "exact per-layer counter of the listing")
     for workload, metrics in results.items():
         for counter in counters:
             pinned = pins.get((workload, counter))
