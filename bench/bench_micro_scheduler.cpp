@@ -70,7 +70,8 @@ BENCHMARK(BM_HeftSchedule)
     ->Args({2000, 100});
 
 void BM_AheftMidRunReschedule(benchmark::State& state) {
-  const BenchCase c = make_case(static_cast<std::size_t>(state.range(0)), 20);
+  const BenchCase c = make_case(static_cast<std::size_t>(state.range(0)),
+                                static_cast<std::size_t>(state.range(1)));
   const core::Schedule plan =
       core::heft_schedule(c.workload.dag, c.model, c.pool);
   core::SessionEnvironment env;
@@ -93,7 +94,13 @@ void BM_AheftMidRunReschedule(benchmark::State& state) {
     benchmark::DoNotOptimize(core::aheft_schedule(request));
   }
 }
-BENCHMARK(BM_AheftMidRunReschedule)->Arg(20)->Arg(100)->Arg(500);
+// {jobs, machines}; 50 machines is about the 44 visible candidates per
+// EFT search of bench_suite's paper_ccr workload.
+BENCHMARK(BM_AheftMidRunReschedule)
+    ->Args({20, 20})
+    ->Args({100, 20})
+    ->Args({500, 20})
+    ->Args({100, 50});
 
 void BM_EngineReplay(benchmark::State& state) {
   const BenchCase c = make_case(static_cast<std::size_t>(state.range(0)), 20);

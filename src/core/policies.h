@@ -50,8 +50,11 @@ struct TransferWindow {
 
 /// The one statement of each TransferPolicy: the window of a transfer
 /// asked for at `now`, of an output produced at `produced`, taking `cost`
-/// to a machine that joined the grid at `target_arrival`. The planner's
-/// Eq. 1 Case 2 and the executor both price such a move through here.
+/// to a machine that joined the grid at `target_arrival`. The executor
+/// prices such a move through here, and so does the planner's Eq. 1 Case
+/// 2, once per edge for a machine that was always there
+/// (`target_arrival` = -infinity); the EFT search then takes the max with
+/// each candidate's arrival under kPrestagedArrivals.
 [[nodiscard]] TransferWindow transfer_window(TransferPolicy policy,
                                              sim::Time now,
                                              sim::Time produced,

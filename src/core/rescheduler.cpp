@@ -79,57 +79,6 @@ Schedule pin_history(const RescheduleRequest& request,
   return result;
 }
 
-/// Resolves in-edge `edge_index` of the job being placed: a finished
-/// producer (AFT, resource, S0's arrivals) or its slot in S1.
-ResolvedInput resolve_input(const RescheduleRequest& request,
-                            std::size_t edge_index,
-                            const Schedule& new_schedule) {
-  const dag::Dag& dag = *request.dag;
-  const dag::Edge& edge = dag.edges()[edge_index];
-  const dag::JobId producer = edge.from;
-  if (request.snapshot != nullptr && request.snapshot->finished(producer)) {
-    const FinishedInfo info = request.snapshot->finished_info(producer);
-    return ResolvedInput{&edge, edge_index, request.snapshot, info.resource,
-                         info.aft};
-  }
-  // Unfinished predecessor: it is pinned or already placed in S1 (rank
-  // order guarantees predecessors are handled first).
-  AHEFT_ASSERT(new_schedule.assigned(producer),
-               "predecessor " + dag.job(producer).name +
-                   " not yet placed — rank order violated");
-  const Assignment& placed = new_schedule.assignment(producer);
-  return ResolvedInput{&edge, edge_index, nullptr, placed.resource,
-                       placed.finish};
-}
-
-/// Eq. 1 for a resolved input on `target`: the one place the kernel
-/// prices a transfer.
-sim::Time input_available(const RescheduleRequest& request,
-                          const ResolvedInput& input,
-                          grid::ResourceId target) {
-  if (input.arrivals != nullptr) {
-    // Case 1 / "otherwise with finished n_m": the output already sits on
-    // (or is in flight to) `target` because of schedule S0.
-    if (const auto known = input.arrivals->arrival(input.edge_index, target)) {
-      return *known;
-    }
-  } else if (input.from == target) {
-    return input.finish;  // Case 3
-  }
-  const double c = request.estimates->comm_cost(*input.edge, input.from,
-                                                target);
-  AHEFT_ASSERT(c >= 0.0, "communication cost must be non-negative");
-  if (input.arrivals == nullptr) {
-    // Otherwise: output follows the (new) schedule with one transfer.
-    return input.finish + c;
-  }
-  // Case 2: finished, but the output was never directed to `target`.
-  return transfer_window(request.config.transfer_policy, request.clock,
-                         input.finish, request.pool->resource(target).arrival,
-                         c)
-      .arrival;
-}
-
 /// One greedy pass (the paper's Fig. 3 procedure) over a given job order.
 Schedule schedule_in_order(const RescheduleRequest& request,
                            const std::vector<dag::JobId>& order) {
@@ -194,60 +143,140 @@ Schedule schedule_in_order(const RescheduleRequest& request,
 
 EftSearch::EftSearch(const RescheduleRequest& request,
                      const Schedule& new_schedule)
-    : request_(request), new_schedule_(new_schedule) {}
+    : request_(request),
+      new_schedule_(new_schedule),
+      machines_(request.pool->universe_size()),
+      recorded_(machines_.size(), -sim::kTimeInfinity),
+      copied_(machines_.size(), 0) {
+  for (grid::ResourceId r = 0; r < machines_.size(); ++r) {
+    const grid::Resource& machine = request.pool->resource(r);
+    machines_[r] = Window{machine.arrival,
+                          std::max(request.clock, machine.arrival),
+                          machine.departure,
+                          machine.departure + sim::kTimeEpsilon};
+  }
+}
 
 void EftSearch::resolve(dag::JobId job) {
+  const dag::Dag& dag = *request_.dag;
+  const ExecutionSnapshot* snapshot = request_.snapshot;
   job_ = job;
-  inputs_.clear();
   placed_ready_ = sim::kTimeZero;
-  for (const std::uint32_t e : request_.dag->in_edges(job)) {
-    const ResolvedInput& input =
-        inputs_.emplace_back(resolve_input(request_, e, new_schedule_));
-    if (input.arrivals == nullptr) {
-      placed_ready_ = std::max(placed_ready_, input.finish);
+  top1_ = sim::kTimeZero;
+  top1_machine_ = grid::kInvalidResource;
+  top2_ = sim::kTimeZero;
+  finished_.clear();
+  for (const grid::ResourceId m : touched_) {
+    recorded_[m] = -sim::kTimeInfinity;
+    copied_[m] = 0;
+  }
+  touched_.clear();
+
+  for (const std::uint32_t e : dag.in_edges(job)) {
+    const dag::Edge& edge = dag.edges()[e];
+    // The one transfer price of this edge (Eq. 1's c between distinct
+    // machines).
+    const double c = request_.estimates->mean_comm_cost(edge);
+    AHEFT_ASSERT(c >= 0.0, "communication cost must be non-negative");
+    if (snapshot != nullptr && snapshot->finished(edge.from)) {
+      // Case 2: finished, but the output was never directed to the
+      // candidate. Priced for a machine that was always there; ready()
+      // adds the candidate's own arrival under kPrestagedArrivals.
+      const sim::Time aft = snapshot->record(edge.from).aft;
+      finished_.push_back(FinishedInput{
+          transfer_window(request_.config.transfer_policy, request_.clock,
+                          aft, -sim::kTimeInfinity, c)
+              .arrival,
+          e});
+      continue;
+    }
+    // Unfinished predecessor: it is pinned or already placed in S1 (rank
+    // order guarantees predecessors are handled first).
+    AHEFT_ASSERT(new_schedule_.assigned(edge.from),
+                 "predecessor " + dag.job(edge.from).name +
+                     " not yet placed — rank order violated");
+    const Assignment& placed = new_schedule_.assignment(edge.from);
+    // Case 3 on the producer's machine, one transfer everywhere else.
+    placed_ready_ = std::max(placed_ready_, placed.finish);
+    const sim::Time sent = placed.finish + c;
+    if (placed.resource == top1_machine_) {
+      top1_ = std::max(top1_, sent);
+    } else if (sent > top1_) {
+      top2_ = top1_;
+      top1_ = sent;
+      top1_machine_ = placed.resource;
+    } else {
+      top2_ = std::max(top2_, sent);
     }
   }
-  // Latest producers first: their inputs tend to arrive last, so best()
-  // reaches its skip bound after pricing fewer of them. The max itself
-  // does not depend on the order.
-  std::sort(inputs_.begin(), inputs_.end(),
-            [](const ResolvedInput& a, const ResolvedInput& b) {
-              return a.finish > b.finish;
+
+  // Case 1: S0 already sent the output to (or kept it on) a machine. Walk
+  // each finished input's copies latest value first, so copied_[m] counts
+  // the leading inputs machine m holds and ready() takes the next one.
+  std::sort(finished_.begin(), finished_.end(),
+            [](const FinishedInput& a, const FinishedInput& b) {
+              return a.when > b.when;
             });
+  for (std::uint32_t k = 0; k < finished_.size(); ++k) {
+    const std::uint32_t e = finished_[k].edge;
+    const dag::JobId producer = dag.edges()[e].from;
+    const grid::ResourceId from = snapshot->record(producer).resource;
+    bool kept = false;
+    snapshot->for_each_arrival(e, [&](grid::ResourceId m, sim::Time when) {
+      kept |= m == from;
+      if (recorded_[m] == -sim::kTimeInfinity) {
+        touched_.push_back(m);
+      }
+      recorded_[m] = std::max(recorded_[m], when);
+      if (copied_[m] == k) {
+        copied_[m] = k + 1;
+      }
+    });
+    AHEFT_ASSERT(kept, "finished job " + dag.job(producer).name +
+                           " has no copy of its output on its own machine");
+  }
+}
+
+sim::Time EftSearch::ready(grid::ResourceId r) const {
+  sim::Time ready =
+      std::max(placed_ready_, r == top1_machine_ ? top2_ : top1_);
+  if (finished_.empty()) {
+    return ready;
+  }
+  ready = std::max(ready, recorded_[r]);
+  if (copied_[r] < finished_.size()) {
+    sim::Time sent = finished_[copied_[r]].when;
+    if (request_.config.transfer_policy ==
+        TransferPolicy::kPrestagedArrivals) {
+      // transfer_window's target arrival, applied after the max over
+      // inputs: max_k max(x_k, a) == max(max_k x_k, a).
+      sent = std::max(sent, machines_[r].arrival);
+    }
+    ready = std::max(ready, sent);
+  }
+  return ready;
 }
 
 std::optional<Assignment> EftSearch::best(
     std::span<const grid::ResourceId> candidates,
-    const AvailabilityView* availability) const {
+    const AvailabilityView* availability) {
+  compute_.resize(candidates.size());
+  request_.estimates->compute_costs(job_, candidates, compute_);
   std::optional<Assignment> best;
-  for (const grid::ResourceId r : candidates) {
-    const grid::Resource& machine = request_.pool->resource(r);
-    // avail[j]: a resource is usable from its arrival, and never before
-    // the rescheduling clock.
-    const sim::Time not_before = std::max(request_.clock, machine.arrival);
-    const double w = request_.estimates->compute_cost(job_, r);
-    // Inner max of Eq. 2, priced input by input. `ready` only grows and
-    // the slot starts no earlier than max(ready, not_before), so once that
-    // plus w passes the departure wall (the bound earliest_slot tests) or
-    // reaches the best EFT so far, this candidate can neither fit nor
-    // finish strictly earlier: stop pricing and skip it. Starting from the
-    // latest placed predecessor's finish leaves the full max unchanged.
-    const sim::Time wall = machine.departure + sim::kTimeEpsilon;
-    const auto ruled_out = [&](sim::Time ready) {
-      const sim::Time finish = std::max(ready, not_before) + w;
-      return finish > wall || (best && finish >= best->finish);
-    };
-    sim::Time ready = placed_ready_;
-    bool skip = ruled_out(ready);
-    for (std::size_t k = 0; !skip && k < inputs_.size(); ++k) {
-      ready = std::max(ready, input_available(request_, inputs_[k], r));
-      skip = ruled_out(ready);
-    }
-    if (skip) {
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    const grid::ResourceId r = candidates[k];
+    const Window& machine = machines_[r];
+    const double w = compute_[k];
+    const sim::Time ready_at = ready(r);
+    // The slot starts no earlier than max(ready, not_before): past the
+    // departure wall (the bound earliest_slot tests) it gets no slot, and
+    // at or past the best EFT so far it cannot finish strictly earlier.
+    const sim::Time bound = std::max(ready_at, machine.not_before) + w;
+    if (bound > machine.wall || (best && bound >= best->finish)) {
       continue;
     }
     const sim::Time start = new_schedule_.earliest_slot(
-        r, ready, w, request_.config.slot_policy, not_before,
+        r, ready_at, w, request_.config.slot_policy, machine.not_before,
         machine.departure, availability);
     if (start == sim::kTimeInfinity) {
       continue;  // does not fit in the resource's availability window
@@ -269,21 +298,16 @@ std::optional<Assignment> EftSearch::longest_surviving(
   std::optional<Assignment> best;
   sim::Time best_departure = -sim::kTimeInfinity;
   for (const grid::ResourceId r : candidates) {
-    const grid::Resource& machine = request_.pool->resource(r);
+    const Window& machine = machines_[r];
     // A machine that leaves clearly earlier than the best so far can never
-    // replace it, whatever its finish: skip it before pricing its inputs.
+    // replace it, whatever its finish: skip it before pricing it.
     if (best && machine.departure < best_departure &&
         !sim::time_eq(machine.departure, best_departure)) {
       continue;
     }
-    const sim::Time not_before = std::max(request_.clock, machine.arrival);
     const double w = request_.estimates->compute_cost(job_, r);
-    sim::Time ready = sim::kTimeZero;
-    for (const ResolvedInput& input : inputs_) {
-      ready = std::max(ready, input_available(request_, input, r));
-    }
     const sim::Time start = new_schedule_.earliest_slot(
-        r, ready, w, request_.config.slot_policy, not_before,
+        r, ready(r), w, request_.config.slot_policy, machine.not_before,
         sim::kTimeInfinity, nullptr);
     const sim::Time finish = start + w;
     if (!best || machine.departure > best_departure ||
@@ -294,13 +318,6 @@ std::optional<Assignment> EftSearch::longest_surviving(
     }
   }
   return best;
-}
-
-sim::Time file_available(const RescheduleRequest& request,
-                         std::size_t edge_index, grid::ResourceId target,
-                         const Schedule& new_schedule) {
-  return input_available(
-      request, resolve_input(request, edge_index, new_schedule), target);
 }
 
 Schedule aheft_schedule(const RescheduleRequest& request) {

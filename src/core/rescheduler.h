@@ -8,6 +8,7 @@
 #ifndef AHEFT_CORE_RESCHEDULER_H_
 #define AHEFT_CORE_RESCHEDULER_H_
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -66,56 +67,55 @@ struct RescheduleRequest {
 /// S1.makespan() is therefore the predicted makespan of the whole workflow.
 [[nodiscard]] Schedule aheft_schedule(const RescheduleRequest& request);
 
-/// The earliest time n_m's output can feed n_i on resource r (Eq. 1).
-/// Exposed for unit tests; `new_schedule` is the S1 under construction
-/// (already holding n_m for unfinished predecessors).
-[[nodiscard]] sim::Time file_available(const RescheduleRequest& request,
-                                       std::size_t edge_index,
-                                       grid::ResourceId target,
-                                       const Schedule& new_schedule);
-
-/// One in-edge of the job being placed, resolved once per job: the
-/// producer's finish time and resource, and — when it finished before the
-/// clock — where S0 already sent its output. Only the transfer cost of
-/// Eq. 1 still depends on the candidate resource.
-struct ResolvedInput {
-  const dag::Edge* edge = nullptr;
-  std::size_t edge_index = 0;
-  /// The snapshot holding the finished producer's arrivals (S0's
-  /// transfers); null while the producer is pinned running or placed in
-  /// S1.
-  const ExecutionSnapshot* arrivals = nullptr;
-  grid::ResourceId from = grid::kInvalidResource;
-  sim::Time finish = sim::kTimeZero;  ///< AFT, or SFT in S1
-};
-
 /// The EFT search of Fig. 3 (Eq. 1–3) for one job at a time, shared by
-/// the HEFT and AHEFT passes and their fallbacks. `resolve` reads the job's
-/// inputs off `new_schedule` once; `best` then prices only their transfers
-/// per candidate, latest producer first, and rules a candidate out as soon
-/// as its finish bound max(ready, not_before) + w either passes its
-/// departure wall (departure + kTimeEpsilon, the bound earliest_slot
-/// tests) or reaches the best EFT so far, where `ready` starts at the
-/// latest placed predecessor's finish and grows with each priced input.
-/// The test runs before the first input is priced and after each one. It
-/// is exact: transfer costs are >= 0 and the slot starts no earlier than
+/// the HEFT and AHEFT passes and their fallbacks.
+///
+/// `resolve` prices each in-edge of the job once, through
+/// mean_comm_cost: under the uniform link contract of CostProvider a
+/// transfer costs 0 on the producer's machine and that one price c
+/// everywhere else. From those prices it keeps enough for `ready` to give
+/// any candidate's data-ready time (Eq. 2's inner max of Eq. 1) in O(1):
+///  * placed producers (pinned running, or already in S1): the latest
+///    finish, which a producer on the candidate itself contributes, and
+///    the top two finish + c values from distinct producer machines — a
+///    candidate takes the second only when it hosts the first;
+///  * finished producers: per machine, the latest copy S0 recorded there,
+///    and each input's value where it has no copy — clock + c under
+///    kRetransmitFromClock, finish + c under kPrestagedArrivals — sorted
+///    latest first. A candidate takes the first input without a copy on
+///    it (and, under kPrestagedArrivals, no less than its own arrival).
+/// Every step is a max over the doubles the per-candidate formula would
+/// compare, so the result is bit-identical to it. A pass costs
+/// O(inputs log inputs + recorded copies) per job plus O(1) per candidate.
+///
+/// `best` fetches the job's compute costs once per call and rules a
+/// candidate out before its slot search when its finish bound
+/// max(ready, not_before) + w either passes its departure wall
+/// (departure + kTimeEpsilon, the bound earliest_slot tests) or reaches
+/// the best EFT so far. The test is exact: the slot starts no earlier than
 /// max(ready, not_before), so a walled candidate would get no slot, and a
 /// beaten one could not win, since a candidate wins only on a strictly
-/// smaller EFT. `longest_surviving`, the fallback when nothing fits,
-/// skips a machine whose departure is below the best so far and not
-/// time_eq to it before pricing anything: such a machine can never
-/// replace the best. A machine time_eq to the best's departure still
-/// competes on finish — time_eq holds between any finite departure and an
-/// infinite one.
+/// smaller EFT. `longest_surviving`, the fallback when nothing fits, skips
+/// a machine whose departure is below the best so far and not time_eq to
+/// it: such a machine can never replace the best. A machine time_eq to the
+/// best's departure still competes on finish — time_eq holds between any
+/// finite departure and an infinite one.
 class EftSearch {
  public:
   /// Both references must outlive the search; `new_schedule` is the S1
-  /// the caller keeps assigning into between jobs.
+  /// the caller keeps assigning into between jobs. Reads every machine's
+  /// window off the request's pool once.
   EftSearch(const RescheduleRequest& request, const Schedule& new_schedule);
 
-  /// Resolves `job`'s in-edges. Every unfinished predecessor must already
-  /// be in `new_schedule` (rank order guarantees it).
+  /// Resolves and prices `job`'s in-edges. Every unfinished predecessor
+  /// must already be in `new_schedule` (rank order guarantees it), and a
+  /// finished one must have a recorded copy on its own machine, as the
+  /// executor records at completion.
   void resolve(dag::JobId job);
+
+  /// The earliest time all of the resolved job's inputs can be on `r`:
+  /// the max over its in-edges of Eq. 1's file availability.
+  [[nodiscard]] sim::Time ready(grid::ResourceId r) const;
 
   /// The EFT-minimising slot for the resolved job over `candidates`, in
   /// their order (near-equal EFTs keep the earlier candidate), fitted to
@@ -123,7 +123,7 @@ class EftSearch {
   /// Nullopt when no candidate fits.
   [[nodiscard]] std::optional<Assignment> best(
       std::span<const grid::ResourceId> candidates,
-      const AvailabilityView* availability) const;
+      const AvailabilityView* availability);
 
   /// The fallback when no candidate fits: the resolved job on the
   /// candidate that departs last, ignoring its wall and `availability`.
@@ -134,13 +134,40 @@ class EftSearch {
       std::span<const grid::ResourceId> candidates) const;
 
  private:
+  /// One machine's window, fixed for the whole pass.
+  struct Window {
+    sim::Time arrival = sim::kTimeZero;
+    /// avail[j]: a machine is usable from its arrival, and never before
+    /// the rescheduling clock.
+    sim::Time not_before = sim::kTimeZero;
+    sim::Time departure = sim::kTimeInfinity;
+    sim::Time wall = sim::kTimeInfinity;  ///< departure + kTimeEpsilon
+  };
+  /// An in-edge whose producer finished before the clock.
+  struct FinishedInput {
+    sim::Time when = sim::kTimeZero;  ///< on a machine without a copy
+    std::uint32_t edge = 0;
+  };
+
   const RescheduleRequest& request_;
   const Schedule& new_schedule_;
+  std::vector<Window> machines_;  ///< by ResourceId
   dag::JobId job_ = dag::kInvalidJob;
-  std::vector<ResolvedInput> inputs_;
-  /// Latest finish of a placed (not finished) predecessor: no candidate's
-  /// ready time is earlier.
+  /// Latest finish of a placed predecessor: no candidate's ready time is
+  /// earlier.
   sim::Time placed_ready_ = sim::kTimeZero;
+  /// The latest placed finish + c, its producer's machine, and the latest
+  /// from any other machine.
+  sim::Time top1_ = sim::kTimeZero;
+  grid::ResourceId top1_machine_ = grid::kInvalidResource;
+  sim::Time top2_ = sim::kTimeZero;
+  std::vector<FinishedInput> finished_;  ///< latest `when` first
+  /// By ResourceId: the latest recorded copy of a finished input there
+  /// (-infinity: none), and how many leading finished_ entries have one.
+  std::vector<sim::Time> recorded_;
+  std::vector<std::uint32_t> copied_;
+  std::vector<grid::ResourceId> touched_;  ///< machines to reset
+  std::vector<double> compute_;  ///< best()'s compute costs
 };
 
 }  // namespace aheft::core

@@ -104,6 +104,25 @@ class ExecutionSnapshot {
     }
   }
 
+  /// Calls `visit(resource, when)` for each recorded arrival of edge
+  /// `edge_index`'s payload, the producer's own machine first: the whole
+  /// chain `arrival` searches.
+  template <typename Visit>
+  void for_each_arrival(std::size_t edge_index, Visit&& visit) const {
+    AHEFT_REQUIRE(edge_index < arrivals_.size(), "edge index out of range");
+    const Arrival* known = &arrivals_[edge_index];
+    if (known->resource == grid::kInvalidResource) {
+      return;
+    }
+    for (;;) {
+      visit(known->resource, known->when);
+      if (known->next == kNoArrival) {
+        return;
+      }
+      known = &overflow_[known->next];
+    }
+  }
+
   [[nodiscard]] const JobRecord& record(dag::JobId job) const {
     AHEFT_REQUIRE(job < jobs_.size(), "job id out of range");
     return jobs_[job];

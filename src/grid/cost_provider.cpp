@@ -14,4 +14,14 @@ double CostProvider::mean_compute_cost(
   return total / static_cast<double>(resources.size());
 }
 
+void CostProvider::compute_costs(dag::JobId job,
+                                 std::span<const ResourceId> resources,
+                                 std::span<double> out) const {
+  AHEFT_REQUIRE(out.size() == resources.size(),
+                "one compute cost per resource");
+  for (std::size_t k = 0; k < resources.size(); ++k) {
+    out[k] = compute_cost(job, resources[k]);
+  }
+}
+
 }  // namespace aheft::grid

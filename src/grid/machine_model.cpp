@@ -52,6 +52,23 @@ double MachineModel::mean_compute_cost(
   return total / static_cast<double>(resources.size());
 }
 
+void MachineModel::compute_costs(dag::JobId job,
+                                 std::span<const ResourceId> resources,
+                                 std::span<double> out) const {
+  AHEFT_REQUIRE(out.size() == resources.size(),
+                "one compute cost per resource");
+  AHEFT_REQUIRE(job < jobs_, "cost index out of range");
+  const double* row = w_.data() + job * resources_;
+  for (std::size_t k = 0; k < resources.size(); ++k) {
+    const ResourceId r = resources[k];
+    AHEFT_REQUIRE(r < resources_, "cost index out of range");
+    out[k] = row[r];
+    AHEFT_ASSERT(out[k] > 0.0, "computation cost was never set for job " +
+                                   std::to_string(job) + " on resource " +
+                                   std::to_string(r));
+  }
+}
+
 double MachineModel::comm_cost(const dag::Edge& e, ResourceId from,
                                ResourceId to) const {
   if (from == to) {

@@ -48,6 +48,10 @@ class MachineModel final : public CostProvider {
   /// to it at one loop instead of one virtual call per resource.
   [[nodiscard]] double mean_compute_cost(
       dag::JobId job, std::span<const ResourceId> resources) const override;
+  /// compute_cost over `resources`, read straight off the job's row with
+  /// compute_cost's checks.
+  void compute_costs(dag::JobId job, std::span<const ResourceId> resources,
+                     std::span<double> out) const override;
 
  private:
   std::size_t jobs_;

@@ -38,6 +38,10 @@ class PerfectPredictor final : public CostProvider {
       dag::JobId job, std::span<const ResourceId> resources) const override {
     return truth_.mean_compute_cost(job, resources);
   }
+  void compute_costs(dag::JobId job, std::span<const ResourceId> resources,
+                     std::span<double> out) const override {
+    truth_.compute_costs(job, resources, out);
+  }
 
  private:
   const CostProvider& truth_;

@@ -152,6 +152,101 @@ TEST(MachineModel, MeanComputeCostKeepsThePerCellChecks) {
   EXPECT_DOUBLE_EQ(model.mean_compute_cost(0, set), 3.0);
 }
 
+// compute_costs must give what one compute_cost per resource gives, in
+// order, with the same checks: the EFT search fetches a job's row through
+// it.
+TEST(MachineModel, ComputeCostsIsTheBaseClassLoopBitForBit) {
+  RngStream rng(31337);
+  MachineModel model(6, 9);
+  for (dag::JobId i = 0; i < 6; ++i) {
+    for (ResourceId r = 0; r < 9; ++r) {
+      model.set_compute_cost(i, r, std::exp(rng.uniform(-6.0, 9.0)));
+    }
+  }
+  const PerfectPredictor perfect(model);
+  const NoisyPredictor noisy(model, 0.2, 5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<ResourceId> visible(rng.index(12));
+    for (ResourceId& r : visible) {
+      r = static_cast<ResourceId>(rng.index(9));
+    }
+    const auto job = static_cast<dag::JobId>(rng.index(6));
+    for (const CostProvider* costs :
+         {static_cast<const CostProvider*>(&model),
+          static_cast<const CostProvider*>(&perfect),
+          static_cast<const CostProvider*>(&noisy)}) {
+      std::vector<double> row(visible.size());
+      costs->compute_costs(job, visible, row);
+      for (std::size_t k = 0; k < visible.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row[k]),
+                  std::bit_cast<std::uint64_t>(
+                      costs->compute_cost(job, visible[k])));
+      }
+    }
+  }
+
+  MachineModel partial(2, 3);
+  partial.set_compute_cost(0, 0, 2.0);
+  const std::vector<ResourceId> out_of_range{0, 3};
+  const std::vector<ResourceId> unset{0, 1};
+  std::vector<double> two(2);
+  std::vector<double> one(1);
+  EXPECT_THROW(partial.compute_costs(0, out_of_range, two),
+               std::invalid_argument);
+  EXPECT_THROW(partial.compute_costs(2, unset, two), std::invalid_argument);
+  EXPECT_THROW(partial.compute_costs(0, unset, one), std::invalid_argument);
+  EXPECT_THROW(partial.compute_costs(0, unset, two), AssertionError);
+}
+
+// The uniform-link contract of CostProvider, which the EFT search prices
+// each in-edge by: a transfer costs 0 on one machine and exactly
+// mean_comm_cost between any two distinct ones, for the model and every
+// predictor over it.
+TEST(CostProvider, LinksAreUniformForTheModelAndEveryPredictor) {
+  RngStream rng(4242);
+  dag::Dag graph;
+  graph.add_job("j0", "op");
+  graph.add_job("j1", "op");
+  graph.finalize();
+  const PerformanceHistoryRepository history;
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    const LinkModel link{.latency = rng.bernoulli(0.3)
+                                        ? 0.0
+                                        : std::exp(rng.uniform(-4.0, 4.0)),
+                         .bandwidth = std::exp(rng.uniform(-5.0, 5.0))};
+    const ResourceId machines = 2 + static_cast<ResourceId>(rng.index(6));
+    MachineModel model(2, machines, link);
+    const PerfectPredictor perfect(model);
+    const NoisyPredictor noisy(model, 0.3, 17);
+    const HistoryBlendingPredictor blending(model, graph, history);
+    for (int k = 0; k < 10; ++k) {
+      const dag::Edge edge{0, 1,
+                           rng.bernoulli(0.1)
+                               ? 0.0
+                               : std::exp(rng.uniform(-8.0, 12.0))};
+      for (const CostProvider* costs :
+           {static_cast<const CostProvider*>(&model),
+            static_cast<const CostProvider*>(&perfect),
+            static_cast<const CostProvider*>(&noisy),
+            static_cast<const CostProvider*>(&blending)}) {
+        const double mean = costs->mean_comm_cost(edge);
+        EXPECT_GE(mean, 0.0);
+        for (ResourceId a = 0; a < machines; ++a) {
+          for (ResourceId b = 0; b < machines; ++b) {
+            const double c = costs->comm_cost(edge, a, b);
+            EXPECT_EQ(bits(c), bits(a == b ? 0.0 : mean))
+                << "latency " << link.latency << " bandwidth "
+                << link.bandwidth << " data " << edge.data;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Predictor, PerfectPassesThrough) {
   MachineModel model(1, 1);
   model.set_compute_cost(0, 0, 7.0);

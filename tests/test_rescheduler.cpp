@@ -57,6 +57,15 @@ struct TinyFixture {
   dag::JobId b{};
 };
 
+/// `job`'s data-ready time on `r` as the EFT search prices it: for a job
+/// with one in-edge, that edge's Eq. 1 file availability.
+sim::Time ready_on(const RescheduleRequest& req, const Schedule& s1,
+                   dag::JobId job, grid::ResourceId r) {
+  EftSearch search(req, s1);
+  search.resolve(job);
+  return search.ready(r);
+}
+
 TEST(FileAvailable, Case1FinishedOnTarget) {
   TinyFixture fx;
   ExecutionSnapshot snap(20.0, 2, 1);
@@ -65,7 +74,7 @@ TEST(FileAvailable, Case1FinishedOnTarget) {
   Schedule s0(2);
   const auto req = fx.request(&snap, &s0, 20.0);
   Schedule s1(2);
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 0, s1), 5.0);  // AFT(a)
+  EXPECT_DOUBLE_EQ(ready_on(req, s1, fx.b, 0), 5.0);  // AFT(a)
 }
 
 TEST(FileAvailable, Case2FinishedButNeverSentToTarget) {
@@ -78,10 +87,10 @@ TEST(FileAvailable, Case2FinishedButNeverSentToTarget) {
   Schedule s1(2);
   // Literal Eq. 1 Case 2: retransmission starts at clock, 20 + 10 = 30.
   req.config.transfer_policy = TransferPolicy::kRetransmitFromClock;
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 1, s1), 30.0);
+  EXPECT_DOUBLE_EQ(ready_on(req, s1, fx.b, 1), 30.0);
   // Prestaged arrivals: the copy left at AFT, 5 + 10 = 15.
   req.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 1, s1), 15.0);
+  EXPECT_DOUBLE_EQ(ready_on(req, s1, fx.b, 1), 15.0);
 }
 
 TEST(FileAvailable, PrestagedCopyWaitsForTheTargetToExist) {
@@ -95,7 +104,7 @@ TEST(FileAvailable, PrestagedCopyWaitsForTheTargetToExist) {
   Schedule s1(2);
   req.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
   // r2 joins already holding the file, but no earlier than it joins.
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 2, s1), 18.0);
+  EXPECT_DOUBLE_EQ(ready_on(req, s1, fx.b, 2), 18.0);
 }
 
 TEST(FileAvailable, InFlightTransferKeepsItsArrival) {
@@ -108,7 +117,7 @@ TEST(FileAvailable, InFlightTransferKeepsItsArrival) {
   auto req = fx.request(&snap, &s0, 20.0);
   Schedule s1(2);
   // "Otherwise" with finished producer: SFT + c = 5 + 10 = 15.
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 2, s1), 15.0);
+  EXPECT_DOUBLE_EQ(ready_on(req, s1, fx.b, 2), 15.0);
 }
 
 TEST(FileAvailable, Case3UnfinishedSameResource) {
@@ -116,8 +125,8 @@ TEST(FileAvailable, Case3UnfinishedSameResource) {
   auto req = fx.request(nullptr, nullptr, 0.0);
   Schedule s1(2);
   s1.assign(Assignment{fx.a, 1, 0.0, 5.0});
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 1, s1), 5.0);       // SFT
-  EXPECT_DOUBLE_EQ(file_available(req, 0, 0, s1), 15.0);      // SFT + c
+  EXPECT_DOUBLE_EQ(ready_on(req, s1, fx.b, 1), 5.0);   // SFT
+  EXPECT_DOUBLE_EQ(ready_on(req, s1, fx.b, 0), 15.0);  // SFT + c
 }
 
 TEST(Rescheduler, InitialSchedulingEqualsHeft) {
@@ -347,7 +356,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReschedulerProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808));
 
-/// Forwards to `inner`, logging the machine each transfer is priced to.
+/// Forwards to `inner`, logging every transfer it is asked to price.
 class TransferLog final : public grid::CostProvider {
  public:
   explicit TransferLog(const grid::CostProvider& inner) : inner_(inner) {}
@@ -358,35 +367,41 @@ class TransferLog final : public grid::CostProvider {
   }
   [[nodiscard]] double comm_cost(const dag::Edge& e, grid::ResourceId from,
                                  grid::ResourceId to) const override {
-    priced_to.push_back(to);
+    ++pair_prices;
     return inner_.comm_cost(e, from, to);
   }
   [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
+    edges_priced.push_back(e.from);
     return inner_.mean_comm_cost(e);
   }
 
-  mutable std::vector<grid::ResourceId> priced_to;
+  mutable std::size_t pair_prices = 0;  ///< comm_cost calls
+  mutable std::vector<dag::JobId> edges_priced;  ///< producer per call
 
  private:
   const grid::CostProvider& inner_;
 };
 
-// A candidate whose compute cost alone carries it past its departure wall
-// is ruled out before any of its inputs is priced; one that lands within
-// kTimeEpsilon past its departure still fits, as earliest_slot allows.
-TEST(EftSearch, WallRulesOutBeforePricingAndKeepsItsTolerance) {
+// resolve() prices each in-edge once and best() prices none, whatever
+// the candidates. A candidate whose compute cost alone carries it past
+// its departure wall is ruled out; one that lands within kTimeEpsilon
+// past its departure still fits, as earliest_slot allows.
+TEST(EftSearch, PricesEachInEdgeOnceAndKeepsTheWallTolerance) {
   dag::Dag graph;
   const dag::JobId a = graph.add_job("a");
+  const dag::JobId c = graph.add_job("c");
   const dag::JobId b = graph.add_job("b");
   graph.add_edge(a, b, 10.0);
+  graph.add_edge(c, b, 0.0);
   graph.finalize();
   grid::ResourcePool pool;
   pool.add(grid::Resource{.name = "always", .arrival = 0.0});
   pool.add(grid::Resource{.name = "walled", .departure = 10.0});
   pool.add(grid::Resource{.name = "just-fits", .departure = 30.0});
-  grid::MachineModel model(2, 3);
+  grid::MachineModel model(3, 3);
   for (grid::ResourceId r = 0; r < 3; ++r) {
     model.set_compute_cost(a, r, 5.0);
+    model.set_compute_cost(c, r, 5.0);
   }
   model.set_compute_cost(b, 0, 100.0);
   model.set_compute_cost(b, 1, 20.0);
@@ -397,19 +412,26 @@ TEST(EftSearch, WallRulesOutBeforePricingAndKeepsItsTolerance) {
   req.estimates = &costs;
   req.pool = &pool;
   req.resources = {0, 1, 2};
-  Schedule s1(2);
+  Schedule s1(3);
   s1.assign(Assignment{a, 0, 0.0, 5.0});
+  s1.assign(Assignment{c, 1, 0.0, 5.0});
   EftSearch search(req, s1);
   search.resolve(b);
+  const std::vector<dag::JobId> once{a, c};
+  EXPECT_EQ(costs.edges_priced, once);
 
-  // "always" holds the input and finishes at 105; the walled machine's
-  // bound 5 + 20 passes 10 before its transfer is priced.
+  // "always" holds a's output and finishes at 105; the walled machine's
+  // bound 15 + 20 passes 10; "just-fits" waits for a's output until 15.
   const std::optional<Assignment> best = search.best(req.resources, nullptr);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->resource, 2u);
   EXPECT_DOUBLE_EQ(best->start, 15.0);
   EXPECT_GT(best->finish, 30.0);
-  EXPECT_EQ(costs.priced_to, std::vector<grid::ResourceId>{2});
+  EXPECT_FALSE(
+      search.best(std::vector<grid::ResourceId>{1}, nullptr).has_value());
+  ASSERT_TRUE(search.longest_surviving(req.resources).has_value());
+  EXPECT_EQ(costs.edges_priced, once);
+  EXPECT_EQ(costs.pair_prices, 0u);
 }
 
 // The allow_infeasible fallback skips a machine that leaves clearly before
@@ -462,14 +484,17 @@ TEST(EftSearch, FallbackLetsAFiniteDepartureCompeteWithAnInfiniteOne) {
 // ----- differential: the EFT search against the plain reference loop -----
 //
 // The reference below is the planning loop as it stood before EftSearch:
-// file_available per (in-edge, resource) and every candidate slotted, no
-// pruning. The library must pick the same resource with the exact same
-// start and finish for every job, under every policy combination.
+// Eq. 1 priced per (in-edge, resource) through comm_cost and every
+// candidate slotted, no pruning. The library must pick the same resource
+// with the exact same start and finish for every job, under every policy
+// combination, and its data-ready time on every candidate must equal the
+// reference's bit for bit.
 
 namespace reference {
 
-/// How often the sweep meets the bounds EftSearch rules work out by, so
-/// the differential check is known to exercise them.
+/// How often the sweep meets the bounds EftSearch rules work out by and
+/// the cases its once-per-edge pricing tells apart, so the differential
+/// check is known to exercise them.
 struct Coverage {
   /// Candidates not yet beaten on EFT whose finish bound
   /// max(ready, not_before) + w passes their departure wall: only the
@@ -478,7 +503,81 @@ struct Coverage {
   /// allow_infeasible fallbacks that meet two or more walls, one of them
   /// clearly before the best departure so far: the fallback skips it.
   std::size_t outlived_fallbacks = 0;
+  /// Candidates holding a copy of a finished input that S0 sent there
+  /// from its producer's machine.
+  std::size_t sent_copies = 0;
+  /// Candidates holding a copy of every one of two or more finished
+  /// inputs: no input is priced as a transfer there.
+  std::size_t fully_copied = 0;
+  /// Candidates hosting every producer of two or more placed inputs: no
+  /// placed input needs a transfer there.
+  std::size_t shared_producer = 0;
+  /// Candidates under kPrestagedArrivals that joined after an input they
+  /// hold no copy of could have landed there: their arrival decides.
+  std::size_t late_joiners = 0;
+  /// Candidates on which EftSearch::ready differs from the reference.
+  std::size_t ready_mismatches = 0;
 };
+
+/// Eq. 1 for in-edge `edge_index` on `target`, one comm_cost per call.
+sim::Time file_available(const RescheduleRequest& request,
+                         std::size_t edge_index, grid::ResourceId target,
+                         const Schedule& new_schedule) {
+  const dag::Edge& edge = request.dag->edges()[edge_index];
+  const ExecutionSnapshot* snapshot = request.snapshot;
+  if (snapshot != nullptr && snapshot->finished(edge.from)) {
+    if (const auto known = snapshot->arrival(edge_index, target)) {
+      return *known;  // Case 1, or a transfer S0 already started
+    }
+    const FinishedInfo info = snapshot->finished_info(edge.from);
+    return transfer_window(
+               request.config.transfer_policy, request.clock, info.aft,
+               request.pool->resource(target).arrival,
+               request.estimates->comm_cost(edge, info.resource, target))
+        .arrival;  // Case 2
+  }
+  const Assignment& placed = new_schedule.assignment(edge.from);
+  if (placed.resource == target) {
+    return placed.finish;  // Case 3
+  }
+  return placed.finish +
+         request.estimates->comm_cost(edge, placed.resource, target);
+}
+
+/// Tallies which of Coverage's cases `job` on candidate `r` meets.
+void tally(const RescheduleRequest& request, dag::JobId job,
+           grid::ResourceId r, const Schedule& result, Coverage& coverage) {
+  const ExecutionSnapshot* snapshot = request.snapshot;
+  std::size_t finished = 0;
+  std::size_t copied = 0;
+  std::size_t placed = 0;
+  std::size_t placed_on_r = 0;
+  bool sent = false;
+  bool late = false;
+  for (const std::uint32_t e : request.dag->in_edges(job)) {
+    const dag::Edge& edge = request.dag->edges()[e];
+    if (snapshot != nullptr && snapshot->finished(edge.from)) {
+      ++finished;
+      const FinishedInfo info = snapshot->finished_info(edge.from);
+      if (snapshot->arrival(e, r).has_value()) {
+        ++copied;
+        sent |= r != info.resource;
+      } else {
+        late |= request.config.transfer_policy ==
+                    TransferPolicy::kPrestagedArrivals &&
+                request.pool->resource(r).arrival >
+                    info.aft + request.estimates->mean_comm_cost(edge);
+      }
+    } else {
+      ++placed;
+      placed_on_r += result.assignment(edge.from).resource == r ? 1 : 0;
+    }
+  }
+  coverage.sent_copies += sent ? 1 : 0;
+  coverage.fully_copied += finished >= 2 && copied == finished ? 1 : 0;
+  coverage.shared_producer += placed >= 2 && placed_on_r == placed ? 1 : 0;
+  coverage.late_joiners += late ? 1 : 0;
+}
 
 Schedule pin_history(const RescheduleRequest& request,
                      std::vector<bool>& pinned) {
@@ -524,10 +623,12 @@ Schedule schedule_in_order(const RescheduleRequest& request,
   std::vector<bool> pinned;
   Schedule result = pin_history(request, pinned);
 
+  EftSearch library(request, result);
   for (const dag::JobId job : order) {
     if (pinned[job]) {
       continue;
     }
+    library.resolve(job);
     grid::ResourceId best_resource = grid::kInvalidResource;
     sim::Time best_start = sim::kTimeInfinity;
     sim::Time best_finish = sim::kTimeInfinity;
@@ -546,6 +647,8 @@ Schedule schedule_in_order(const RescheduleRequest& request,
         for (const std::uint32_t e : dag.in_edges(job)) {
           ready = std::max(ready, file_available(request, e, r, result));
         }
+        coverage.ready_mismatches += library.ready(r) != ready ? 1 : 0;
+        tally(request, job, r, result, coverage);
         const double w = est.compute_cost(job, r);
         const sim::Time bound = std::max(ready, not_before) + w;
         if (bound > machine.departure + sim::kTimeEpsilon &&
@@ -826,6 +929,8 @@ struct DifferentialCase {
 TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
   std::size_t planned = 0;
   std::size_t infeasible = 0;
+  // Plans made from a snapshot, by transfer policy.
+  std::array<std::size_t, 2> replanned{};
   reference::Coverage coverage;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -853,6 +958,12 @@ TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
                         }));
     if (library.schedule) {
       ++planned;
+      if (!c.initial) {
+        ++replanned[c.config.transfer_policy ==
+                            TransferPolicy::kRetransmitFromClock
+                        ? 0
+                        : 1];
+      }
     } else {
       ++infeasible;
     }
@@ -863,6 +974,15 @@ TEST(EftSearchDifferential, MatchesThePlainReferenceLoop) {
   // ... and must reach both departure-wall rule-outs.
   EXPECT_GT(coverage.walled, 0u);
   EXPECT_GT(coverage.outlived_fallbacks, 0u);
+  // ... and every case the once-per-edge pricing tells apart, under both
+  // transfer policies.
+  EXPECT_GT(replanned[0], 40u);
+  EXPECT_GT(replanned[1], 40u);
+  EXPECT_GT(coverage.sent_copies, 0u);
+  EXPECT_GT(coverage.fully_copied, 0u);
+  EXPECT_GT(coverage.shared_producer, 0u);
+  EXPECT_GT(coverage.late_joiners, 0u);
+  EXPECT_EQ(coverage.ready_mismatches, 0u);
 }
 
 }  // namespace

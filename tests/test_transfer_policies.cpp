@@ -3,6 +3,8 @@
 // makespan must match the adopted prediction under every model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/execution_engine.h"
 #include "core/heft.h"
 #include "core/strategy.h"
@@ -126,8 +128,9 @@ TEST(TransferPolicies, FeaMatchesTheFileAvailabilityPerPolicy) {
     req.config.transfer_policy = policy;
 
     Schedule s1(3);
-    EXPECT_DOUBLE_EQ(file_available(req, 0, 2, s1), expected)
-        << static_cast<int>(policy);
+    EftSearch search(req, s1);
+    search.resolve(fx.b);  // b's one input is a -> b
+    EXPECT_DOUBLE_EQ(search.ready(2), expected) << static_cast<int>(policy);
   }
 }
 
@@ -159,8 +162,9 @@ TEST(TransferPolicies, AdoptedPredictionRealizedUnderEveryPolicy) {
 }
 
 TEST(TransferPolicies, PrestagedNeverPredictsLaterAvailability) {
-  // For any finished producer and any target, availability under
-  // prestaged arrivals is never later than under the strict policy.
+  // For any job whose producers all finished and any target, its inputs'
+  // availability under prestaged arrivals is never later than under the
+  // strict policy.
   const test::RandomCase c = test::make_random_case(77);
   const Schedule plan = heft_schedule(c.workload.dag, c.model, c.pool);
   SimulationSession session(test::solo_environment(c.pool));
@@ -178,18 +182,29 @@ TEST(TransferPolicies, PrestagedNeverPredictsLaterAvailability) {
   req.snapshot = &snap;
   req.previous = &engine.current_schedule();
 
-  Schedule s1(c.workload.dag.job_count());
-  for (std::size_t e = 0; e < c.workload.dag.edge_count(); ++e) {
-    if (!snap.finished(c.workload.dag.edges()[e].from)) {
+  RescheduleRequest prestaged = req;
+  prestaged.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
+  const dag::Dag& dag = c.workload.dag;
+  const Schedule s1(dag.job_count());
+  EftSearch strict_search(req, s1);
+  EftSearch prestaged_search(prestaged, s1);
+  std::size_t compared = 0;
+  for (dag::JobId job = 0; job < dag.job_count(); ++job) {
+    const auto inputs = dag.in_edges(job);
+    if (inputs.empty() ||
+        !std::all_of(inputs.begin(), inputs.end(), [&](std::uint32_t e) {
+          return snap.finished(dag.edges()[e].from);
+        })) {
       continue;
     }
+    strict_search.resolve(job);
+    prestaged_search.resolve(job);
     for (const grid::ResourceId r : req.resources) {
-      req.config.transfer_policy = TransferPolicy::kRetransmitFromClock;
-      const sim::Time strict = file_available(req, e, r, s1);
-      req.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
-      EXPECT_LE(file_available(req, e, r, s1), strict + 1e-9);
+      EXPECT_LE(prestaged_search.ready(r), strict_search.ready(r) + 1e-9);
+      ++compared;
     }
   }
+  EXPECT_GT(compared, 0u);
 }
 
 }  // namespace
