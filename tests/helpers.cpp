@@ -132,4 +132,28 @@ void expect_valid_trace(const sim::TraceRecorder& trace, const dag::Dag& dag,
   }
 }
 
+sim::Time file_available(const core::RescheduleRequest& request,
+                         std::size_t edge_index, grid::ResourceId target,
+                         const core::Schedule& new_schedule) {
+  const dag::Edge& edge = request.dag->edges()[edge_index];
+  const core::ExecutionSnapshot* snapshot = request.snapshot;
+  if (snapshot != nullptr && snapshot->finished(edge.from)) {
+    if (const auto known = snapshot->arrival(edge_index, target)) {
+      return *known;  // Case 1, or a transfer S0 already started
+    }
+    const core::FinishedInfo info = snapshot->finished_info(edge.from);
+    return core::transfer_window(
+               request.config.transfer_policy, request.clock, info.aft,
+               request.pool->resource(target).arrival,
+               request.estimates->comm_cost(edge, info.resource, target))
+        .arrival;  // Case 2
+  }
+  const core::Assignment& placed = new_schedule.assignment(edge.from);
+  if (placed.resource == target) {
+    return placed.finish;  // Case 3
+  }
+  return placed.finish +
+         request.estimates->comm_cost(edge, placed.resource, target);
+}
+
 }  // namespace aheft::test

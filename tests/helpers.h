@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "core/rescheduler.h"
 #include "core/schedule.h"
 #include "core/session.h"
 #include "core/strategy.h"
@@ -64,6 +65,17 @@ void expect_bit_identical(const core::Schedule& a, const core::Schedule& b);
 void expect_valid_trace(const sim::TraceRecorder& trace, const dag::Dag& dag,
                         const grid::CostProvider& costs,
                         const grid::ResourcePool& pool);
+
+/// Reference Eq. 1 (FEA) for in-edge `edge_index` on `target`, one
+/// comm_cost per call, as the planner priced it per (in-edge, candidate)
+/// before EftSearch: S0's recorded copy when there is one, else the
+/// configured TransferPolicy's window for a finished producer, and the
+/// producer's `new_schedule` slot plus one transfer off its machine for
+/// an unfinished one, which must be assigned there.
+[[nodiscard]] sim::Time file_available(const core::RescheduleRequest& request,
+                                       std::size_t edge_index,
+                                       grid::ResourceId target,
+                                       const core::Schedule& new_schedule);
 
 }  // namespace aheft::test
 

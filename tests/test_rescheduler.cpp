@@ -484,11 +484,12 @@ TEST(EftSearch, FallbackLetsAFiniteDepartureCompeteWithAnInfiniteOne) {
 // ----- differential: the EFT search against the plain reference loop -----
 //
 // The reference below is the planning loop as it stood before EftSearch:
-// Eq. 1 priced per (in-edge, resource) through comm_cost and every
-// candidate slotted, no pruning. The library must pick the same resource
-// with the exact same start and finish for every job, under every policy
-// combination, and its data-ready time on every candidate must equal the
-// reference's bit for bit.
+// Eq. 1 priced per (in-edge, resource) through comm_cost, by
+// test::file_available, and every candidate slotted, no pruning. The
+// library must pick the same resource with the exact same start and
+// finish for every job, under every policy combination, and its
+// data-ready time on every candidate must equal the reference's bit for
+// bit.
 
 namespace reference {
 
@@ -518,31 +519,6 @@ struct Coverage {
   /// Candidates on which EftSearch::ready differs from the reference.
   std::size_t ready_mismatches = 0;
 };
-
-/// Eq. 1 for in-edge `edge_index` on `target`, one comm_cost per call.
-sim::Time file_available(const RescheduleRequest& request,
-                         std::size_t edge_index, grid::ResourceId target,
-                         const Schedule& new_schedule) {
-  const dag::Edge& edge = request.dag->edges()[edge_index];
-  const ExecutionSnapshot* snapshot = request.snapshot;
-  if (snapshot != nullptr && snapshot->finished(edge.from)) {
-    if (const auto known = snapshot->arrival(edge_index, target)) {
-      return *known;  // Case 1, or a transfer S0 already started
-    }
-    const FinishedInfo info = snapshot->finished_info(edge.from);
-    return transfer_window(
-               request.config.transfer_policy, request.clock, info.aft,
-               request.pool->resource(target).arrival,
-               request.estimates->comm_cost(edge, info.resource, target))
-        .arrival;  // Case 2
-  }
-  const Assignment& placed = new_schedule.assignment(edge.from);
-  if (placed.resource == target) {
-    return placed.finish;  // Case 3
-  }
-  return placed.finish +
-         request.estimates->comm_cost(edge, placed.resource, target);
-}
 
 /// Tallies which of Coverage's cases `job` on candidate `r` meets.
 void tally(const RescheduleRequest& request, dag::JobId job,
@@ -645,7 +621,8 @@ Schedule schedule_in_order(const RescheduleRequest& request,
         const sim::Time not_before = std::max(request.clock, machine.arrival);
         sim::Time ready = sim::kTimeZero;
         for (const std::uint32_t e : dag.in_edges(job)) {
-          ready = std::max(ready, file_available(request, e, r, result));
+          ready =
+              std::max(ready, test::file_available(request, e, r, result));
         }
         coverage.ready_mismatches += library.ready(r) != ready ? 1 : 0;
         tally(request, job, r, result, coverage);
@@ -698,7 +675,8 @@ Schedule schedule_in_order(const RescheduleRequest& request,
         const sim::Time not_before = std::max(request.clock, machine.arrival);
         sim::Time ready = sim::kTimeZero;
         for (const std::uint32_t e : dag.in_edges(job)) {
-          ready = std::max(ready, file_available(request, e, r, result));
+          ready =
+              std::max(ready, test::file_available(request, e, r, result));
         }
         const double w = est.compute_cost(job, r);
         const sim::Time start =

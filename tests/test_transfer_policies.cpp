@@ -162,9 +162,11 @@ TEST(TransferPolicies, AdoptedPredictionRealizedUnderEveryPolicy) {
 }
 
 TEST(TransferPolicies, PrestagedNeverPredictsLaterAvailability) {
-  // For any job whose producers all finished and any target, its inputs'
-  // availability under prestaged arrivals is never later than under the
-  // strict policy.
+  // For any finished producer and any target, availability under
+  // prestaged arrivals is never later than under the strict policy: per
+  // in-edge (Eq. 1, test::file_available), and in EftSearch::ready, which
+  // must be the max of those per-edge values, for every job with a
+  // finished input.
   const test::RandomCase c = test::make_random_case(77);
   const Schedule plan = heft_schedule(c.workload.dag, c.model, c.pool);
   SimulationSession session(test::solo_environment(c.pool));
@@ -181,30 +183,64 @@ TEST(TransferPolicies, PrestagedNeverPredictsLaterAvailability) {
   req.clock = snap.clock();
   req.snapshot = &snap;
   req.previous = &engine.current_schedule();
-
   RescheduleRequest prestaged = req;
   prestaged.config.transfer_policy = TransferPolicy::kPrestagedArrivals;
+
+  // S1 with every unfinished job on its planned slot, so a job with a
+  // running or unplaced producer is compared too.
   const dag::Dag& dag = c.workload.dag;
-  const Schedule s1(dag.job_count());
-  EftSearch strict_search(req, s1);
-  EftSearch prestaged_search(prestaged, s1);
-  std::size_t compared = 0;
+  Schedule s1(dag.job_count());
   for (dag::JobId job = 0; job < dag.job_count(); ++job) {
-    const auto inputs = dag.in_edges(job);
-    if (inputs.empty() ||
-        !std::all_of(inputs.begin(), inputs.end(), [&](std::uint32_t e) {
-          return snap.finished(dag.edges()[e].from);
-        })) {
+    if (!snap.finished(job)) {
+      s1.assign(plan.assignment(job));
+    }
+  }
+  const auto finished_input = [&](std::uint32_t e) {
+    return snap.finished(dag.edges()[e].from);
+  };
+
+  std::size_t edges = 0;
+  for (std::uint32_t e = 0; e < dag.edge_count(); ++e) {
+    if (!finished_input(e)) {
       continue;
     }
+    for (const grid::ResourceId r : req.resources) {
+      EXPECT_LE(test::file_available(prestaged, e, r, s1),
+                test::file_available(req, e, r, s1) + 1e-9);
+      ++edges;
+    }
+  }
+
+  EftSearch strict_search(req, s1);
+  EftSearch prestaged_search(prestaged, s1);
+  std::size_t jobs = 0;
+  std::size_t frontier = 0;  // jobs with finished and unfinished producers
+  for (dag::JobId job = 0; job < dag.job_count(); ++job) {
+    const auto inputs = dag.in_edges(job);
+    const auto finished = static_cast<std::size_t>(
+        std::count_if(inputs.begin(), inputs.end(), finished_input));
+    if (finished == 0) {
+      continue;
+    }
+    ++jobs;
+    frontier += finished < inputs.size() ? 1 : 0;
     strict_search.resolve(job);
     prestaged_search.resolve(job);
     for (const grid::ResourceId r : req.resources) {
+      sim::Time strict = sim::kTimeZero;
+      sim::Time staged = sim::kTimeZero;
+      for (const std::uint32_t e : inputs) {
+        strict = std::max(strict, test::file_available(req, e, r, s1));
+        staged = std::max(staged, test::file_available(prestaged, e, r, s1));
+      }
+      EXPECT_EQ(strict_search.ready(r), strict);
+      EXPECT_EQ(prestaged_search.ready(r), staged);
       EXPECT_LE(prestaged_search.ready(r), strict_search.ready(r) + 1e-9);
-      ++compared;
     }
   }
-  EXPECT_GT(compared, 0u);
+  EXPECT_GT(edges, 0u);
+  EXPECT_GT(jobs, 0u);
+  EXPECT_GT(frontier, 0u);
 }
 
 }  // namespace
