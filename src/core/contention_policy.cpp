@@ -23,20 +23,6 @@ std::string to_string(ContentionPolicyKind kind) {
   return "unknown";
 }
 
-std::optional<ContentionPolicyKind> contention_policy_from_string(
-    std::string_view text) {
-  if (text == "fcfs") {
-    return ContentionPolicyKind::kFcfs;
-  }
-  if (text == "priority") {
-    return ContentionPolicyKind::kPriority;
-  }
-  if (text == "fair-share") {
-    return ContentionPolicyKind::kFairShare;
-  }
-  return std::nullopt;
-}
-
 void ContentionPolicy::on_commit(const ReservationEntry& /*entry*/,
                                  sim::Time /*start*/, sim::Time /*end*/) {}
 
@@ -323,11 +309,6 @@ std::unique_ptr<ContentionPolicy> ContentionPolicyRegistry::create(
   AHEFT_REQUIRE(policy != nullptr,
                 "contention policy factory returned null");
   return policy;
-}
-
-bool ContentionPolicyRegistry::contains(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->factories.find(name) != impl_->factories.end();
 }
 
 std::vector<std::string> ContentionPolicyRegistry::names() const {

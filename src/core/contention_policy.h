@@ -29,7 +29,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,11 +42,6 @@ enum class ContentionPolicyKind { kFcfs, kPriority, kFairShare };
 
 /// Registry name of the built-in policy ("fcfs", "priority", "fair-share").
 [[nodiscard]] std::string to_string(ContentionPolicyKind kind);
-
-/// Inverse of to_string(ContentionPolicyKind); empty optional when the
-/// name matches no built-in policy.
-[[nodiscard]] std::optional<ContentionPolicyKind>
-contention_policy_from_string(std::string_view text);
 
 /// Everything a policy sees when granting one ledger entry. The queue is
 /// the resource's pending + held entries in registration order and
@@ -135,8 +129,6 @@ class ContentionPolicyRegistry {
   /// the known names when `name` is unknown.
   [[nodiscard]] std::unique_ptr<ContentionPolicy> create(
       std::string_view name) const;
-
-  [[nodiscard]] bool contains(std::string_view name) const;
 
   [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
 

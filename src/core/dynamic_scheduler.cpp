@@ -1,7 +1,6 @@
 #include "core/dynamic_scheduler.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -143,11 +142,6 @@ sim::Time DynamicExecution::inputs_ready(dag::JobId job,
   return ready;
 }
 
-sim::Time DynamicExecution::machine_free(grid::ResourceId resource) const {
-  return machine_free_before(resource,
-                             std::numeric_limits<std::uint64_t>::max());
-}
-
 sim::Time DynamicExecution::machine_free_before(grid::ResourceId resource,
                                                 std::uint64_t seq) const {
   sim::Time free = pool_->resource(resource).arrival;
@@ -174,7 +168,8 @@ sim::Time DynamicExecution::completion_time(dag::JobId job,
   const double cost = actual_->compute_cost(job, resource);
   const sim::Time start = session_->peek(
       this, resource,
-      std::max(inputs_ready(job, resource, now), machine_free(resource)),
+      std::max(inputs_ready(job, resource, now),
+               machine_free_before(resource)),
       cost);
   return start + cost;
 }
@@ -332,12 +327,12 @@ void DynamicExecution::record_input_transfers(dag::JobId job,
 void DynamicExecution::assign(dag::JobId job, grid::ResourceId resource,
                               sim::Time now) {
   const double nominal = actual_->compute_cost(job, resource);
-  const sim::Time feasible =
-      std::max(inputs_ready(job, resource, now), machine_free(resource));
-  const sim::Time start =
-      session_->acquire(this, resource, feasible, nominal, /*tag=*/job);
+  const sim::Time ready = inputs_ready(job, resource, now);
+  const sim::Time start = session_->acquire(
+      this, resource, std::max(ready, machine_free_before(resource)), nominal,
+      /*tag=*/job);
 
-  if (session_->two_phase_dynamic() && start > now &&
+  if (session_->policy().two_phase_dynamic() && start > now &&
       !sim::time_eq(start, now)) {
     // Two-phase dispatch: the granted start lies in the future, so keep
     // the reservation held — visible in the ledger queue, displaceable
@@ -349,7 +344,7 @@ void DynamicExecution::assign(dag::JobId job, grid::ResourceId resource,
     hold.resource = resource;
     hold.nominal = nominal;
     hold.decided_at = now;
-    hold.inputs_ready = inputs_ready(job, resource, now);
+    hold.inputs_ready = ready;
     hold.seq = next_decision_seq_++;
     schedule_retry(job, start);
     return;

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -126,12 +127,13 @@ class DynamicExecution : public SessionParticipant {
   /// Time `resource` is free for this workflow's own reasons that the
   /// ledger does not know: its held dispatch claims and the machine's
   /// arrival. The session's acquire and peek add the workflow's
-  /// committed bookings and the cross-workflow grant on top.
-  [[nodiscard]] sim::Time machine_free(grid::ResourceId resource) const;
-  /// machine_free seen by decision number `seq`: only held claims of
-  /// strictly earlier decisions gate it (its own claim never does).
-  [[nodiscard]] sim::Time machine_free_before(grid::ResourceId resource,
-                                              std::uint64_t seq) const;
+  /// committed bookings and the cross-workflow grant on top. Seen by
+  /// decision number `seq`, only held claims of strictly earlier
+  /// decisions gate it (its own claim never does); the default sees
+  /// every held claim, as a new decision does.
+  [[nodiscard]] sim::Time machine_free_before(
+      grid::ResourceId resource,
+      std::uint64_t seq = std::numeric_limits<std::uint64_t>::max()) const;
   /// Nominal completion time used by the Min-Min decision.
   [[nodiscard]] sim::Time completion_time(dag::JobId job,
                                           grid::ResourceId resource,

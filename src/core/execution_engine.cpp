@@ -39,7 +39,12 @@ const Schedule& ExecutionEngine::current_schedule() const {
   return schedule_;
 }
 
-void ExecutionEngine::reset_job(dag::JobId job) {
+void ExecutionEngine::stop_running(dag::JobId job, sim::Time at) {
+  account_interrupted_segment(job, at);
+  if (trace_ != nullptr) {
+    const JobRecord& run = record_.record(job);
+    trace_->record_compute(job, run.resource, run.ast, at);
+  }
   record_.mark_pending(job);
   jobs_[job] = JobState{};
 }
@@ -93,12 +98,8 @@ void ExecutionEngine::submit(Schedule schedule) {
           // cancelled job's projected finish.
           const bool cancelled = simulator_->cancel(jobs_[i].completion);
           AHEFT_ASSERT(cancelled, "running job had no completion event");
-          account_interrupted_segment(i, now);
           session_->truncate_commit(this, state.resource, /*tag=*/i, now);
-          if (trace_ != nullptr) {
-            trace_->record_compute(i, state.resource, state.ast, now);
-          }
-          reset_job(i);
+          stop_running(i, now);
           ++counters_.restarts;
         }
         break;
@@ -400,14 +401,10 @@ void ExecutionEngine::hit_departure(dag::JobId job) {
   AHEFT_ASSERT(run.phase == JobPhase::kRunning,
                "departure hit a non-running job");
   const sim::Time now = simulator_->now();
-  account_interrupted_segment(job, now);
-  if (trace_ != nullptr) {
-    trace_->record_compute(job, run.resource, run.ast, now);
-  }
   // The committed ledger window ends exactly at the wall — no truncation
   // needed; the machine is gone either way.
+  stop_running(job, now);
   ++counters_.revoked_jobs;
-  reset_job(job);
   requeue_job(job, now);
 }
 
@@ -425,15 +422,11 @@ bool ExecutionEngine::revoke_committed(grid::ResourceId resource,
     return false;  // completing this very instant: nothing left to take
   }
   const sim::Time now = simulator_->now();
-  account_interrupted_segment(job, now);
   // Truncating carries the job's first-feasible baseline into its
   // re-registration, so the eviction does not zero its fair-share wait.
   session_->truncate_commit(this, resource, tag, now, /*carry_baseline=*/true);
-  if (trace_ != nullptr) {
-    trace_->record_compute(job, resource, run.ast, now);
-  }
+  stop_running(job, now);
   ++counters_.revoked_jobs;
-  reset_job(job);
   requeue_job(job, now);
   return true;
 }
@@ -499,13 +492,11 @@ void ExecutionEngine::reassign(dag::JobId job, grid::ResourceId target,
   schedule_.unassign(job);
   // Plan the remainder after the target's planned work; the pump applies
   // the real gating (inputs, machine free, contention grant) at start.
-  sim::Time start = std::max(now, pool_->resource(target).arrival);
-  for (const Assignment& slot : schedule_.timeline(target)) {
-    start = std::max(start, slot.finish);
-  }
-  schedule_.assign(
-      Assignment{job, target, start,
-                 start + next_segment(job, target).duration()});
+  const double duration = next_segment(job, target).duration();
+  const sim::Time start = schedule_.earliest_slot(
+      target, now, duration, SlotPolicy::kEndOfQueue,
+      pool_->resource(target).arrival, sim::kTimeInfinity);
+  schedule_.assign(Assignment{job, target, start, start + duration});
 }
 
 void ExecutionEngine::fail_workflow(const std::string& reason) {
@@ -523,12 +514,8 @@ void ExecutionEngine::fail_workflow(const std::string& reason) {
     if (!simulator_->cancel(jobs_[i].completion)) {
       continue;  // completes this very instant: let it finish
     }
-    account_interrupted_segment(i, now);
     session_->truncate_commit(this, run.resource, /*tag=*/i, now);
-    if (trace_ != nullptr) {
-      trace_->record_compute(i, run.resource, run.ast, now);
-    }
-    reset_job(i);
+    stop_running(i, now);
   }
   queues_.clear();
   session_->withdraw_all(this);

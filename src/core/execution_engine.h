@@ -167,8 +167,11 @@ class ExecutionEngine : public SessionParticipant {
   [[nodiscard]] JobPhase phase(dag::JobId job) const {
     return record_.record(job).phase;
   }
-  /// Returns a cancelled or revoked running job to pending.
-  void reset_job(dag::JobId job);
+  /// Stops running `job` at `at` (its completion event already
+  /// cancelled, or its machine's wall reached): accounts the interrupted
+  /// segment, traces the compute it did, and returns it to pending. The
+  /// caller handles the ledger window and its own counter.
+  void stop_running(dag::JobId job, sim::Time at);
   /// Launches the transfer of edge `e`'s payload toward `target` at `when`
   /// if it is not already there or in flight; returns the arrival time.
   sim::Time ensure_transfer(std::size_t edge_index, grid::ResourceId target,

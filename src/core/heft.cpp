@@ -10,22 +10,11 @@ Schedule heft_schedule(const dag::Dag& dag,
                        const grid::ResourcePool& pool, SchedulerConfig config,
                        sim::Time clock, const AvailabilityView* availability,
                        bool allow_infeasible) {
-  return heft_schedule(dag, estimates, pool, pool.available_at(clock),
-                       config, clock, availability, allow_infeasible);
-}
-
-Schedule heft_schedule(const dag::Dag& dag,
-                       const grid::CostProvider& estimates,
-                       const grid::ResourcePool& pool,
-                       std::vector<grid::ResourceId> resources,
-                       SchedulerConfig config, sim::Time clock,
-                       const AvailabilityView* availability,
-                       bool allow_infeasible) {
   RescheduleRequest request;
   request.dag = &dag;
   request.estimates = &estimates;
   request.pool = &pool;
-  request.resources = std::move(resources);
+  request.resources = pool.available_at(clock);
   request.clock = clock;
   request.snapshot = nullptr;
   request.previous = nullptr;

@@ -5,8 +5,6 @@
 #ifndef AHEFT_CORE_HEFT_H_
 #define AHEFT_CORE_HEFT_H_
 
-#include <vector>
-
 #include "core/policies.h"
 #include "core/schedule.h"
 #include "dag/dag.h"
@@ -27,15 +25,6 @@ namespace aheft::core {
 [[nodiscard]] Schedule heft_schedule(
     const dag::Dag& dag, const grid::CostProvider& estimates,
     const grid::ResourcePool& pool, SchedulerConfig config = {},
-    sim::Time clock = sim::kTimeZero,
-    const AvailabilityView* availability = nullptr,
-    bool allow_infeasible = false);
-
-/// Convenience overload with an explicit visible resource set.
-[[nodiscard]] Schedule heft_schedule(
-    const dag::Dag& dag, const grid::CostProvider& estimates,
-    const grid::ResourcePool& pool,
-    std::vector<grid::ResourceId> resources, SchedulerConfig config = {},
     sim::Time clock = sim::kTimeZero,
     const AvailabilityView* availability = nullptr,
     bool allow_infeasible = false);

@@ -22,13 +22,8 @@ namespace aheft::core {
 AdaptivePlanner::AdaptivePlanner(const dag::Dag& dag,
                                  const grid::CostProvider& estimates,
                                  const grid::CostProvider& actual,
-                                 const grid::ResourcePool& pool,
                                  PlannerConfig config)
-    : dag_(dag),
-      estimates_(estimates),
-      actual_(actual),
-      pool_(pool),
-      config_(config) {
+    : dag_(dag), estimates_(estimates), actual_(actual), config_(config) {
   AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
 }
 
@@ -38,7 +33,7 @@ void AdaptivePlanner::evaluate(const std::string& reason, bool forced) {
   }
   sim::Simulator& simulator = session_->simulator();
   const sim::Time clock = simulator.now();
-  const std::vector<grid::ResourceId> visible = pool_.available_at(clock);
+  const std::vector<grid::ResourceId> visible = pool_->available_at(clock);
   if (visible.empty()) {
     AHEFT_LOG_WARN("no resources visible at t=" << clock
                                                 << "; skipping evaluation");
@@ -52,7 +47,7 @@ void AdaptivePlanner::evaluate(const std::string& reason, bool forced) {
   RescheduleRequest request;
   request.dag = &dag_;
   request.estimates = &estimates_;
-  request.pool = &pool_;
+  request.pool = pool_;
   request.resources = visible;
   request.clock = clock;
   request.snapshot = &snapshot;
@@ -119,11 +114,10 @@ void AdaptivePlanner::evaluate(const std::string& reason, bool forced) {
 
 void AdaptivePlanner::launch(SimulationSession& session, sim::Time release,
                              Completion done, double priority) {
-  AHEFT_REQUIRE(&session.pool() == &pool_,
-                "planner launched into a session over a different pool");
   AHEFT_REQUIRE(sim::time_le(session.simulator().now(), release),
                 "planner launch release lies in the simulator's past");
   session_ = &session;
+  pool_ = &session.pool();
   release_ = release;
   priority_ = priority;
   done_ = std::move(done);
@@ -135,7 +129,7 @@ void AdaptivePlanner::launch(SimulationSession& session, sim::Time release,
 }
 
 void AdaptivePlanner::start() {
-  AHEFT_REQUIRE(pool_.count_available_at(release_) > 0,
+  AHEFT_REQUIRE(pool_->count_available_at(release_) > 0,
                 "planner needs at least one resource at release");
   engine_ = std::make_unique<ExecutionEngine>(*session_, dag_, actual_,
                                               priority_);
@@ -190,7 +184,7 @@ void AdaptivePlanner::start() {
     view.emplace(session_->availability_view(engine_.get()));
   }
   Schedule initial = heft_schedule(
-      dag_, estimates_, pool_, config_.scheduler, release_,
+      dag_, estimates_, *pool_, config_.scheduler, release_,
       view ? &*view : nullptr,
       /*allow_infeasible=*/session_->resilience().departure_action !=
           resilience::DepartureAction::kError);
@@ -201,14 +195,14 @@ void AdaptivePlanner::start() {
   // Subscribe to every later resource-pool change (arrivals, departures).
   if (config_.react_to_pool_changes) {
     for (const sim::Time when :
-         pool_.change_times(release_, sim::kTimeInfinity)) {
+         pool_->change_times(release_, sim::kTimeInfinity)) {
       session_->simulator().schedule_at(when, [this, when] {
         if (completed_) {
           return;
         }
         // Departures make the current plan infeasible for jobs mapped to
         // the lost resource, so adoption is forced in that case.
-        const bool forced = !pool_.departures_at(when).empty();
+        const bool forced = !pool_->departures_at(when).empty();
         evaluate(forced ? "resource-departure" : "resource-arrival", forced);
       });
     }

@@ -54,8 +54,7 @@ class AdaptivePlanner {
   /// `actual` is what the simulated grid really does. They coincide under
   /// the paper's accuracy assumption.
   AdaptivePlanner(const dag::Dag& dag, const grid::CostProvider& estimates,
-                  const grid::CostProvider& actual,
-                  const grid::ResourcePool& pool, PlannerConfig config = {});
+                  const grid::CostProvider& actual, PlannerConfig config = {});
 
   /// Receives the run's outcome (moved, not copied: the decision log and
   /// the last plan leave the planner).
@@ -64,8 +63,8 @@ class AdaptivePlanner {
   /// Schedules the initial plan at `release` (>= the session clock)
   /// inside `session` and subscribes to its event feeds; `done` fires on
   /// the session clock when the workflow completes or fails. The session
-  /// environment supplies the pool (must be the constructor's), trace
-  /// recorder, load profile, and history repository. `priority` is
+  /// supplies the pool (that of the shard bound to the calling thread),
+  /// trace recorder, load profile, and history repository. `priority` is
   /// the workflow's weight under the session's contention policy. The
   /// planner must outlive the session's run.
   void launch(SimulationSession& session, sim::Time release,
@@ -79,10 +78,10 @@ class AdaptivePlanner {
   const dag::Dag& dag_;
   const grid::CostProvider& estimates_;
   const grid::CostProvider& actual_;
-  const grid::ResourcePool& pool_;
   PlannerConfig config_;
 
   SimulationSession* session_ = nullptr;
+  const grid::ResourcePool* pool_ = nullptr;
   std::unique_ptr<ExecutionEngine> engine_;
   sim::Time release_ = sim::kTimeZero;
   double priority_ = 1.0;

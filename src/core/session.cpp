@@ -130,10 +130,6 @@ const ResourceLedger& SimulationSession::ledger() const noexcept {
   return state().ledger;
 }
 
-bool SimulationSession::two_phase_dynamic() const {
-  return state().policy->two_phase_dynamic();
-}
-
 std::size_t SimulationSession::shard_of(grid::ResourceId resource) const {
   const std::size_t n = sharded_.shard_count();
   const std::size_t universe = env_.pool->universe_size();

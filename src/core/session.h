@@ -1,12 +1,12 @@
 // SimulationSession: the shared home of one simulated experiment.
 //
-// Historically each strategy entry point built its own simulator, wired
-// its own subset of the environment (only two accepted a LoadProfile,
-// only AHEFT accepted a history repository), and ran one DAG to
-// completion. The session inverts that: it owns the simulator clock and
-// the full environment — resource pool, load profile, trace recorder,
-// performance-history repository — and every strategy driver plugs into
-// it, so all strategies get identical plumbing by construction.
+// The session owns the simulator clock and the full environment —
+// resource pool, load profile, trace recorder, performance-history
+// repository — and every strategy driver launches its workflows into it
+// (StrategyDriver::launch with a WorkflowInstance), so all strategies get
+// identical plumbing by construction. A workflow takes its pool from the
+// session it launches into; a single workflow runs alone in a fresh
+// session (core::run_alone).
 //
 // The session also arbitrates cross-workflow resource contention, and
 // every piece of that arbitration reads and writes one structure: the
@@ -27,15 +27,18 @@
 // resource universe across N `sim::ShardedSimulator` shards and gives
 // each shard a private copy of everything mutable — ledger, contention
 // policy, participant table, and a masked resource pool in which foreign
-// machines never arrive. Participants are pinned to the shard whose
-// binding was active when they registered (bind_shard), and may only
-// touch resources of that shard — enforced at acquire time — so the hot
-// path takes no locks and a fixed shard count replays bit-identically.
-// Shards exchange nothing during a run; their only shared state, the
-// environment trace and history sinks, is merged at epoch barriers.
-// Every accessor below (simulator(), pool(), ledger(), ...) resolves to
-// the calling thread's bound shard; with one shard the session is
-// exactly the historical serial session.
+// machines never arrive. A workflow launched while a shard is bound
+// (bind_shard; run_workflow_stream binds each instance's home shard) is
+// released on that shard's clock and sees that shard's pool. Its
+// participants are pinned to the shard whose binding was active when
+// they registered, and may only touch resources of that shard —
+// enforced at acquire time — so the hot path takes no locks and a fixed
+// shard count replays bit-identically. Shards exchange nothing during a
+// run; their only shared state, the environment trace and history sinks,
+// is merged at epoch barriers. Every accessor below (simulator(),
+// pool(), ledger(), ...) resolves to the calling thread's bound shard
+// (shard 0 when unbound); with one shard the session is the serial
+// session.
 #ifndef AHEFT_CORE_SESSION_H_
 #define AHEFT_CORE_SESSION_H_
 
@@ -207,9 +210,6 @@ class SimulationSession {
   /// The calling shard's reservation ledger (read-only; mutate it through
   /// acquire/commit/withdraw so policy hooks and wakeups stay coherent).
   [[nodiscard]] const ResourceLedger& ledger() const noexcept;
-  /// Whether just-in-time dispatch should reserve→commit in two phases
-  /// under the active policy (see ContentionPolicy::two_phase_dynamic).
-  [[nodiscard]] bool two_phase_dynamic() const;
 
   // ---- Sharding ----
 
@@ -220,9 +220,9 @@ class SimulationSession {
   /// The shard owning `resource` under the environment's assignment.
   [[nodiscard]] std::size_t shard_of(grid::ResourceId resource) const;
   /// Binds the calling thread to shard `s` until the returned guard
-  /// dies. Setup code uses this to construct participants on their home
-  /// shard, or to schedule on that shard through simulator(); during
-  /// run() the epoch drains bind each worker themselves.
+  /// dies. Setup code uses this to launch workflows on their home shard,
+  /// or to schedule on that shard through simulator(); during run() the
+  /// epoch drains bind each worker themselves.
   [[nodiscard]] sim::ShardedSimulator::ShardBinding bind_shard(
       std::size_t s) {
     return sim::ShardedSimulator::ShardBinding(sharded_, s);

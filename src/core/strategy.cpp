@@ -57,22 +57,20 @@ class PlannerDriver final : public StrategyDriver {
                                               : "AHEFT (adaptive)";
   }
 
-  void launch(SimulationSession& session, const dag::Dag& dag,
-              const grid::CostProvider& estimates,
-              const grid::CostProvider& actual,
-              const LaunchOptions& options, Completion done) override {
+  void launch(SimulationSession& session, const WorkflowInstance& instance,
+              Completion done) override {
     auto owned = std::make_unique<AdaptivePlanner>(
-        dag, estimates, actual, session.pool(), config_);
+        *instance.dag, *instance.estimates, *instance.actual, config_);
     AdaptivePlanner* planner = owned.get();
     {
-      // Launches land concurrently from shard workers and parallel solo
-      // baselines; only ownership registration is shared — the planner
-      // itself stays confined to the launching thread's shard.
+      // Parallel solo baselines launch concurrently; only ownership
+      // registration is shared — the planner itself stays confined to
+      // the shard it launched on.
       const std::lock_guard<std::mutex> lock(mutex_);
       launches_.push_back(std::move(owned));
     }
-    planner->launch(session, options.release, std::move(done),
-                    options.priority);
+    planner->launch(session, instance.arrival, std::move(done),
+                    instance.priority);
   }
 
  private:
@@ -94,18 +92,17 @@ class DynamicDriver final : public StrategyDriver {
     return "min-min (dynamic)";
   }
 
-  void launch(SimulationSession& session, const dag::Dag& dag,
-              const grid::CostProvider& /*estimates*/,
-              const grid::CostProvider& actual,
-              const LaunchOptions& options, Completion done) override {
+  void launch(SimulationSession& session, const WorkflowInstance& instance,
+              Completion done) override {
     auto owned = std::make_unique<DynamicExecution>(
-        session, dag, actual, options.priority, contention_aware_);
+        session, *instance.dag, *instance.actual, instance.priority,
+        contention_aware_);
     DynamicExecution* execution = owned.get();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       launches_.push_back(std::move(owned));
     }
-    execution->launch(options.release, std::move(done));
+    execution->launch(instance.arrival, std::move(done));
   }
 
  private:
@@ -128,6 +125,21 @@ std::unique_ptr<StrategyDriver> make_strategy_driver(
   throw std::invalid_argument("unknown strategy kind");
 }
 
+StrategyOutcome run_alone(const SessionEnvironment& env,
+                          StrategyDriver& driver,
+                          const WorkflowInstance& instance) {
+  SimulationSession session(env);
+  StrategyOutcome outcome;
+  bool completed = false;
+  driver.launch(session, instance, [&](StrategyOutcome result) {
+    outcome = std::move(result);
+    completed = true;
+  });
+  session.run();
+  AHEFT_ASSERT(completed, "strategy run ended with unfinished workflow");
+  return outcome;
+}
+
 StrategyOutcome run_strategy(StrategyKind kind, const dag::Dag& dag,
                              const grid::CostProvider& estimates,
                              const grid::CostProvider& actual,
@@ -135,17 +147,11 @@ StrategyOutcome run_strategy(StrategyKind kind, const dag::Dag& dag,
                              const StrategyConfig& config) {
   const std::unique_ptr<StrategyDriver> driver =
       make_strategy_driver(kind, config);
-  SimulationSession session(env);
-  StrategyOutcome outcome;
-  bool completed = false;
-  driver->launch(session, dag, estimates, actual, LaunchOptions{},
-                 [&](StrategyOutcome result) {
-                   outcome = std::move(result);
-                   completed = true;
-                 });
-  session.run();
-  AHEFT_ASSERT(completed, "strategy run ended with unfinished workflow");
-  return outcome;
+  return run_alone(env, *driver,
+                   WorkflowInstance{.name = dag.name(),
+                                    .dag = &dag,
+                                    .estimates = &estimates,
+                                    .actual = &actual});
 }
 
 }  // namespace aheft::core

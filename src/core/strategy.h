@@ -4,9 +4,11 @@
 // Every strategy runs inside a SimulationSession and receives the exact
 // same environment — resource pool event stream, load profile, trace
 // recorder, performance-history repository — by construction, which is
-// what makes their makespans comparable. A driver can be launched many
-// times into one session (concurrent workflow streams) or once into a
-// private session (run_strategy, the classic single-DAG comparison).
+// what makes their makespans comparable. A WorkflowInstance is the one
+// description of a workflow to launch. A driver launches instances
+// into a shared session (a workflow stream), or runs one alone in a
+// fresh session (run_alone; run_strategy is the classic single-DAG
+// comparison on top of it).
 #ifndef AHEFT_CORE_STRATEGY_H_
 #define AHEFT_CORE_STRATEGY_H_
 
@@ -52,10 +54,17 @@ struct StrategyConfig {
   PlannerConfig planner;
 };
 
-/// Per-launch knobs of one workflow execution inside a session.
-struct LaunchOptions {
+/// One workflow to launch into a session. The DAG and cost providers
+/// must outlive the session's run.
+struct WorkflowInstance {
+  std::string name;
+  const dag::Dag* dag = nullptr;
+  /// The planner's view (the Predictor output P).
+  const grid::CostProvider* estimates = nullptr;
+  /// What the simulated grid really does.
+  const grid::CostProvider* actual = nullptr;
   /// Simulation time the workflow is released (>= the session clock).
-  sim::Time release = sim::kTimeZero;
+  sim::Time arrival = sim::kTimeZero;
   /// Weight under the session's contention policy: strict rank for
   /// "priority", share weight for "fair-share", ignored by "fcfs".
   double priority = 1.0;
@@ -76,22 +85,28 @@ class StrategyDriver {
   /// moved up from the run without copying.
   using Completion = std::function<void(StrategyOutcome)>;
 
-  /// Begins executing `dag` inside `session` per `options`; `done` fires
-  /// on the session clock when the workflow completes. May be called any
-  /// number of times, including for concurrently executing workflows in
-  /// one session.
-  virtual void launch(SimulationSession& session, const dag::Dag& dag,
-                      const grid::CostProvider& estimates,
-                      const grid::CostProvider& actual,
-                      const LaunchOptions& options, Completion done) = 0;
+  /// Begins executing `instance` inside `session` at its arrival, on
+  /// the shard bound to the calling thread (shard 0 when unbound); `done`
+  /// fires on the session clock when the workflow completes or fails.
+  /// May be called any number of times, including for concurrently
+  /// executing workflows in one session.
+  virtual void launch(SimulationSession& session,
+                      const WorkflowInstance& instance, Completion done) = 0;
 };
 
 /// Builds the driver for `kind` with the given knobs.
 [[nodiscard]] std::unique_ptr<StrategyDriver> make_strategy_driver(
     StrategyKind kind, const StrategyConfig& config = {});
 
-/// Runs one DAG through a private session over `env` to completion: the
-/// one entry point for a single-workflow run of any strategy.
+/// Runs `instance` through `driver` alone: a fresh session over `env`
+/// with no competing workflow, run to completion. The one routine behind
+/// run_strategy and the workflow stream's solo baselines.
+[[nodiscard]] StrategyOutcome run_alone(const SessionEnvironment& env,
+                                        StrategyDriver& driver,
+                                        const WorkflowInstance& instance);
+
+/// Runs one DAG, released at time 0, alone over `env` through a fresh
+/// driver for `kind`: the single-workflow comparison of the strategies.
 [[nodiscard]] StrategyOutcome run_strategy(
     StrategyKind kind, const dag::Dag& dag,
     const grid::CostProvider& estimates, const grid::CostProvider& actual,

@@ -11,39 +11,6 @@
 
 namespace aheft::core {
 
-namespace {
-
-/// Solo makespan of one instance: the same driver, grid, and release
-/// time, but a fresh serial session with no competing workflows. The
-/// trace recorder and history repository are NOT shared — the measured
-/// stream run must stay the only thing they observe.
-sim::Time solo_makespan(const SessionEnvironment& env,
-                        StrategyDriver& driver,
-                        const WorkflowInstance& instance) {
-  SessionEnvironment solo_env = env;
-  solo_env.trace = nullptr;
-  solo_env.history = nullptr;
-  // One workflow has nothing to shard; a serial solo session also keeps
-  // the baseline identical whatever the contended run's shard count.
-  solo_env.shards = 1;
-  solo_env.shard_workers = nullptr;
-  SimulationSession session(solo_env);
-  sim::Time finish = sim::kTimeZero;
-  bool completed = false;
-  driver.launch(session, *instance.dag, *instance.estimates,
-                *instance.actual,
-                LaunchOptions{instance.arrival, instance.priority},
-                [&](const StrategyOutcome& outcome) {
-                  finish = outcome.makespan;
-                  completed = true;
-                });
-  session.run();
-  AHEFT_ASSERT(completed, "solo baseline did not complete");
-  return finish - instance.arrival;
-}
-
-}  // namespace
-
 StreamOutcome run_workflow_stream(const SessionEnvironment& env,
                                   StrategyDriver& driver,
                                   std::vector<WorkflowInstance> instances,
@@ -92,46 +59,25 @@ StreamOutcome run_workflow_stream(const SessionEnvironment& env,
   // keep the bookkeeping race-free without atomics.
   std::vector<unsigned char> done(instances.size(), 0);
   const std::size_t shards = session.shard_count();
-  std::size_t next_shard = 0;
-  for (const std::size_t i : order) {
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t i = order[k];
     const WorkflowInstance& instance = instances[i];
     WorkflowResult& slot = stream.workflows[i];
     slot.name = instance.name;
     slot.arrival = instance.arrival;
-    auto completion = [&slot, flag = done.data() + i](
-                          StrategyOutcome outcome) {
-      slot.finish = outcome.makespan;
-      slot.makespan = outcome.makespan - slot.arrival;
-      slot.wait = outcome.contention_wait;
-      slot.max_wait = outcome.max_contention_wait;
-      slot.outcome = std::move(outcome);
-      *flag = 1;
-    };
-    if (shards == 1) {
-      // Serial path, unchanged since PR 2: launch directly so the event
-      // sequence — and therefore the outcome — is bit-identical to every
-      // prior release.
-      driver.launch(session, *instance.dag, *instance.estimates,
-                    *instance.actual,
-                    LaunchOptions{instance.arrival, instance.priority},
-                    std::move(completion));
-    } else {
-      // Sharded path: pin the instance to a home shard (round-robin in
-      // launch order — deterministic) and launch it there in an event at
-      // its arrival, when the launching thread is bound to the shard and
-      // session.pool() resolves to the shard's machines.
-      const std::size_t home = next_shard;
-      next_shard = (next_shard + 1) % shards;
-      const auto binding = session.bind_shard(home);
-      session.simulator().schedule_at(
-          instance.arrival, [&session, &driver, &instance,
-                             completion = std::move(completion)]() mutable {
-            driver.launch(session, *instance.dag, *instance.estimates,
-                          *instance.actual,
-                          LaunchOptions{instance.arrival, instance.priority},
-                          std::move(completion));
-          });
-    }
+    // Launch on the home shard (round-robin in launch order, so shard 0
+    // in a serial session): the workflow is released on that shard's
+    // clock and session.pool() resolves to that shard's machines.
+    const auto binding = session.bind_shard(k % shards);
+    driver.launch(session, instance,
+                  [&slot, flag = done.data() + i](StrategyOutcome outcome) {
+                    slot.finish = outcome.makespan;
+                    slot.makespan = outcome.makespan - slot.arrival;
+                    slot.wait = outcome.contention_wait;
+                    slot.max_wait = outcome.max_contention_wait;
+                    slot.outcome = std::move(outcome);
+                    *flag = 1;
+                  });
   }
   session.run();
   AHEFT_ASSERT(std::all_of(done.begin(), done.end(),
@@ -139,6 +85,17 @@ StreamOutcome run_workflow_stream(const SessionEnvironment& env,
                "stream ended with unfinished workflows");
 
   if (config.compute_slowdowns) {
+    // Solo baseline: the same driver, grid, and release time in a fresh
+    // serial session with no competing workflows. The trace recorder and
+    // history repository are NOT shared — the measured stream run must
+    // stay the only thing they observe. One workflow has nothing to
+    // shard; a serial solo session also keeps the baseline identical
+    // whatever the contended run's shard count.
+    SessionEnvironment solo_env = env;
+    solo_env.trace = nullptr;
+    solo_env.history = nullptr;
+    solo_env.shards = 1;
+    solo_env.shard_workers = nullptr;
     // Each solo run is an independent single-workflow simulation writing
     // only its own slot, so the reduction is order-independent and the
     // fan-out changes nothing but wall time. Failed workflows keep the
@@ -148,7 +105,9 @@ StreamOutcome run_workflow_stream(const SessionEnvironment& env,
       if (stream.workflows[i].outcome.failed) {
         return;
       }
-      const sim::Time solo = solo_makespan(env, driver, instances[i]);
+      const sim::Time solo =
+          run_alone(solo_env, driver, instances[i]).makespan -
+          instances[i].arrival;
       stream.workflows[i].slowdown =
           solo > 0.0 ? stream.workflows[i].makespan / solo : 1.0;
     });

@@ -23,18 +23,6 @@
 
 namespace aheft::core {
 
-/// One workflow instance of the stream. The DAG and cost providers must
-/// outlive the stream run.
-struct WorkflowInstance {
-  std::string name;
-  const dag::Dag* dag = nullptr;
-  const grid::CostProvider* estimates = nullptr;
-  const grid::CostProvider* actual = nullptr;
-  sim::Time arrival = sim::kTimeZero;
-  /// Weight under the session's contention policy (see LaunchOptions).
-  double priority = 1.0;
-};
-
 struct WorkflowResult {
   std::string name;
   sim::Time arrival = sim::kTimeZero;
@@ -95,22 +83,22 @@ struct StreamConfig {
 };
 
 /// Runs `instances` through `driver` inside one session over `env`.
-/// Instances are launched in (arrival, insertion) order, which makes the
-/// whole stream deterministic for a fixed input. The driver keeps the
-/// per-launch state alive, so one driver can serve the stream run plus
-/// the solo baselines.
+/// Instances are launched before the run in (arrival, insertion) order,
+/// which makes the whole stream deterministic for a fixed input. The
+/// driver keeps the per-launch state alive, so one driver can serve the
+/// stream run plus the solo baselines (run_alone).
 ///
-/// With SessionEnvironment::shards > 1 the session's machines are
-/// partitioned across parallel event-loop shards and each instance is
-/// pinned round-robin (in arrival order) to one shard: its launch is
-/// scheduled on that shard before the run, it contends only for that
-/// shard's machines, and the shards tick in lock-step epochs on the
-/// thread pool without exchanging anything. Trace recorders and history
-/// repositories compose with the sharded run: each shard writes a private
-/// stamped sink the session merges at tick barriers in (time, origin
-/// shard, origin seq) order. A fixed shard count gives bit-identical
-/// outcomes — and byte-identical merged sinks — run to run; shards = 1 is
-/// bit-identical to the historical serial stream, sinks included.
+/// Every instance has a home shard: round-robin in launch order over the
+/// session's shards, so shard 0 for all of them when the session is
+/// serial. Each launch runs with the home shard bound (bind_shard), so
+/// the workflow is released on that shard's clock and contends only for
+/// that shard's machines. With SessionEnvironment::shards > 1 the shards
+/// tick in lock-step epochs on the thread pool without exchanging
+/// anything. Trace recorders and history repositories compose with the
+/// sharded run: each shard writes a private stamped sink the session
+/// merges at tick barriers in (time, origin shard, origin seq) order. A
+/// fixed shard count gives bit-identical outcomes — and byte-identical
+/// merged sinks — run to run.
 [[nodiscard]] StreamOutcome run_workflow_stream(
     const SessionEnvironment& env, StrategyDriver& driver,
     std::vector<WorkflowInstance> instances, StreamConfig config = {});

@@ -1,12 +1,12 @@
 // Predictors: the Planner-side estimate of computation/communication cost.
 //
 // Fig. 1 of the paper places a Predictor between the Scheduler and the
-// Performance History Repository. PerfectPredictor models the paper's
-// accuracy assumption (§4.1); NoisyPredictor perturbs the truth for the
-// inaccuracy ablation; HistoryBlendingPredictor converges to the truth as
-// executions of the same operation are observed (the collaboration loop of
-// §3.2: "the Performance History Repository is updated to improve the
-// estimation accuracy").
+// Performance History Repository. Under the paper's accuracy assumption
+// (§4.1) the planner reads the ground-truth model itself; NoisyPredictor
+// perturbs the truth for the inaccuracy ablation; HistoryBlendingPredictor
+// converges to the truth as executions of the same operation are observed
+// (the collaboration loop of §3.2: "the Performance History Repository is
+// updated to improve the estimation accuracy").
 #ifndef AHEFT_GRID_PREDICTOR_H_
 #define AHEFT_GRID_PREDICTOR_H_
 
@@ -17,35 +17,6 @@
 #include "support/rng.h"
 
 namespace aheft::grid {
-
-/// Returns the ground truth unchanged.
-class PerfectPredictor final : public CostProvider {
- public:
-  explicit PerfectPredictor(const CostProvider& truth) : truth_(truth) {}
-
-  [[nodiscard]] double compute_cost(dag::JobId job,
-                                    ResourceId resource) const override {
-    return truth_.compute_cost(job, resource);
-  }
-  [[nodiscard]] double comm_cost(const dag::Edge& e, ResourceId from,
-                                 ResourceId to) const override {
-    return truth_.comm_cost(e, from, to);
-  }
-  [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
-    return truth_.mean_comm_cost(e);
-  }
-  [[nodiscard]] double mean_compute_cost(
-      dag::JobId job, std::span<const ResourceId> resources) const override {
-    return truth_.mean_compute_cost(job, resources);
-  }
-  void compute_costs(dag::JobId job, std::span<const ResourceId> resources,
-                     std::span<double> out) const override {
-    truth_.compute_costs(job, resources, out);
-  }
-
- private:
-  const CostProvider& truth_;
-};
 
 /// Multiplies each computation cost by a deterministic per-(job, resource)
 /// factor drawn uniformly from [1 - error, 1 + error].

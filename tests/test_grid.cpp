@@ -117,7 +117,6 @@ TEST(MachineModel, MeanComputeCostIsTheBaseClassSumBitForBit) {
       model.set_compute_cost(i, r, std::exp(rng.uniform(-6.0, 9.0)));
     }
   }
-  const PerfectPredictor perfect(model);
   const CostProvider& base = model;
   for (int trial = 0; trial < 500; ++trial) {
     std::vector<ResourceId> visible(1 + rng.index(16));
@@ -131,7 +130,6 @@ TEST(MachineModel, MeanComputeCostIsTheBaseClassSumBitForBit) {
     const double reference =
         base.CostProvider::mean_compute_cost(job, visible);
     EXPECT_EQ(bits(model.mean_compute_cost(job, visible)), bits(reference));
-    EXPECT_EQ(bits(perfect.mean_compute_cost(job, visible)), bits(reference));
   }
 }
 
@@ -163,7 +161,6 @@ TEST(MachineModel, ComputeCostsIsTheBaseClassLoopBitForBit) {
       model.set_compute_cost(i, r, std::exp(rng.uniform(-6.0, 9.0)));
     }
   }
-  const PerfectPredictor perfect(model);
   const NoisyPredictor noisy(model, 0.2, 5);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<ResourceId> visible(rng.index(12));
@@ -173,7 +170,6 @@ TEST(MachineModel, ComputeCostsIsTheBaseClassLoopBitForBit) {
     const auto job = static_cast<dag::JobId>(rng.index(6));
     for (const CostProvider* costs :
          {static_cast<const CostProvider*>(&model),
-          static_cast<const CostProvider*>(&perfect),
           static_cast<const CostProvider*>(&noisy)}) {
       std::vector<double> row(visible.size());
       costs->compute_costs(job, visible, row);
@@ -219,7 +215,6 @@ TEST(CostProvider, LinksAreUniformForTheModelAndEveryPredictor) {
                          .bandwidth = std::exp(rng.uniform(-5.0, 5.0))};
     const ResourceId machines = 2 + static_cast<ResourceId>(rng.index(6));
     MachineModel model(2, machines, link);
-    const PerfectPredictor perfect(model);
     const NoisyPredictor noisy(model, 0.3, 17);
     const HistoryBlendingPredictor blending(model, graph, history);
     for (int k = 0; k < 10; ++k) {
@@ -229,7 +224,6 @@ TEST(CostProvider, LinksAreUniformForTheModelAndEveryPredictor) {
                                : std::exp(rng.uniform(-8.0, 12.0))};
       for (const CostProvider* costs :
            {static_cast<const CostProvider*>(&model),
-            static_cast<const CostProvider*>(&perfect),
             static_cast<const CostProvider*>(&noisy),
             static_cast<const CostProvider*>(&blending)}) {
         const double mean = costs->mean_comm_cost(edge);
@@ -245,15 +239,6 @@ TEST(CostProvider, LinksAreUniformForTheModelAndEveryPredictor) {
       }
     }
   }
-}
-
-TEST(Predictor, PerfectPassesThrough) {
-  MachineModel model(1, 1);
-  model.set_compute_cost(0, 0, 7.0);
-  const PerfectPredictor perfect(model);
-  EXPECT_DOUBLE_EQ(perfect.compute_cost(0, 0), 7.0);
-  const dag::Edge edge{0, 0, 4.0};
-  EXPECT_DOUBLE_EQ(perfect.mean_comm_cost(edge), model.mean_comm_cost(edge));
 }
 
 TEST(Predictor, NoisyIsDeterministicAndBounded) {

@@ -3,12 +3,25 @@
 
 #include "core/heft.h"
 #include "core/ranking.h"
+#include "core/rescheduler.h"
 #include "core/schedule.h"
 #include "helpers.h"
 #include "workloads/sample.h"
 
 namespace aheft::core {
 namespace {
+
+/// The initial (HEFT) pass at time 0 over an explicit visible set.
+Schedule heft_on(const dag::Dag& dag, const grid::CostProvider& estimates,
+                 const grid::ResourcePool& pool,
+                 std::vector<grid::ResourceId> resources) {
+  RescheduleRequest request;
+  request.dag = &dag;
+  request.estimates = &estimates;
+  request.pool = &pool;
+  request.resources = std::move(resources);
+  return aheft_schedule(request);
+}
 
 class SampleHeft : public ::testing::Test {
  protected:
@@ -94,8 +107,8 @@ TEST_F(SampleHeft, EndOfQueuePolicyIsValidAndNoBetter) {
 }
 
 TEST_F(SampleHeft, SingleResourceSerializesEverything) {
-  const Schedule s = heft_schedule(scenario_.dag, scenario_.model,
-                                   scenario_.pool, {0});
+  const Schedule s =
+      heft_on(scenario_.dag, scenario_.model, scenario_.pool, {0});
   validate_static(s, scenario_.dag, scenario_.model, scenario_.pool);
   double total = 0.0;
   for (dag::JobId i = 0; i < 10; ++i) {
@@ -158,9 +171,8 @@ TEST_P(HeftProperty, MoreResourcesNeverHurtThePlan) {
   const auto t0 = c.pool.available_at(0.0);
   std::vector<grid::ResourceId> halved(
       t0.begin(), t0.begin() + static_cast<std::ptrdiff_t>((t0.size() + 1) / 2));
-  const Schedule small =
-      heft_schedule(c.workload.dag, c.model, c.pool, halved);
-  const Schedule big = heft_schedule(c.workload.dag, c.model, c.pool, t0);
+  const Schedule small = heft_on(c.workload.dag, c.model, c.pool, halved);
+  const Schedule big = heft_on(c.workload.dag, c.model, c.pool, t0);
   // Greedy HEFT is not formally monotone, but with the insertion policy a
   // superset of resources should essentially never lose; allow 5% slack.
   EXPECT_LE(big.makespan(), small.makespan() * 1.05);

@@ -194,8 +194,8 @@ TEST(Planner, ReEvaluationSnapshotsAreFresh) {
   config.contention_aware = true;
 
   SimulationSession session(env);
-  AdaptivePlanner first(c.workload.dag, c.model, c.model, c.pool, config);
-  AdaptivePlanner second(c.workload.dag, c.model, c.model, c.pool, config);
+  AdaptivePlanner first(c.workload.dag, c.model, c.model, config);
+  AdaptivePlanner second(c.workload.dag, c.model, c.model, config);
   StrategyOutcome first_result;
   StrategyOutcome second_result;
   bool first_done = false;
@@ -249,7 +249,7 @@ TEST(Planner, ContentionAwarePlansRouteAroundForeignLoad) {
 
     PlannerConfig config;
     config.contention_aware = aware;
-    AdaptivePlanner planner(graph, model, model, pool, config);
+    AdaptivePlanner planner(graph, model, model, config);
     StrategyOutcome result;
     bool done = false;
     planner.launch(session, sim::kTimeZero, [&](StrategyOutcome r) {
